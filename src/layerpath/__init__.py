@@ -9,17 +9,11 @@ for the file formats and the command line front end.
 """
 
 from .aggregate import (
-    COMBINED,
-    DISTANCE_ONLY,
-    LAYERS_ONLY,
     AggregatedEdge,
     AggregatedGraph,
     AggregationParams,
     aggregate_graph,
     distance,
-    me_combined,
-    me_distance,
-    me_layers,
 )
 from .analytics import (
     STATS_COLUMNS,
@@ -74,7 +68,6 @@ from .paths import (
     dap_sssp,
     mda_sssp,
     ml_floyd_warshall,
-    reconstruct_path,
 )
 
 __version__ = "0.1.0"
@@ -84,8 +77,6 @@ __all__ = [
     "AggregatedGraph",
     "AggregationParams",
     "BenchReport",
-    "COMBINED",
-    "DISTANCE_ONLY",
     "DistanceMatrix",
     "DuplicateEdgeError",
     "EmptyFileError",
@@ -93,7 +84,6 @@ __all__ = [
     "InconsistentInputError",
     "InvalidAlphaError",
     "InvalidBetaError",
-    "LAYERS_ONLY",
     "LayerId",
     "LayerPathError",
     "LayeredEdge",
@@ -129,13 +119,9 @@ __all__ = [
     "format_load_summary",
     "load_edge_list",
     "mda_sssp",
-    "me_combined",
-    "me_distance",
-    "me_layers",
     "ml_floyd_warshall",
     "path_stats",
     "random_network",
-    "reconstruct_path",
     "stats_table",
     "write_edge_csv",
 ]

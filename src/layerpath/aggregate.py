@@ -7,11 +7,13 @@ polarity, flips closeness into distance:
     d(x, y) = 1 - (sum of w(x, y, l) over all layers) / |L|
 
 For negative polarity the weights already behave like distances, so the sum
-is only normalized, never subtracted from 1.
+is only normalized, never subtracted from 1. The formula is written once, as
+``core.pair_distance``, and applied to every connected pair when the network
+is sealed.
 
 A pair of nodes survives aggregation into a single weighted edge when it
-meets the configured thresholds: at least ``alpha`` layers, distance at most
-``beta``, or both. The aggregated edge weight is always d(x, y).
+spans at least ``alpha`` layers and its distance is at most ``beta``. The
+aggregated edge weight is always d(x, y).
 
 One rule is load-bearing and deliberate: a pair with no layered edge at all
 never receives an aggregated edge, even though its distance is 1 and a
@@ -26,13 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .core import MultiLayeredNetwork, POSITIVE, _coerce_alpha
+from .core import MultiLayeredNetwork, POSITIVE, _coerce_alpha, pair_distance
 from .errors import InvalidBetaError, SameNodeError
-
-LAYERS_ONLY = "layers_only"
-DISTANCE_ONLY = "distance_only"
-COMBINED = "combined"
-_MODES = (LAYERS_ONLY, DISTANCE_ONLY, COMBINED)
 
 
 def _coerce_beta(beta) -> float:
@@ -49,27 +46,16 @@ def _coerce_beta(beta) -> float:
 class AggregationParams:
     """Thresholds selecting which pairs survive aggregation.
 
-    ``mode`` picks the active thresholds: ``layers_only`` applies alpha,
-    ``distance_only`` applies beta, ``combined`` (default) applies both.
+    A pair needs at least ``alpha`` layers and a distance of at most
+    ``beta``. The defaults admit every connected pair.
     """
 
     alpha: int = 1
     beta: float = 1.0
-    mode: str = COMBINED
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _coerce_alpha(self.alpha))
         object.__setattr__(self, "beta", _coerce_beta(self.beta))
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-
-    @property
-    def effective_alpha(self) -> int:
-        return self.alpha if self.mode != DISTANCE_ONLY else 1
-
-    @property
-    def effective_beta(self) -> float:
-        return self.beta if self.mode != LAYERS_ONLY else 1.0
 
 
 class AggregatedEdge(NamedTuple):
@@ -80,20 +66,24 @@ class AggregatedEdge(NamedTuple):
 
 
 class AggregatedGraph:
-    """Simple weighted digraph produced by collapsing layered edges."""
+    """Simple weighted digraph produced by collapsing layered edges.
 
-    def __init__(self, nodes: frozenset[int], params: AggregationParams) -> None:
+    ``adj`` maps src -> {dst: distance} and ``counts`` src -> {dst: layer
+    count}, with the same keys; sources without kept edges are left out.
+    """
+
+    def __init__(
+        self,
+        nodes: frozenset[int],
+        params: AggregationParams,
+        adj: dict[int, dict[int, float]],
+        counts: dict[int, dict[int, int]],
+    ) -> None:
         self._nodes = nodes
         self._params = params
-        # src -> {dst: distance}; parallel layer counts per pair
-        self._adj: dict[int, dict[int, float]] = {}
-        self._counts: dict[int, dict[int, int]] = {}
-        self._num_edges = 0
-
-    def _add(self, src: int, dst: int, dist: float, count: int) -> None:
-        self._adj.setdefault(src, {})[dst] = dist
-        self._counts.setdefault(src, {})[dst] = count
-        self._num_edges += 1
+        self._adj = adj
+        self._counts = counts
+        self._num_edges = sum(len(targets) for targets in adj.values())
 
     @property
     def nodes(self) -> frozenset[int]:
@@ -127,65 +117,17 @@ class AggregatedGraph:
                 yield AggregatedEdge(src, dst, dist, counts[dst])
 
 
-def _distance_from_summary(wsum: float, num_layers: int, positive: bool) -> float:
-    if positive:
-        return 1.0 - wsum / num_layers
-    # negative polarity: weights already express distance, only normalize
-    return min(1.0, max(0.0, wsum / num_layers))
-
-
 def distance(net: MultiLayeredNetwork, x: int, y: int) -> float:
     """Layer-averaged distance between two distinct nodes, in [0, 1].
 
     A pair with no edge on any layer has distance 1 under positive polarity
-    (maximal strangeness) and 0 under negative polarity.
+    (maximal strangeness) and 0 under negative polarity. Works on unsealed
+    networks too.
     """
     if x == y:
         raise SameNodeError("distance is defined for distinct nodes only")
-    count, wsum = net.pair_summary(x, y)
-    del count
-    return _distance_from_summary(wsum, net.num_layers, net.polarity == POSITIVE)
-
-
-def me_layers(net: MultiLayeredNetwork, x: int, y: int, alpha: int) -> AggregatedEdge | None:
-    """Aggregated edge for (x, y) if it spans at least ``alpha`` layers."""
-    alpha = _coerce_alpha(alpha)
-    count, wsum = net.pair_summary(x, y)
-    if count < alpha:
-        return None
-    dist = _distance_from_summary(wsum, net.num_layers, net.polarity == POSITIVE)
-    return AggregatedEdge(x, y, dist, count)
-
-
-def me_distance(net: MultiLayeredNetwork, x: int, y: int, beta: float) -> AggregatedEdge | None:
-    """Aggregated edge for (x, y) if its distance is at most ``beta``.
-
-    Pairs without any layered edge return None regardless of beta (see the
-    module docstring).
-    """
-    beta = _coerce_beta(beta)
-    count, wsum = net.pair_summary(x, y)
-    if count < 1:
-        return None
-    dist = _distance_from_summary(wsum, net.num_layers, net.polarity == POSITIVE)
-    if dist > beta:
-        return None
-    return AggregatedEdge(x, y, dist, count)
-
-
-def me_combined(
-    net: MultiLayeredNetwork, x: int, y: int, alpha: int, beta: float
-) -> AggregatedEdge | None:
-    """Aggregated edge for (x, y) if both thresholds hold."""
-    alpha = _coerce_alpha(alpha)
-    beta = _coerce_beta(beta)
-    count, wsum = net.pair_summary(x, y)
-    if count < alpha:
-        return None
-    dist = _distance_from_summary(wsum, net.num_layers, net.polarity == POSITIVE)
-    if dist > beta:
-        return None
-    return AggregatedEdge(x, y, dist, count)
+    _, wsum = net.pair_summary(x, y)
+    return pair_distance(wsum, net.num_layers, net.polarity == POSITIVE)
 
 
 def aggregate_graph(net: MultiLayeredNetwork, params: AggregationParams) -> AggregatedGraph:
@@ -194,19 +136,13 @@ def aggregate_graph(net: MultiLayeredNetwork, params: AggregationParams) -> Aggr
     Only pairs carrying at least one layered edge are visited; the beta
     comparison is exact (no epsilon). Requires a sealed network.
     """
-    net.require_sealed()
-    alpha = params.effective_alpha
-    beta = params.effective_beta
-    num_layers = net.num_layers
-    positive = net.polarity == POSITIVE
-
-    graph = AggregatedGraph(net.nodes, params)
-    for src, targets in net._pairs.items():
-        for dst, (count, wsum) in targets.items():
-            if count < alpha:
-                continue
-            dist = _distance_from_summary(wsum, num_layers, positive)
-            if dist > beta:
-                continue
-            graph._add(src, dst, dist, count)
-    return graph
+    alpha = params.alpha
+    beta = params.beta
+    adj = {}
+    counts = {}
+    for src, row in net.priced_pairs.items():
+        kept = {dst: dist for dst, count, dist in row if count >= alpha and dist <= beta}
+        if kept:
+            adj[src] = kept
+            counts[src] = {dst: count for dst, count, _ in row if dst in kept}
+    return AggregatedGraph(net.nodes, params, adj, counts)

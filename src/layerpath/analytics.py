@@ -12,13 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aggregate import (
-    AggregationParams,
-    _coerce_beta,
-    _distance_from_summary,
-    aggregate_graph,
-)
-from .core import POSITIVE, MultiLayeredNetwork, _coerce_alpha
+from .aggregate import AggregationParams, _coerce_beta, aggregate_graph
+from .core import MultiLayeredNetwork, _coerce_alpha
 from .errors import InconsistentInputError, ParameterError
 from .paths import ShortestPathResult, aggregated_sssp
 
@@ -109,8 +104,8 @@ def _build_stats(
     pct_connected = num_routes / (num_nodes - 1) if num_nodes > 1 else 0.0
     return PathStats(
         source=result.source,
-        alpha=params.effective_alpha,
-        beta=params.effective_beta,
+        alpha=params.alpha,
+        beta=params.beta,
         num_routes=num_routes,
         avg_len=avg_len,
         min_len=min_len,
@@ -146,17 +141,13 @@ def path_stats(
             "computed from a different graph?"
         )
 
-    alpha = params.effective_alpha
-    beta = params.effective_beta
-    positive = net.polarity == POSITIVE
-    num_layers = net.num_layers
-    num_neighbors = 0
-    for count, wsum in net._pairs.get(result.source, {}).values():
-        if count < alpha:
-            continue
-        if _distance_from_summary(wsum, num_layers, positive) > beta:
-            continue
-        num_neighbors += 1
+    alpha = params.alpha
+    beta = params.beta
+    num_neighbors = sum(
+        1
+        for _, count, dist in net.priced_pairs.get(result.source, ())
+        if count >= alpha and dist <= beta
+    )
     return _build_stats(result, params, num_neighbors, net.num_nodes)
 
 
@@ -215,9 +206,8 @@ def edge_count_sweep(
 ) -> SweepReport:
     """Count surviving aggregated edges for every threshold combination.
 
-    A single pass summarizes each connected pair; each summary is then binned
-    against the grid, so cost is O(pairs * grid) instead of one aggregation
-    per cell.
+    A single pass over the priced pairs bins each one against the grid, so
+    cost is O(pairs * grid) instead of one aggregation per cell.
     """
     net.require_sealed()
     if not alphas:
@@ -227,19 +217,15 @@ def edge_count_sweep(
     alpha_grid = tuple(_coerce_alpha(a) for a in alphas)
     beta_grid = tuple(_coerce_beta(b) for b in betas)
 
-    positive = net.polarity == POSITIVE
-    num_layers = net.num_layers
     cells = [[0] * len(beta_grid) for _ in alpha_grid]
-    for targets in net._pairs.values():
-        for count, wsum in targets.values():
-            d = _distance_from_summary(wsum, num_layers, positive)
-            for i, alpha in enumerate(alpha_grid):
+    for row in net.priced_pairs.values():
+        for _, count, dist in row:
+            for alpha, cell_row in zip(alpha_grid, cells):
                 if count < alpha:
                     continue
-                row = cells[i]
                 for j, beta in enumerate(beta_grid):
-                    if d <= beta:
-                        row[j] += 1
+                    if dist <= beta:
+                        cell_row[j] += 1
     return SweepReport(
         alphas=alpha_grid,
         betas=beta_grid,

@@ -112,7 +112,7 @@ def format_bench_report(report: BenchReport) -> str:
     lines = [
         f"network: {report.num_nodes} nodes, {report.num_layers} layers, "
         f"{report.num_layered_edges} layered edges",
-        f"thresholds: alpha={p.effective_alpha} beta={p.effective_beta}",
+        f"thresholds: alpha={p.alpha} beta={p.beta}",
         f"aggregated edges: {report.num_aggregated_edges}",
         f"sources: {report.num_sources}, repetitions: {report.reps}",
         f"preprocessing: aggregation {report.aggregate_seconds:.4f}s "

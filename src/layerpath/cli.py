@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from .aggregate import AggregationParams, aggregate_graph
 from .analytics import STATS_COLUMNS, edge_count_sweep, path_stats, stats_table
 from .bench import benchmark, format_bench_report
-from .core import NEGATIVE, POSITIVE, MultiLayeredNetwork
+from .core import NEGATIVE, POSITIVE, MultiLayeredNetwork, parse_node_id
 from .edgelist import (
     ON_DUPLICATE_ERROR,
     ON_DUPLICATE_KEEP_MAX,
@@ -60,6 +60,13 @@ def _int_list(text: str) -> list[int]:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+
+
+def _node_list(text: str) -> list[int]:
+    try:
+        return [parse_node_id(part.strip()) for part in text.split(",") if part.strip() != ""]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _float_list(text: str) -> list[float]:
@@ -133,6 +140,21 @@ def cmd_load_summary(args) -> int:
     return 0
 
 
+def _cell_results(net, params, sources, strategy):
+    """(source, result) per source under one threshold cell.
+
+    dap aggregates once for all sources; the graph is freed when the cell
+    is done, so only one is ever held.
+    """
+    if strategy == "mda":
+        for source in sources:
+            yield source, mda_sssp(net, source, params)
+    else:
+        graph = aggregate_graph(net, params)
+        for source in sources:
+            yield source, aggregated_sssp(graph, source)
+
+
 def cmd_sssp(args) -> int:
     net = _load(args)
     sources = _sources_from(args, net)
@@ -140,32 +162,27 @@ def cmd_sssp(args) -> int:
         raise ParameterError("sssp requires at least one --source")
     alphas = args.alphas if args.alphas is not None else [args.alpha]
     betas = args.betas if args.betas is not None else [args.beta]
+    if not alphas or not betas:
+        raise ParameterError("sssp requires non-empty --alphas and --betas grids")
+    cells = [AggregationParams(alpha, beta) for alpha in alphas for beta in betas]
+    targets = sorted(net.nodes)
 
-    stats_rows = []
-    path_rows = []
-    for source in sources:
-        for alpha in alphas:
-            for beta in betas:
-                params = AggregationParams(alpha, beta)
-                if args.strategy == "mda":
-                    result = mda_sssp(net, source, params)
-                else:
-                    result = aggregated_sssp(aggregate_graph(net, params), source)
-                stats_rows.append(path_stats(result, net, params).as_row())
-                if args.paths:
-                    for target in sorted(net.nodes):
-                        if target == source:
-                            continue
-                        path_rows.append(
-                            (
-                                source,
-                                params.effective_alpha,
-                                params.effective_beta,
-                                target,
-                                result.length(target),
-                                result.path_to(target),
-                            )
-                        )
+    # one (stats row, path rows) slot per (source, cell), filled cell by cell
+    # and read out source-major
+    slots = [[None] * len(cells) for _ in sources]
+    for c, params in enumerate(cells):
+        for s, (source, result) in enumerate(_cell_results(net, params, sources, args.strategy)):
+            path_rows = []
+            if args.paths:
+                path_rows = [
+                    (source, params.alpha, params.beta, target,
+                     result.length(target), result.path_to(target))
+                    for target in targets
+                    if target != source
+                ]
+            slots[s][c] = (path_stats(result, net, params).as_row(), path_rows)
+    stats_rows = [stats for per_source in slots for stats, _ in per_source]
+    path_rows = [row for per_source in slots for _, rows in per_source for row in rows]
 
     with _out_stream(args.output) as out:
         if args.format == "json":
@@ -205,17 +222,15 @@ def cmd_apsp(args) -> int:
     net = _load(args)
     params = AggregationParams(args.alpha, args.beta)
     if args.strategy == REPEATED_DIJKSTRA:
-        matrix = apsp_repeated_dijkstra(
-            net, params, max_nodes=args.max_nodes, jobs=args.jobs
-        )
+        matrix = apsp_repeated_dijkstra(net, params, max_nodes=args.max_nodes)
     else:
         matrix = ml_floyd_warshall(net, params, max_nodes=args.max_nodes)
 
     with _out_stream(args.output) as out:
         if args.format == "json":
             payload = {
-                "alpha": params.effective_alpha,
-                "beta": params.effective_beta,
+                "alpha": params.alpha,
+                "beta": params.beta,
                 "order": matrix.order,
                 "matrix": [
                     [_json_length(float(v)) for v in row] for row in matrix.values
@@ -351,7 +366,7 @@ def _add_threshold_args(p: argparse.ArgumentParser, grids: bool = False) -> None
 
 def _add_source_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--source", action="append", type=_int_list, default=None, metavar="NODES",
+        "--source", action="append", type=_node_list, default=None, metavar="NODES",
         help="source node id(s); repeatable, comma lists allowed",
     )
 
@@ -396,8 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=FLOYD_WARSHALL)
     p.add_argument("--max-nodes", type=int, default=DEFAULT_APSP_NODE_CAP,
                    help=f"size guard (default: {DEFAULT_APSP_NODE_CAP})")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for repeated-dijkstra")
     _add_output_args(p)
     p.set_defaults(func=cmd_apsp)
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import (
     DuplicateEdgeError,
@@ -61,6 +62,17 @@ def _coerce_node(node) -> int:
     return node
 
 
+def parse_node_id(text: str) -> int:
+    """Node id from decimal text; only ``[0-9]+`` is accepted.
+
+    Plain ``int()`` would also take ``+3``, ``1_0`` or non-ASCII digits and
+    silently renumber the node, so a dump would no longer match its input.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"node id {text!r} is not a non-negative decimal integer")
+    return int(text)
+
+
 def _coerce_alpha(alpha) -> int:
     try:
         alpha = operator.index(alpha)
@@ -69,6 +81,28 @@ def _coerce_alpha(alpha) -> int:
     if alpha < 1:
         raise InvalidAlphaError(f"alpha must be >= 1, got {alpha}")
     return alpha
+
+
+def pair_distance(wsum: float, num_layers: int, positive: bool) -> float:
+    """Layer-averaged distance of a pair whose layer weights sum to ``wsum``.
+
+    Positive polarity flips closeness into distance, ``1 - wsum / |L|``;
+    negative polarity weights already behave like distances and are only
+    averaged. Both land in [0, 1] without clamping: each weight is at most 1
+    and rounding is monotone, so a sum over at most |L| layers is at most |L|.
+    """
+    if positive:
+        return 1.0 - wsum / num_layers
+    return wsum / num_layers
+
+
+def _weight_sum(per_layer: dict[int, float]) -> float:
+    # plain += in insertion order; sum() compensates on Python >= 3.12 and
+    # would change the last bits of some distances
+    wsum = 0.0
+    for weight in per_layer.values():
+        wsum += weight
+    return wsum
 
 
 def _coerce_weight(weight) -> float:
@@ -84,9 +118,9 @@ def _coerce_weight(weight) -> float:
 class MultiLayeredNetwork:
     """Directed multi-layer network with per-pair layer bookkeeping.
 
-    Adjacency is indexed by source node for O(out-degree) scans. Alongside the
-    per-layer weights, every ordered pair caches its layer count and weight
-    sum, so threshold tests and distance evaluation are O(1) per pair.
+    Adjacency is indexed by source node for O(out-degree) scans. Sealing
+    prices every connected pair once, so the thresholds and distances that
+    aggregation and search need are read, not recomputed (``priced_pairs``).
 
     ``polarity`` records how raw weights are read downstream: ``"positive"``
     weights express closeness and are converted to distances, ``"negative"``
@@ -102,8 +136,8 @@ class MultiLayeredNetwork:
         self._nodes: set[int] = set()
         # src -> dst -> {layer index: weight}
         self._adj: dict[int, dict[int, dict[int, float]]] = {}
-        # src -> dst -> (layer count, weight sum); kept in sync with _adj
-        self._pairs: dict[int, dict[int, tuple[int, float]]] = {}
+        # filled by seal(): src -> ((dst, layer count, distance), ...)
+        self._priced: dict[int, tuple[tuple[int, int, float], ...]] = {}
         self._layer_edge_counts: list[int] = []
         self._num_edges = 0
         self._sealed = False
@@ -156,8 +190,6 @@ class MultiLayeredNetwork:
                 f"edge {src} -> {dst} already present on layer {lid.label!r}"
             )
         per_layer[lid.index] = weight
-        count, wsum = self._pairs.setdefault(src, {}).get(dst, (0, 0.0))
-        self._pairs[src][dst] = (count + 1, wsum + weight)
         self._nodes.add(src)
         self._nodes.add(dst)
         self._layer_edge_counts[lid.index] += 1
@@ -165,10 +197,22 @@ class MultiLayeredNetwork:
         return LayeredEdge(src, dst, lid, weight)
 
     def seal(self) -> "MultiLayeredNetwork":
-        """Freeze the network; required before running any path algorithm."""
+        """Freeze the network and price every connected pair once.
+
+        Required before running any path algorithm.
+        """
         if not self._sealed:
             if not self._labels:
                 raise GraphError("cannot seal a network with no layers")
+            num_layers = len(self._labels)
+            positive = self._polarity == POSITIVE
+            self._priced = {
+                src: tuple(
+                    (dst, len(weights), pair_distance(_weight_sum(weights), num_layers, positive))
+                    for dst, weights in targets.items()
+                )
+                for src, targets in self._adj.items()
+            }
             self._sealed = True
             self._frozen_nodes = frozenset(self._nodes)
         return self
@@ -273,7 +317,18 @@ class MultiLayeredNetwork:
         """(layer count, weight sum) for the ordered pair (x, y)."""
         self._check_node(x)
         self._check_node(y)
-        return self._pairs.get(x, {}).get(y, (0, 0.0))
+        per_layer = self._adj.get(x, {}).get(y, {})
+        return len(per_layer), _weight_sum(per_layer)
+
+    @property
+    def priced_pairs(self) -> Mapping[int, tuple[tuple[int, int, float], ...]]:
+        """Read-only ``src -> ((dst, layer count, distance), ...)``; sealed only.
+
+        Lists every ordered pair carrying at least one layered edge, in
+        insertion order. The distance is ``pair_distance`` of the pair.
+        """
+        self.require_sealed()
+        return MappingProxyType(self._priced)
 
     # -- neighborhood queries ----------------------------------------------
 
@@ -293,8 +348,8 @@ class MultiLayeredNetwork:
         alpha = _coerce_alpha(alpha)
         return {
             dst
-            for dst, (count, _) in self._pairs.get(x, {}).items()
-            if count >= alpha
+            for dst, per_layer in self._adj.get(x, {}).items()
+            if len(per_layer) >= alpha
         }
 
     # -- comparison ---------------------------------------------------------

@@ -2,9 +2,10 @@
 
 The interchange format is a plain CSV file with the exact header
 ``src,dst,layer,weight`` and one directed layered edge per row. Node ids are
-non-negative integers, layer labels are arbitrary non-empty strings (indexed
-in order of first appearance), weights are floats in [0, 1] written with
-``repr`` so a dump/load round trip reproduces the same values bit for bit.
+non-negative integers written as plain ASCII digits, layer labels are
+arbitrary non-empty strings (indexed in order of first appearance), weights
+are floats in [0, 1] written with ``repr`` so a dump/load round trip
+reproduces the same values bit for bit.
 
 Loading is strict: malformed rows raise ``ParseError`` with a file:line
 location, while rows that parse but violate graph rules (loops, duplicate
@@ -18,7 +19,7 @@ from __future__ import annotations
 import csv
 import os
 
-from .core import MultiLayeredNetwork, POSITIVE
+from .core import MultiLayeredNetwork, POSITIVE, parse_node_id
 from .errors import (
     DuplicateEdgeError,
     EmptyFileError,
@@ -36,14 +37,10 @@ _DUPLICATE_POLICIES = (ON_DUPLICATE_ERROR, ON_DUPLICATE_KEEP_MAX)
 
 
 def _parse_node(field: str, where: str) -> int:
-    text = field.strip()
     try:
-        value = int(text)
-    except ValueError:
-        raise ParseError(f"{where}: node id {text!r} is not an integer") from None
-    if value < 0:
-        raise ParseError(f"{where}: node id {value} is negative")
-    return value
+        return parse_node_id(field.strip())
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _parse_weight(field: str, where: str) -> float:

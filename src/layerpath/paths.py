@@ -7,9 +7,11 @@ agree on lengths and reachability for every input:
 * ``dap_sssp`` aggregates the whole network first, then runs a binary-heap
   Dijkstra over the resulting simple digraph (preprocessing approach).
 * ``mda_sssp`` never materializes the aggregated graph: during the search it
-  expands the multi-layer neighborhood of each settled node, applying the
-  layer-count threshold, computing the pair distance on demand, and applying
-  the distance threshold, edge by edge.
+  scans the priced pairs of each settled node and applies the layer-count
+  and distance thresholds edge by edge.
+
+Both read the distances the network priced when it was sealed, so they agree
+bit for bit by construction.
 
 ``ml_floyd_warshall`` produces the all-pairs matrix over the same aggregated
 edge relation, and ``brute_force_sp`` is a deliberately naive simple-path
@@ -26,11 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import inf
+from typing import Callable
 
 import numpy as np
 
 from .aggregate import AggregatedGraph, AggregationParams, aggregate_graph
-from .core import MultiLayeredNetwork, POSITIVE
+from .core import MultiLayeredNetwork
 from .errors import SizeGuardExceededError, UnknownNodeError
 
 DEFAULT_APSP_NODE_CAP = 2_000
@@ -85,11 +88,6 @@ class ShortestPathResult:
         return path
 
 
-def reconstruct_path(result: ShortestPathResult, target: int) -> list[int]:
-    """Follow predecessors back from ``target``; see ``path_to``."""
-    return result.path_to(target)
-
-
 @dataclass
 class DistanceMatrix:
     """All-pairs shortest lengths; rows and columns follow ``order``."""
@@ -109,8 +107,8 @@ class DistanceMatrix:
             raise UnknownNodeError(f"unknown node in pair ({x!r}, {y!r})") from None
 
 
-def _dijkstra(adj: dict[int, dict[int, float]], source: int):
-    """Heap Dijkstra over a {src: {dst: distance}} adjacency map.
+def _dijkstra(out_edges: Callable[[int], dict[int, float]], source: int):
+    """Heap Dijkstra over a node -> {dst: distance} neighbor function.
 
     Lazy-deletion variant: a node may sit in the heap several times; stale
     entries are skipped once the node is settled. Only finite tentative
@@ -126,10 +124,7 @@ def _dijkstra(adj: dict[int, dict[int, float]], source: int):
         if v in settled:
             continue
         settled.add(v)
-        targets = adj.get(v)
-        if not targets:
-            continue
-        for w, d in targets.items():
+        for w, d in out_edges(v).items():
             cand = dist + d
             cur = lengths.get(w)
             if cur is None or cand < cur:
@@ -143,7 +138,7 @@ def aggregated_sssp(graph: AggregatedGraph, source: int) -> ShortestPathResult:
     """Dijkstra over an already aggregated graph (the search half of DAP)."""
     if source not in graph.nodes:
         raise UnknownNodeError(f"unknown source node {source!r}")
-    lengths, preds = _dijkstra(graph._adj, source)
+    lengths, preds = _dijkstra(graph.out_edges, source)
     return ShortestPathResult(source, lengths, preds, graph.nodes, graph.params)
 
 
@@ -173,10 +168,9 @@ def mda_sssp(
 ) -> ShortestPathResult:
     """On-the-fly strategy: threshold and price edges during the search.
 
-    Expands each settled node's multi-layer out-neighborhood under the
-    layer-count threshold, computes the pair distance on demand, and drops
-    edges beyond the distance threshold, so the searched edge relation is
-    exactly the one ``aggregate_graph`` would materialize. No aggregated
+    Scans each settled node's priced pairs and keeps those meeting both
+    thresholds, the same test ``aggregate_graph`` applies, so the searched
+    edge relation is exactly the one it would materialize. No aggregated
     graph is built.
     """
     net.require_sealed()
@@ -184,11 +178,9 @@ def mda_sssp(
         raise UnknownNodeError(f"unknown source node {source!r}")
     if params is None:
         params = AggregationParams()
-    alpha = params.effective_alpha
-    beta = params.effective_beta
-    num_layers = net.num_layers
-    positive = net.polarity == POSITIVE
-    pairs = net._pairs
+    alpha = params.alpha
+    beta = params.beta
+    priced = net.priced_pairs
 
     lengths = {source: 0.0}
     preds: dict[int, int | None] = {source: None}
@@ -199,19 +191,8 @@ def mda_sssp(
         if v in settled:
             continue
         settled.add(v)
-        targets = pairs.get(v)
-        if not targets:
-            continue
-        for w, (count, wsum) in targets.items():
-            if count < alpha:
-                continue
-            # mirrors aggregate._distance_from_summary, kept inline for the
-            # hot loop; both sides must stay arithmetically identical
-            if positive:
-                d = 1.0 - wsum / num_layers
-            else:
-                d = min(1.0, max(0.0, wsum / num_layers))
-            if d > beta:
+        for w, count, d in priced.get(v, ()):
+            if count < alpha or d > beta:
                 continue
             cand = dist + d
             cur = lengths.get(w)
@@ -259,13 +240,11 @@ def apsp_repeated_dijkstra(
     params: AggregationParams | None = None,
     *,
     max_nodes: int = DEFAULT_APSP_NODE_CAP,
-    jobs: int = 1,
 ) -> DistanceMatrix:
     """All-pairs matrix by running Dijkstra once per source.
 
-    Aggregates once, then fans the per-source searches across ``jobs`` worker
-    threads. Row assembly is indexed by source, so the matrix is identical
-    for any job count. Must agree with ``ml_floyd_warshall`` on every entry.
+    Aggregates once, then searches from each source in ascending order. Must
+    agree with ``ml_floyd_warshall`` on every entry.
     """
     net.require_sealed()
     if params is None:
@@ -280,20 +259,9 @@ def apsp_repeated_dijkstra(
     index = {v: i for i, v in enumerate(order)}
     values = np.full((n, n), np.inf, dtype=np.float64)
     graph = aggregate_graph(net, params)
-
-    def fill_row(source: int) -> None:
-        row = values[index[source]]
+    for row, source in zip(values, order):
         for v, length in aggregated_sssp(graph, source).lengths.items():
             row[index[v]] = length
-
-    if jobs > 1 and n > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(fill_row, order))
-    else:
-        for source in order:
-            fill_row(source)
     return DistanceMatrix(order, values, params)
 
 
@@ -318,14 +286,14 @@ def brute_force_sp(
         )
     if params is None:
         params = AggregationParams()
-    adj = aggregate_graph(net, params)._adj
+    out_edges = aggregate_graph(net, params).out_edges
 
     lengths = {source: 0.0}
     preds: dict[int, int | None] = {source: None}
     on_path = {source}
 
     def explore(v: int, acc: float) -> None:
-        for w, d in adj.get(v, {}).items():
+        for w, d in out_edges(v).items():
             if w in on_path:
                 continue
             cand = acc + d

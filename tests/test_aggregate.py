@@ -7,9 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerpath import (
-    COMBINED,
-    DISTANCE_ONLY,
-    LAYERS_ONLY,
     NEGATIVE,
     POSITIVE,
     AggregationParams,
@@ -21,9 +18,6 @@ from layerpath import (
     UnsealedNetworkError,
     aggregate_graph,
     distance,
-    me_combined,
-    me_distance,
-    me_layers,
 )
 from netgen import build_net, layered_networks
 
@@ -87,7 +81,7 @@ class TestDistance:
 class TestParams:
     def test_defaults_admit_everything_connected(self):
         p = AggregationParams()
-        assert p.alpha == 1 and p.beta == 1.0 and p.mode == COMBINED
+        assert p.alpha == 1 and p.beta == 1.0
 
     def test_validation(self):
         with pytest.raises(InvalidAlphaError):
@@ -96,51 +90,45 @@ class TestParams:
             AggregationParams(beta=1.5)
         with pytest.raises(InvalidBetaError):
             AggregationParams(beta=float("nan"))
-        with pytest.raises(ValueError):
-            AggregationParams(mode="both")
 
-    def test_mode_masks_the_inactive_threshold(self):
-        p = AggregationParams(2, 0.5, mode=LAYERS_ONLY)
-        assert p.effective_alpha == 2 and p.effective_beta == 1.0
-        p = AggregationParams(2, 0.5, mode=DISTANCE_ONLY)
-        assert p.effective_alpha == 1 and p.effective_beta == 0.5
-        p = AggregationParams(2, 0.5)
-        assert p.effective_alpha == 2 and p.effective_beta == 0.5
+
+def aggregated_edge(net, x, y, alpha=1, beta=1.0):
+    """The aggregated edge (x, y) under one threshold pair, or None."""
+    return aggregate_graph(net, AggregationParams(alpha, beta)).edge(x, y)
 
 
 class TestSingleEdgeQueries:
     def test_layer_count_threshold(self):
         net = three_layer_pair(0.8, 0.5, None)
-        assert me_layers(net, 0, 1, alpha=2).layer_count == 2
-        assert me_layers(net, 0, 1, alpha=3) is None
-        assert me_layers(net, 1, 0, alpha=1) is None
+        assert aggregated_edge(net, 0, 1, alpha=2).layer_count == 2
+        assert aggregated_edge(net, 0, 1, alpha=3) is None
+        assert aggregated_edge(net, 1, 0, alpha=1) is None
 
     def test_distance_threshold_boundary_is_inclusive(self):
         # d = 1 - (0.5 + 0.25)/3 = 0.75 exactly
         net = three_layer_pair(0.5, 0.25, None)
         d = distance(net, 0, 1)
         assert d == 0.75
-        edge = me_distance(net, 0, 1, beta=0.75)
-        assert edge is not None and edge.distance == 0.75
-        assert me_distance(net, 0, 1, beta=0.7499999999) is None
+        kept = aggregated_edge(net, 0, 1, beta=0.75)
+        assert kept is not None and kept.distance == 0.75
+        assert aggregated_edge(net, 0, 1, beta=0.7499999999) is None
 
     def test_unconnected_pair_never_aggregates(self):
         # even beta = 1 must not invent edges for pairs with no layer edges
         net = three_layer_pair(0.8, 0.5, None)
-        assert me_distance(net, 1, 0, beta=1.0) is None
-        assert me_combined(net, 1, 0, alpha=1, beta=1.0) is None
+        assert aggregated_edge(net, 1, 0, alpha=1, beta=1.0) is None
 
     def test_combined_needs_both(self):
         net = three_layer_pair(0.9, 0.9, None)  # count 2, d = 1 - 1.8/3 = 0.4
-        assert me_combined(net, 0, 1, alpha=2, beta=0.4) is not None
-        assert me_combined(net, 0, 1, alpha=3, beta=0.4) is None
-        assert me_combined(net, 0, 1, alpha=2, beta=0.39) is None
+        assert aggregated_edge(net, 0, 1, alpha=2, beta=0.4) is not None
+        assert aggregated_edge(net, 0, 1, alpha=3, beta=0.4) is None
+        assert aggregated_edge(net, 0, 1, alpha=2, beta=0.39) is None
 
     def test_edge_weight_is_the_distance(self):
         net = three_layer_pair(0.8, 0.5, None)
-        edge = me_combined(net, 0, 1, alpha=1, beta=1.0)
-        assert edge.distance == distance(net, 0, 1)
-        assert edge.src == 0 and edge.dst == 1
+        kept = aggregated_edge(net, 0, 1)
+        assert kept.distance == distance(net, 0, 1)
+        assert kept.src == 0 and kept.dst == 1
 
 
 class TestAggregateGraph:
@@ -182,14 +170,16 @@ class TestAggregateGraph:
         assert aggregate_graph(net, AggregationParams(1, 0.75)).num_edges == 2
         assert aggregate_graph(net, AggregationParams(2, 0.1)).num_edges == 1
 
-    def test_mode_masking_in_builds(self):
+    def test_loosest_value_switches_a_threshold_off(self):
+        # alpha = 1 and beta = 1.0 admit every connected pair, so either one
+        # leaves the other threshold to act alone
         net = build_net(
             ("a", "b"),
             [(0, 1, "a", 0.1), (1, 2, "a", 0.9), (1, 2, "b", 0.9)],
         )
-        layers_only = aggregate_graph(net, AggregationParams(2, 0.1, mode=LAYERS_ONLY))
+        layers_only = aggregate_graph(net, AggregationParams(2, 1.0))
         assert {(e.src, e.dst) for e in layers_only.edges()} == {(1, 2)}
-        distance_only = aggregate_graph(net, AggregationParams(2, 0.2, mode=DISTANCE_ONLY))
+        distance_only = aggregate_graph(net, AggregationParams(1, 0.2))
         assert {(e.src, e.dst) for e in distance_only.edges()} == {(1, 2)}
 
     def test_requires_seal(self):

@@ -116,6 +116,20 @@ class TestSssp:
         code, _, _ = run(capsys, "sssp", net_csv)
         assert code == 2
 
+    @pytest.mark.parametrize("source", ["+0", "1_0", "\u0663", "-1"])
+    def test_source_must_be_plain_digits(self, net_csv, capsys, source):
+        # int() would read "+0" as node 0 and "1_0" as node 10
+        code, out, _ = run(capsys, "sssp", net_csv, "--source", source)
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("grid", [("--alphas", ""), ("--betas", ","), ("--alphas", " , ")])
+    def test_empty_grid_is_a_usage_error(self, net_csv, capsys, grid):
+        code, out, err = run(capsys, "sssp", net_csv, "--source", "0", *grid)
+        assert code == 2
+        assert out == ""
+        assert "grid" in err
+
 
 class TestApsp:
     def test_matrix_shape_and_header(self, net_csv, capsys):
@@ -129,8 +143,7 @@ class TestApsp:
 
     def test_strategies_agree_within_tolerance(self, net_csv, capsys):
         _, fw, _ = run(capsys, "apsp", net_csv, "--strategy", "floyd-warshall")
-        _, rd, _ = run(capsys, "apsp", net_csv, "--strategy", "repeated-dijkstra",
-                       "--jobs", "3")
+        _, rd, _ = run(capsys, "apsp", net_csv, "--strategy", "repeated-dijkstra")
         fw_rows, rd_rows = parse_csv(fw)[1:], parse_csv(rd)[1:]
         for fr, rr in zip(fw_rows, rd_rows):
             assert fr[0] == rr[0]
@@ -240,6 +253,15 @@ class TestErrorExits:
         path.write_text("src,dst,layer,weight\n1,2,a,1.5\n")
         code, _, err = run(capsys, "load-summary", path)
         assert code == 3
+
+    @pytest.mark.parametrize("node", ["1_0", "+3", "\u0663"])
+    def test_node_id_must_be_plain_digits(self, tmp_path, capsys, node):
+        path = tmp_path / "ids.csv"
+        path.write_text(f"src,dst,layer,weight\n0,1,a,0.5\n{node},2,a,0.5\n", encoding="utf-8")
+        code, out, err = run(capsys, "load-summary", path)
+        assert code == 3
+        assert out == ""
+        assert f"{path}:3:" in err
 
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, _ = run(capsys, "load-summary", tmp_path / "absent.csv")

@@ -1,5 +1,7 @@
 """Network construction, validation, and neighborhood queries."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,6 +216,60 @@ class TestQueries:
         net = demo_net()
         with pytest.raises(InvalidAlphaError):
             net.multi_neighborhood_out(X, 0)
+
+
+class TestPricedPairs:
+    def test_sealing_prices_each_connected_pair(self):
+        net = build_net(("a", "b"), [(0, 1, "a", 0.5), (0, 1, "b", 0.25), (1, 2, "b", 1.0)])
+        assert dict(net.priced_pairs) == {0: ((1, 2, 0.625),), 1: ((2, 1, 0.5),)}
+
+    def test_weights_are_summed_in_insertion_order(self):
+        # sum() rounds 0.1 + 0.2 + 0.3 once (to 0.6) on Python >= 3.12; the
+        # stored price must keep the left-to-right sum on every version
+        net = build_net(("a", "b", "c"), [(0, 1, "a", 0.1), (0, 1, "b", 0.2), (0, 1, "c", 0.3)])
+        expected = 1 - ((0.1 + 0.2) + 0.3) / 3
+        assert expected != 1 - 0.6 / 3
+        ((dst, count, dist),) = net.priced_pairs[0]
+        assert (dst, count) == (1, 3)
+        assert dist.hex() == expected.hex()
+
+    def test_sealed_only_and_read_only(self):
+        net = build_net(("a",), [(0, 1, "a", 0.5)], sealed=False)
+        with pytest.raises(UnsealedNetworkError):
+            net.priced_pairs
+        net.seal()
+        with pytest.raises(TypeError):
+            net.priced_pairs[0] = ()
+
+
+_EDGE_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 1.0, math.nextafter(1.0, 0.0)]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from([POSITIVE, NEGATIVE]),
+    st.integers(1, 8).flatmap(
+        lambda num_layers: st.tuples(
+            st.just(num_layers),
+            st.lists(st.lists(_EDGE_WEIGHTS, min_size=1, max_size=num_layers), min_size=1, max_size=6),
+        )
+    ),
+)
+def test_sealed_distances_lie_in_the_unit_interval(polarity, shape):
+    # no clamp guards the stored distance: each weight is at most 1 and
+    # rounding is monotone, so a sum over at most |L| layers is at most |L|
+    num_layers, pairs = shape
+    net = MultiLayeredNetwork(layers=range(num_layers), polarity=polarity)
+    for dst, weights in enumerate(pairs, start=1):
+        for layer, weight in enumerate(weights):
+            net.add_edge(0, dst, layer, weight)
+    net.seal()
+    for row in net.priced_pairs.values():
+        for _, _, dist in row:
+            assert 0.0 <= dist <= 1.0
 
 
 class TestEquality:

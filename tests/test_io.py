@@ -81,6 +81,9 @@ class TestLoaderErrors:
             "0,1,a,0.5,x",        # extra field
             "zero,1,a,0.5",       # unparsable id
             "-1,1,a,0.5",         # negative id
+            "+3,1,a,0.5",         # sign
+            "1_0,1,a,0.5",        # digit separator
+            "0,\u0663,a,0.5",     # non-ASCII digit
             "0,1,a,heavy",        # unparsable weight
             "0,1,,0.5",           # empty label
         ],
