@@ -289,11 +289,12 @@ def cmd_bench(args) -> int:
     net = _load(args)
     if args.reps < 3:
         raise ParameterError(f"bench requires --reps >= 3, got {args.reps}")
-    sources = _sources_from(args, net)
-    if not sources:
-        sources = sorted(net.nodes)[: args.default_sources]
-        if not sources:
-            raise ParameterError("network has no nodes to benchmark")
+    if args.default_sources < 1:
+        raise ParameterError(
+            f"bench requires --default-sources >= 1, got {args.default_sources}"
+        )
+    # a loaded network has at least one edge, so this is never empty
+    sources = _sources_from(args, net) or sorted(net.nodes)[: args.default_sources]
     params = AggregationParams(args.alpha, args.beta)
     report = benchmark(net, sources, params, reps=args.reps)
     with _out_stream(args.output) as out:

@@ -23,6 +23,7 @@ from .errors import (
     GraphError,
     InvalidAlphaError,
     LoopEdgeError,
+    ParameterError,
     SealedNetworkError,
     UnknownLayerError,
     UnknownNodeError,
@@ -33,6 +34,10 @@ from .errors import (
 POSITIVE = "positive"
 NEGATIVE = "negative"
 _POLARITIES = (POSITIVE, NEGATIVE)
+
+ON_DUPLICATE_ERROR = "error"
+ON_DUPLICATE_KEEP_MAX = "keep-max"
+_DUPLICATE_POLICIES = (ON_DUPLICATE_ERROR, ON_DUPLICATE_KEEP_MAX)
 
 
 class LayerId(NamedTuple):
@@ -133,7 +138,7 @@ class MultiLayeredNetwork:
         self._polarity = polarity
         self._labels: list[str] = []
         self._label_index: dict[str, int] = {}
-        self._nodes: set[int] = set()
+        self._nodes: set[int] | frozenset[int] = set()  # frozen in place by seal()
         # src -> dst -> {layer index: weight}
         self._adj: dict[int, dict[int, dict[int, float]]] = {}
         # filled by seal(): src -> ((dst, layer count, distance), ...)
@@ -141,7 +146,6 @@ class MultiLayeredNetwork:
         self._layer_edge_counts: list[int] = []
         self._num_edges = 0
         self._sealed = False
-        self._frozen_nodes: frozenset[int] | None = None
         for label in layers:
             self.add_layer(label)
 
@@ -168,32 +172,44 @@ class MultiLayeredNetwork:
         self._nodes.add(node)
         return node
 
-    def add_edge(self, src: int, dst: int, layer, weight: float) -> LayeredEdge:
-        """Add one directed edge on one layer.
+    def add_edge(
+        self, src: int, dst: int, layer, weight: float, *, on_duplicate: str = ON_DUPLICATE_ERROR
+    ) -> LayeredEdge:
+        """Add one directed edge on one layer; returns the edge as stored.
 
-        Endpoints are auto-registered. Raises ``LoopEdgeError`` for src == dst,
-        ``DuplicateEdgeError`` if the (src, dst, layer) triple already exists,
-        ``WeightOutOfRangeError`` for weights outside [0, 1], and
-        ``UnknownLayerError`` for unregistered layers.
+        Endpoints are auto-registered. Raises ``UnknownLayerError`` for
+        unregistered layers, ``WeightOutOfRangeError`` for weights outside
+        [0, 1] and ``LoopEdgeError`` for src == dst. When the (src, dst, layer)
+        triple already exists, ``on_duplicate="error"`` raises
+        ``DuplicateEdgeError`` and ``"keep-max"`` keeps the larger weight in
+        the triple's first position, so the pair's weight sum still adds its
+        layers in first-appearance order.
         """
         self._check_mutable()
+        if on_duplicate not in _DUPLICATE_POLICIES:
+            raise ParameterError(
+                f"on_duplicate must be one of {_DUPLICATE_POLICIES}, got {on_duplicate!r}"
+            )
         src = _coerce_node(src)
         dst = _coerce_node(dst)
-        if src == dst:
-            raise LoopEdgeError(f"loop edge {src} -> {dst} is not allowed")
         lid = self.layer(layer)
         weight = _coerce_weight(weight)
+        if src == dst:
+            raise LoopEdgeError(f"loop edge {src} -> {dst} is not allowed")
 
         per_layer = self._adj.setdefault(src, {}).setdefault(dst, {})
         if lid.index in per_layer:
-            raise DuplicateEdgeError(
-                f"edge {src} -> {dst} already present on layer {lid.label!r}"
-            )
+            if on_duplicate == ON_DUPLICATE_ERROR:
+                raise DuplicateEdgeError(
+                    f"duplicate edge {src} -> {dst} on layer {lid.label!r}"
+                )
+            weight = max(per_layer[lid.index], weight)
+        else:
+            self._nodes.add(src)
+            self._nodes.add(dst)
+            self._layer_edge_counts[lid.index] += 1
+            self._num_edges += 1
         per_layer[lid.index] = weight
-        self._nodes.add(src)
-        self._nodes.add(dst)
-        self._layer_edge_counts[lid.index] += 1
-        self._num_edges += 1
         return LayeredEdge(src, dst, lid, weight)
 
     def seal(self) -> "MultiLayeredNetwork":
@@ -214,7 +230,7 @@ class MultiLayeredNetwork:
                 for src, targets in self._adj.items()
             }
             self._sealed = True
-            self._frozen_nodes = frozenset(self._nodes)
+            self._nodes = frozenset(self._nodes)
         return self
 
     def _check_mutable(self) -> None:
@@ -237,8 +253,7 @@ class MultiLayeredNetwork:
 
     @property
     def nodes(self) -> frozenset[int]:
-        if self._frozen_nodes is not None:
-            return self._frozen_nodes
+        # no copy once sealed: frozenset() of an exact frozenset is itself
         return frozenset(self._nodes)
 
     @property

@@ -7,11 +7,15 @@ arbitrary non-empty strings (indexed in order of first appearance), weights
 are floats in [0, 1] written with ``repr`` so a dump/load round trip
 reproduces the same values bit for bit.
 
-Loading is strict: malformed rows raise ``ParseError`` with a file:line
-location, while rows that parse but violate graph rules (loops, duplicate
-triples, out-of-range weights) raise the corresponding graph error, also
-tagged with the offending line. Duplicate (src, dst, layer) triples can
-alternatively be merged by keeping the largest weight.
+Loading streams: each row goes straight into ``MultiLayeredNetwork.add_edge``
+and no row is kept. The loader checks only the text (header, field count,
+node ids, numeric weights, non-empty labels) and raises ``ParseError``; the
+network enforces the graph rules (loops, out-of-range weights, duplicate
+triples) and the loader re-raises its error with the location prepended.
+Locations are ``file:line`` with the physical line on which the offending
+row ends, so quoted fields that span lines do not shift later positions.
+Duplicate (src, dst, layer) triples can alternatively be merged by keeping
+the largest weight.
 """
 
 from __future__ import annotations
@@ -19,40 +23,24 @@ from __future__ import annotations
 import csv
 import os
 
-from .core import MultiLayeredNetwork, POSITIVE, parse_node_id
-from .errors import (
-    DuplicateEdgeError,
-    EmptyFileError,
-    LoopEdgeError,
-    ParameterError,
-    ParseError,
-    WeightOutOfRangeError,
+from .core import (  # the policy names stay importable from here too
+    ON_DUPLICATE_ERROR,
+    ON_DUPLICATE_KEEP_MAX,
+    POSITIVE,
+    LayerId,
+    MultiLayeredNetwork,
+    parse_node_id,
 )
+from .errors import EmptyFileError, GraphError, ParseError
 
 HEADER = ("src", "dst", "layer", "weight")
 
-ON_DUPLICATE_ERROR = "error"
-ON_DUPLICATE_KEEP_MAX = "keep-max"
-_DUPLICATE_POLICIES = (ON_DUPLICATE_ERROR, ON_DUPLICATE_KEEP_MAX)
 
-
-def _parse_node(field: str, where: str) -> int:
+def _parse_node(field: str) -> int:
     try:
         return parse_node_id(field.strip())
     except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from None
-
-
-def _parse_weight(field: str, where: str) -> float:
-    text = field.strip()
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"{where}: weight {text!r} is not a number") from None
-    # NaN fails both comparisons, so it lands here as well
-    if not 0.0 <= value <= 1.0:
-        raise WeightOutOfRangeError(f"{where}: weight {value!r} outside [0, 1]")
-    return value
+        raise ParseError(str(exc)) from None
 
 
 def load_edge_list(
@@ -63,16 +51,14 @@ def load_edge_list(
 ) -> MultiLayeredNetwork:
     """Read a CSV edge list and return the sealed network it describes.
 
-    ``on_duplicate`` selects what happens when the same (src, dst, layer)
-    triple appears twice: ``"error"`` raises at the second occurrence,
+    ``on_duplicate`` is passed to ``MultiLayeredNetwork.add_edge``: ``"error"``
+    raises at the second occurrence of a (src, dst, layer) triple,
     ``"keep-max"`` keeps the largest weight seen. Every error message carries
-    the file name and 1-based line number of the offending row.
+    the file name and the physical 1-based line number of the offending row.
     """
-    if on_duplicate not in _DUPLICATE_POLICIES:
-        raise ParameterError(
-            f"on_duplicate must be one of {_DUPLICATE_POLICIES}, got {on_duplicate!r}"
-        )
     display = os.fspath(path)
+    net = MultiLayeredNetwork(polarity=polarity)
+    layer_ids: dict[str, LayerId] = {}
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -83,44 +69,30 @@ def load_edge_list(
                 f"{display}:1: expected header {','.join(HEADER)!r}, "
                 f"got {','.join(header)!r}"
             )
+        try:
+            for row in reader:
+                if not row:
+                    continue  # tolerate blank lines, e.g. a trailing newline
+                if len(row) != 4:
+                    raise ParseError(f"expected 4 fields, got {len(row)}")
+                src = _parse_node(row[0])
+                dst = _parse_node(row[1])
+                label = row[2].strip()
+                if not label:
+                    raise ParseError("empty layer label")
+                try:
+                    weight = float(row[3].strip())
+                except ValueError:
+                    raise ParseError(f"weight {row[3].strip()!r} is not a number") from None
+                lid = layer_ids.get(label)
+                if lid is None:
+                    lid = layer_ids[label] = net.add_layer(label)
+                net.add_edge(src, dst, lid, weight, on_duplicate=on_duplicate)
+        except (ParseError, GraphError) as exc:
+            raise type(exc)(f"{display}:{reader.line_num}: {exc}") from None
 
-        rows: list[list] = []  # [src, dst, label, weight], weight mutable
-        seen: dict[tuple[int, int, str], int] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue  # tolerate blank lines, e.g. a trailing newline
-            where = f"{display}:{lineno}"
-            if len(row) != 4:
-                raise ParseError(f"{where}: expected 4 fields, got {len(row)}")
-            src = _parse_node(row[0], where)
-            dst = _parse_node(row[1], where)
-            label = row[2].strip()
-            if not label:
-                raise ParseError(f"{where}: empty layer label")
-            weight = _parse_weight(row[3], where)
-            if src == dst:
-                raise LoopEdgeError(f"{where}: loop edge {src} -> {dst}")
-            key = (src, dst, label)
-            if key in seen:
-                if on_duplicate == ON_DUPLICATE_ERROR:
-                    raise DuplicateEdgeError(
-                        f"{where}: duplicate edge {src} -> {dst} "
-                        f"on layer {label!r}"
-                    )
-                prior = rows[seen[key]]
-                prior[3] = max(prior[3], weight)
-            else:
-                seen[key] = len(rows)
-                rows.append([src, dst, label, weight])
-
-    if not rows:
+    if not net.num_edges:
         raise EmptyFileError(f"{display}: no edge rows after the header")
-
-    net = MultiLayeredNetwork(polarity=polarity)
-    for src, dst, label, weight in rows:
-        if not net.has_layer(label):
-            net.add_layer(label)
-        net.add_edge(src, dst, label, weight)
     return net.seal()
 
 

@@ -213,6 +213,13 @@ class TestBench:
         assert code == 2
         assert "reps" in err
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_default_sources_below_one_is_a_usage_error(self, net_csv, capsys, count):
+        code, out, err = run(capsys, "bench", net_csv, "--default-sources", count)
+        assert code == 2
+        assert out == ""
+        assert "--default-sources" in err
+
 
 class TestAggregateExport:
     def test_rows_are_sorted_and_thresholded(self, net_csv, capsys):
@@ -247,6 +254,11 @@ class TestErrorExits:
         assert ":3:" in err
         code, _, _ = run(capsys, "load-summary", path, "--on-duplicate", "keep-max")
         assert code == 0
+        # merging a duplicate still checks its weight
+        path.write_text("src,dst,layer,weight\n1,2,a,0.5\n1,2,a,1.5\n")
+        code, _, err = run(capsys, "load-summary", path, "--on-duplicate", "keep-max")
+        assert code == 3
+        assert ":3:" in err and "weight" in err
 
     def test_weight_range_file(self, tmp_path, capsys):
         path = tmp_path / "w.csv"

@@ -15,6 +15,7 @@ from layerpath import (
     LayerId,
     LoopEdgeError,
     MultiLayeredNetwork,
+    ParameterError,
     SealedNetworkError,
     UnknownLayerError,
     UnknownNodeError,
@@ -120,6 +121,23 @@ class TestEdges:
         net.add_edge(0, 1, "b", 0.9)
         net.add_edge(1, 0, "a", 0.9)
         assert net.num_edges == 3
+
+    def test_keep_max_merges_duplicates_in_place(self):
+        net = MultiLayeredNetwork(layers=("a", "b"))
+        net.add_edge(0, 1, "a", 0.5)
+        net.add_edge(0, 1, "b", 0.25)
+        assert net.add_edge(0, 1, "a", 0.75, on_duplicate="keep-max").weight == 0.75
+        assert net.add_edge(0, 1, "a", 0.125, on_duplicate="keep-max").weight == 0.75
+        assert [(e.layer.label, e.weight) for e in net.edges()] == [("a", 0.75), ("b", 0.25)]
+        assert net.num_edges == 2
+        with pytest.raises(WeightOutOfRangeError):
+            net.add_edge(0, 1, "a", 1.5, on_duplicate="keep-max")
+
+    def test_unknown_duplicate_policy(self):
+        net = MultiLayeredNetwork(layers=("a",))
+        with pytest.raises(ParameterError):
+            net.add_edge(0, 1, "a", 0.5, on_duplicate="first-wins")
+        assert net.num_edges == 0
 
     @pytest.mark.parametrize("weight", [-0.1, 1.0001, float("nan"), float("inf")])
     def test_weight_range(self, weight):

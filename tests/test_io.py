@@ -1,6 +1,9 @@
 """Edge-list parsing, export round trips, and the random generator."""
 
 import filecmp
+import gc
+import random
+import tracemalloc
 
 import pytest
 
@@ -60,6 +63,38 @@ class TestLoader:
         assert net.layers[0].label == "2"
         assert net.layers[0].index == 0
 
+    @pytest.mark.parametrize("weights", [(0.1, 0.2, 0.3), (0.3, 0.2, 0.1)])
+    def test_pair_weights_are_summed_in_file_order(self, tmp_path, weights):
+        # the pair's layers sit on non-adjacent rows; its price must add them
+        # left to right in file order, and the two orders differ in the last bit
+        rows = [f"0,1,{label},{w!r}\n2,3,{label},0.5\n" for label, w in zip("abc", weights)]
+        net = load_edge_list(write(tmp_path, HEADER + "".join(rows)))
+        first, second, third = weights
+        expected = 1 - ((first + second) + third) / 3
+        assert expected != 1 - ((third + second) + first) / 3
+        assert net.priced_pairs[0] == ((1, 3, expected),)
+
+    def test_loading_streams_rows_into_the_network(self, tmp_path):
+        # no row buffer: the peak heap during the load stays close to what
+        # the loaded network itself keeps (a buffered load reads about 2x)
+        rng = random.Random(3)
+        path = tmp_path / "big.csv"
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(HEADER)
+            for src in range(1700):
+                for k in range(6):
+                    for label in "abc"[: k % 3 + 1]:
+                        out.write(f"{src},{(src + 1 + 97 * k) % 1700},{label},{rng.random()!r}\n")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            net = load_edge_list(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert net.num_edges == 1700 * 12
+        assert peak <= 1.25 * held, f"peak {peak} B vs {held} B held after the load"
+
 
 class TestLoaderErrors:
     def test_empty_file(self, tmp_path):
@@ -113,6 +148,23 @@ class TestLoaderErrors:
         path = write(tmp_path, HEADER + "0,1,a,0.5\n0,1,a,0.75\n0,1,a,0.25\n")
         net = load_edge_list(path, on_duplicate="keep-max")
         assert net.pair_summary(0, 1) == (1, 0.75)
+
+    def test_keep_max_holds_the_first_position(self, tmp_path):
+        rows = "0,1,a,0.5\n0,1,b,0.25\n0,1,a,0.75\n2,3,a,0.5\n0,1,a,0.125\n"
+        net = load_edge_list(write(tmp_path, HEADER + rows), on_duplicate="keep-max")
+        assert [(e.src, e.dst, e.layer.label, e.weight) for e in net.edges()] == [
+            (0, 1, "a", 0.75),
+            (0, 1, "b", 0.25),
+            (2, 3, "a", 0.5),
+        ]
+        assert net.num_edges == 3
+        assert net.layer_edge_counts() == [2, 1]
+
+    def test_locations_are_physical_lines(self, tmp_path):
+        # the quoted label spans lines 3-4, so the loop row sits on line 5
+        path = write(tmp_path, HEADER + '0,1,a,0.5\n1,2,"two\nlines",0.5\n5,5,a,0.3\n')
+        with pytest.raises(LoopEdgeError, match=r"edges\.csv:5: "):
+            load_edge_list(path)
 
     def test_unknown_duplicate_policy(self, tmp_path):
         path = write(tmp_path, HEADER + "0,1,a,0.5\n")
