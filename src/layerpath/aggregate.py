@@ -13,7 +13,8 @@ is sealed.
 
 A pair of nodes survives aggregation into a single weighted edge when it
 spans at least ``alpha`` layers and its distance is at most ``beta``. The
-aggregated edge weight is always d(x, y).
+aggregated edge weight is always d(x, y), so the aggregated graph is a
+filtered view of the network's priced rows, searched like the rows themselves.
 
 One rule is load-bearing and deliberate: a pair with no layered edge at all
 never receives an aggregated edge, even though its distance is 1 and a
@@ -26,7 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 from .core import MultiLayeredNetwork, POSITIVE, _coerce_alpha, pair_distance
 from .errors import InvalidBetaError, SameNodeError
@@ -66,24 +68,19 @@ class AggregatedEdge(NamedTuple):
 
 
 class AggregatedGraph:
-    """Simple weighted digraph produced by collapsing layered edges.
+    """Simple weighted digraph: the priced rows that pass the thresholds.
 
-    ``adj`` maps src -> {dst: distance} and ``counts`` src -> {dst: layer
-    count}, with the same keys; sources without kept edges are left out.
+    ``priced_pairs`` maps src -> ((dst, layer count, distance), ...): the
+    network's own rows cut down to the pairs that meet both thresholds, in
+    priced order and as the same tuples. Sources without kept pairs are left
+    out.
     """
 
-    def __init__(
-        self,
-        nodes: frozenset[int],
-        params: AggregationParams,
-        adj: dict[int, dict[int, float]],
-        counts: dict[int, dict[int, int]],
-    ) -> None:
+    def __init__(self, nodes: frozenset[int], params: AggregationParams, rows: dict) -> None:
         self._nodes = nodes
         self._params = params
-        self._adj = adj
-        self._counts = counts
-        self._num_edges = sum(len(targets) for targets in adj.values())
+        self._rows = rows
+        self._num_edges = sum(map(len, rows.values()))
 
     @property
     def nodes(self) -> frozenset[int]:
@@ -97,24 +94,24 @@ class AggregatedGraph:
     def num_edges(self) -> int:
         return self._num_edges
 
-    def out_edges(self, x: int) -> dict[int, float]:
-        """Aggregated {target: distance} map of x (do not mutate)."""
-        return self._adj.get(x, {})
+    @property
+    def priced_pairs(self) -> Mapping[int, tuple[tuple[int, int, float], ...]]:
+        """Read-only ``src -> ((dst, layer count, distance), ...)`` of kept pairs."""
+        return MappingProxyType(self._rows)
 
     def out_degree(self, x: int) -> int:
-        return len(self._adj.get(x, ()))
+        return len(self._rows.get(x, ()))
 
     def edge(self, x: int, y: int) -> AggregatedEdge | None:
-        dist = self._adj.get(x, {}).get(y)
-        if dist is None:
-            return None
-        return AggregatedEdge(x, y, dist, self._counts[x][y])
+        for dst, count, dist in self._rows.get(x, ()):
+            if dst == y:
+                return AggregatedEdge(x, y, dist, count)
+        return None
 
     def edges(self) -> Iterator[AggregatedEdge]:
-        for src, targets in self._adj.items():
-            counts = self._counts[src]
-            for dst, dist in targets.items():
-                yield AggregatedEdge(src, dst, dist, counts[dst])
+        for src, row in self._rows.items():
+            for dst, count, dist in row:
+                yield AggregatedEdge(src, dst, dist, count)
 
 
 def distance(net: MultiLayeredNetwork, x: int, y: int) -> float:
@@ -130,19 +127,25 @@ def distance(net: MultiLayeredNetwork, x: int, y: int) -> float:
     return pair_distance(wsum, net.num_layers, net.polarity == POSITIVE)
 
 
+def _kept_pairs(row: tuple, alpha: int, beta: float) -> tuple:
+    """The pairs of a priced row that meet both thresholds; the row itself if all do."""
+    kept = [pair for pair in row if pair[1] >= alpha and pair[2] <= beta]
+    return row if len(kept) == len(row) else tuple(kept)
+
+
 def aggregate_graph(net: MultiLayeredNetwork, params: AggregationParams) -> AggregatedGraph:
     """Collapse every qualifying pair into a single aggregated edge.
 
-    Only pairs carrying at least one layered edge are visited; the beta
-    comparison is exact (no epsilon). Requires a sealed network.
+    One pass over the network's priced rows keeps the pairs with
+    ``count >= alpha and distance <= beta``; the beta comparison is exact (no
+    epsilon). Only pairs carrying at least one layered edge are visited.
+    Requires a sealed network.
     """
     alpha = params.alpha
     beta = params.beta
-    adj = {}
-    counts = {}
+    rows = {}
     for src, row in net.priced_pairs.items():
-        kept = {dst: dist for dst, count, dist in row if count >= alpha and dist <= beta}
+        kept = _kept_pairs(row, alpha, beta)
         if kept:
-            adj[src] = kept
-            counts[src] = {dst: count for dst, count, _ in row if dst in kept}
-    return AggregatedGraph(net.nodes, params, adj, counts)
+            rows[src] = kept
+    return AggregatedGraph(net.nodes, params, rows)

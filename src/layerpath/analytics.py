@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aggregate import AggregationParams, _coerce_beta, aggregate_graph
+from .aggregate import AggregationParams, _coerce_beta, _kept_pairs, aggregate_graph
 from .core import MultiLayeredNetwork, _coerce_alpha
 from .errors import InconsistentInputError, ParameterError
 from .paths import ShortestPathResult, aggregated_sssp
@@ -126,7 +126,8 @@ def path_stats(
     ``params`` defaults to the parameters recorded on the result; passing a
     conflicting value raises, as does a result whose node set does not match
     the network (a stale result from a different graph would silently skew
-    every figure).
+    every figure). ``num_neighbors`` counts the source's priced pairs with
+    the row filter ``aggregate_graph`` applies.
     """
     net.require_sealed()
     if params is None:
@@ -141,13 +142,8 @@ def path_stats(
             "computed from a different graph?"
         )
 
-    alpha = params.alpha
-    beta = params.beta
-    num_neighbors = sum(
-        1
-        for _, count, dist in net.priced_pairs.get(result.source, ())
-        if count >= alpha and dist <= beta
-    )
+    row = net.priced_pairs.get(result.source, ())
+    num_neighbors = len(_kept_pairs(row, params.alpha, params.beta))
     return _build_stats(result, params, num_neighbors, net.num_nodes)
 
 

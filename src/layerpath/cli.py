@@ -286,13 +286,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    net = _load(args)
+    # flags first: a bad one should not wait for a large file to load
     if args.reps < 3:
         raise ParameterError(f"bench requires --reps >= 3, got {args.reps}")
     if args.default_sources < 1:
         raise ParameterError(
             f"bench requires --default-sources >= 1, got {args.default_sources}"
         )
+    net = _load(args)
     # a loaded network has at least one edge, so this is never empty
     sources = _sources_from(args, net) or sorted(net.nodes)[: args.default_sources]
     params = AggregationParams(args.alpha, args.beta)

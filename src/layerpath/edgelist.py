@@ -3,15 +3,17 @@
 The interchange format is a plain CSV file with the exact header
 ``src,dst,layer,weight`` and one directed layered edge per row. Node ids are
 non-negative integers written as plain ASCII digits, layer labels are
-arbitrary non-empty strings (indexed in order of first appearance), weights
-are floats in [0, 1] written with ``repr`` so a dump/load round trip
-reproduces the same values bit for bit.
+arbitrary non-empty UTF-8 strings (indexed in order of first appearance),
+weights are floats in [0, 1] written in ASCII without ``_`` separators, and
+dumps write them with ``repr`` so a dump/load round trip reproduces the same
+values bit for bit.
 
 Loading streams: each row goes straight into ``MultiLayeredNetwork.add_edge``
 and no row is kept. The loader checks only the text (header, field count,
-node ids, numeric weights, non-empty labels) and raises ``ParseError``; the
-network enforces the graph rules (loops, out-of-range weights, duplicate
-triples) and the loader re-raises its error with the location prepended.
+node ids, weights, labels, the csv module's field size limit) and raises
+``ParseError``; the network enforces the graph rules (loops, out-of-range
+weights, duplicate triples) and the loader re-raises its error with the
+location prepended.
 Locations are ``file:line`` with the physical line on which the offending
 row ends, so quoted fields that span lines do not shift later positions.
 Duplicate (src, dst, layer) triples can alternatively be merged by keeping
@@ -43,6 +45,18 @@ def _parse_node(field: str) -> int:
         raise ParseError(str(exc)) from None
 
 
+def _parse_weight(field: str) -> float:
+    # float() alone would also take "0.2_5" or non-ASCII digits, and a dump
+    # would then no longer reproduce the input
+    text = field.strip()
+    try:
+        if not text.isascii() or "_" in text:
+            raise ValueError
+        return float(text)
+    except ValueError:
+        raise ParseError(f"weight {text!r} is not a number") from None
+
+
 def load_edge_list(
     path,
     *,
@@ -59,17 +73,16 @@ def load_edge_list(
     display = os.fspath(path)
     net = MultiLayeredNetwork(polarity=polarity)
     layer_ids: dict[str, LayerId] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    # bytes that are not UTF-8 become lone surrogates, caught on their row by
+    # the ASCII checks of ids and weights and the UTF-8 check of labels
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyFileError(f"{display}: file is empty")
-        if tuple(h.strip() for h in header) != HEADER:
-            raise ParseError(
-                f"{display}:1: expected header {','.join(HEADER)!r}, "
-                f"got {','.join(header)!r}"
-            )
         try:
+            header = next(reader, None)
+            if header is not None and tuple(h.strip() for h in header) != HEADER:
+                raise ParseError(
+                    f"expected header {','.join(HEADER)!r}, got {','.join(header)!r}"
+                )
             for row in reader:
                 if not row:
                     continue  # tolerate blank lines, e.g. a trailing newline
@@ -80,17 +93,22 @@ def load_edge_list(
                 label = row[2].strip()
                 if not label:
                     raise ParseError("empty layer label")
-                try:
-                    weight = float(row[3].strip())
-                except ValueError:
-                    raise ParseError(f"weight {row[3].strip()!r} is not a number") from None
+                weight = _parse_weight(row[3])
                 lid = layer_ids.get(label)
                 if lid is None:
+                    try:
+                        label.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise ParseError(f"layer label {label!r} is not valid UTF-8") from None
                     lid = layer_ids[label] = net.add_layer(label)
                 net.add_edge(src, dst, lid, weight, on_duplicate=on_duplicate)
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise ParseError(f"{display}:{reader.line_num}: {exc}") from None
         except (ParseError, GraphError) as exc:
             raise type(exc)(f"{display}:{reader.line_num}: {exc}") from None
 
+    if header is None:
+        raise EmptyFileError(f"{display}: file is empty")
     if not net.num_edges:
         raise EmptyFileError(f"{display}: no edge rows after the header")
     return net.seal()

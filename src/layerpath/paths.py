@@ -10,8 +10,11 @@ agree on lengths and reachability for every input:
   scans the priced pairs of each settled node and applies the layer-count
   and distance thresholds edge by edge.
 
-Both read the distances the network priced when it was sealed, so they agree
-bit for bit by construction.
+Both run one search loop over rows of the same shape,
+``src -> ((dst, layer count, distance), ...)``, with the threshold test
+inline: mda on the network's priced rows, dap on the aggregated graph's
+rows, which are those priced rows cut down to the pairs that pass. So they
+agree bit for bit by construction.
 
 ``ml_floyd_warshall`` produces the all-pairs matrix over the same aggregated
 edge relation, and ``brute_force_sp`` is a deliberately naive simple-path
@@ -25,10 +28,10 @@ node id first, which makes runs reproducible.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from math import inf
-from typing import Callable
+from typing import Mapping
 
 import numpy as np
 
@@ -107,38 +110,69 @@ class DistanceMatrix:
             raise UnknownNodeError(f"unknown node in pair ({x!r}, {y!r})") from None
 
 
-def _dijkstra(out_edges: Callable[[int], dict[int, float]], source: int):
-    """Heap Dijkstra over a node -> {dst: distance} neighbor function.
+def _dijkstra(rows: Mapping[int, tuple], source: int, params: AggregationParams):
+    """Heap Dijkstra over priced rows ``src -> ((dst, layer count, distance), ...)``.
 
-    Lazy-deletion variant: a node may sit in the heap several times; stale
-    entries are skipped once the node is settled. Only finite tentative
-    lengths ever enter the heap, so draining it is equivalent to stopping as
-    soon as the extracted minimum would be infinite.
+    Pairs below ``params.alpha`` layers or above ``params.beta`` are skipped as
+    they are scanned. Lazy-deletion variant: a node may sit in the heap several
+    times; stale entries are skipped once the node is settled. Only finite
+    tentative lengths ever enter the heap, so draining it is equivalent to
+    stopping as soon as the extracted minimum would be infinite.
     """
+    alpha = params.alpha
+    beta = params.beta
     lengths = {source: 0.0}
     preds: dict[int, int | None] = {source: None}
     settled = set()
     heap = [(0.0, source)]
     while heap:
-        dist, v = heappop(heap)
+        dist, v = heapq.heappop(heap)
         if v in settled:
             continue
         settled.add(v)
-        for w, d in out_edges(v).items():
+        for w, count, d in rows.get(v, ()):
+            if count < alpha or d > beta:
+                continue
             cand = dist + d
             cur = lengths.get(w)
             if cur is None or cand < cur:
                 lengths[w] = cand
                 preds[w] = v
-                heappush(heap, (cand, w))
+                heapq.heappush(heap, (cand, w))
     return lengths, preds
 
 
+def _checked_params(net: MultiLayeredNetwork, source: int, params) -> AggregationParams:
+    """``params`` or the defaults, once ``net`` is sealed and holds ``source``."""
+    net.require_sealed()
+    if not net.has_node(source):
+        raise UnknownNodeError(f"unknown source node {source!r}")
+    return AggregationParams() if params is None else params
+
+
+def _all_pairs_frame(net: MultiLayeredNetwork, params, max_nodes: int):
+    """(params, node order, node -> index, all-inf matrix) for an APSP run."""
+    net.require_sealed()
+    n = net.num_nodes
+    if n > max_nodes:
+        raise SizeGuardExceededError(
+            f"{n} nodes exceed the all-pairs cap of {max_nodes}; "
+            "raise max_nodes to override"
+        )
+    order = sorted(net.nodes)
+    index = {v: i for i, v in enumerate(order)}
+    values = np.full((n, n), np.inf, dtype=np.float64)
+    return AggregationParams() if params is None else params, order, index, values
+
+
 def aggregated_sssp(graph: AggregatedGraph, source: int) -> ShortestPathResult:
-    """Dijkstra over an already aggregated graph (the search half of DAP)."""
+    """Dijkstra over an already aggregated graph (the search half of DAP).
+
+    Every pair already passes the graph's thresholds, so the loop's test skips none.
+    """
     if source not in graph.nodes:
         raise UnknownNodeError(f"unknown source node {source!r}")
-    lengths, preds = _dijkstra(graph.out_edges, source)
+    lengths, preds = _dijkstra(graph.priced_pairs, source, graph.params)
     return ShortestPathResult(source, lengths, preds, graph.nodes, graph.params)
 
 
@@ -153,11 +187,7 @@ def dap_sssp(
     the same thresholds, call ``aggregate_graph`` once and reuse it with
     ``aggregated_sssp``.
     """
-    net.require_sealed()
-    if not net.has_node(source):
-        raise UnknownNodeError(f"unknown source node {source!r}")
-    if params is None:
-        params = AggregationParams()
+    params = _checked_params(net, source, params)
     return aggregated_sssp(aggregate_graph(net, params), source)
 
 
@@ -168,38 +198,14 @@ def mda_sssp(
 ) -> ShortestPathResult:
     """On-the-fly strategy: threshold and price edges during the search.
 
-    Scans each settled node's priced pairs and keeps those meeting both
-    thresholds, the same test ``aggregate_graph`` applies, so the searched
-    edge relation is exactly the one it would materialize. No aggregated
-    graph is built.
+    Runs the same search loop as ``aggregated_sssp``, on the network's own
+    priced rows: each settled node's pairs are tested against both
+    thresholds as they are scanned, the test ``aggregate_graph`` applies, so
+    the searched edge relation is exactly the one it would materialize. No
+    aggregated graph is built.
     """
-    net.require_sealed()
-    if not net.has_node(source):
-        raise UnknownNodeError(f"unknown source node {source!r}")
-    if params is None:
-        params = AggregationParams()
-    alpha = params.alpha
-    beta = params.beta
-    priced = net.priced_pairs
-
-    lengths = {source: 0.0}
-    preds: dict[int, int | None] = {source: None}
-    settled = set()
-    heap = [(0.0, source)]
-    while heap:
-        dist, v = heappop(heap)
-        if v in settled:
-            continue
-        settled.add(v)
-        for w, count, d in priced.get(v, ()):
-            if count < alpha or d > beta:
-                continue
-            cand = dist + d
-            cur = lengths.get(w)
-            if cur is None or cand < cur:
-                lengths[w] = cand
-                preds[w] = v
-                heappush(heap, (cand, w))
+    params = _checked_params(net, source, params)
+    lengths, preds = _dijkstra(net.priced_pairs, source, params)
     return ShortestPathResult(source, lengths, preds, net.nodes, params)
 
 
@@ -215,22 +221,11 @@ def ml_floyd_warshall(
     because the cube grows quickly. Rows and columns are ordered by
     ascending node id.
     """
-    net.require_sealed()
-    if params is None:
-        params = AggregationParams()
-    n = net.num_nodes
-    if n > max_nodes:
-        raise SizeGuardExceededError(
-            f"{n} nodes exceed the all-pairs cap of {max_nodes}; "
-            "raise max_nodes to override"
-        )
-    order = sorted(net.nodes)
-    index = {v: i for i, v in enumerate(order)}
-    values = np.full((n, n), np.inf, dtype=np.float64)
+    params, order, index, values = _all_pairs_frame(net, params, max_nodes)
     np.fill_diagonal(values, 0.0)
     for src, dst, dist, _ in aggregate_graph(net, params).edges():
         values[index[src], index[dst]] = dist
-    for k in range(n):
+    for k in range(len(order)):
         np.minimum(values, values[:, k, None] + values[None, k, :], out=values)
     return DistanceMatrix(order, values, params)
 
@@ -246,18 +241,7 @@ def apsp_repeated_dijkstra(
     Aggregates once, then searches from each source in ascending order. Must
     agree with ``ml_floyd_warshall`` on every entry.
     """
-    net.require_sealed()
-    if params is None:
-        params = AggregationParams()
-    n = net.num_nodes
-    if n > max_nodes:
-        raise SizeGuardExceededError(
-            f"{n} nodes exceed the all-pairs cap of {max_nodes}; "
-            "raise max_nodes to override"
-        )
-    order = sorted(net.nodes)
-    index = {v: i for i, v in enumerate(order)}
-    values = np.full((n, n), np.inf, dtype=np.float64)
+    params, order, index, values = _all_pairs_frame(net, params, max_nodes)
     graph = aggregate_graph(net, params)
     for row, source in zip(values, order):
         for v, length in aggregated_sssp(graph, source).lengths.items():
@@ -277,23 +261,19 @@ def brute_force_sp(
     Runtime is exponential in the node count, hence the hard cap. Kept free
     of any Dijkstra-style shortcut so it can stand as an independent check.
     """
-    net.require_sealed()
-    if not net.has_node(source):
-        raise UnknownNodeError(f"unknown source node {source!r}")
+    params = _checked_params(net, source, params)
     if net.num_nodes > max_nodes:
         raise SizeGuardExceededError(
             f"{net.num_nodes} nodes exceed the brute-force cap of {max_nodes}"
         )
-    if params is None:
-        params = AggregationParams()
-    out_edges = aggregate_graph(net, params).out_edges
+    rows = aggregate_graph(net, params).priced_pairs
 
     lengths = {source: 0.0}
     preds: dict[int, int | None] = {source: None}
     on_path = {source}
 
     def explore(v: int, acc: float) -> None:
-        for w, d in out_edges(v).items():
+        for w, _, d in rows.get(v, ()):
             if w in on_path:
                 continue
             cand = acc + d

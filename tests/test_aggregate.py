@@ -146,7 +146,30 @@ class TestAggregateGraph:
         assert g.edge(1, 2).layer_count == 1
         assert g.edge(2, 1) is None
         assert g.out_degree(0) == 1 and g.out_degree(2) == 0
-        assert g.out_edges(0) == {1: 0.5}
+        assert g.priced_pairs[0] == ((1, 2, 0.5),)
+        assert 2 not in g.priced_pairs
+
+    def test_rows_are_the_priced_rows_cut_down(self):
+        net = build_net(
+            ("a", "b"),
+            [
+                (0, 1, "a", 0.9), (0, 1, "b", 0.9),  # count 2, d = 0.1
+                (0, 2, "a", 0.2),                     # count 1, d = 0.9
+                (0, 3, "a", 0.8), (0, 3, "b", 0.6),  # count 2, d = 0.3
+                (1, 2, "a", 0.4), (1, 2, "b", 0.4),  # count 2, d = 0.6
+            ],
+        )
+        priced = net.priced_pairs
+        g = aggregate_graph(net, AggregationParams(2, 1.0))
+        # kept pairs stay in priced order and are the very same tuples
+        assert g.priced_pairs[0] == (priced[0][0], priced[0][2])
+        assert all(a is b for a, b in zip(g.priced_pairs[0], (priced[0][0], priced[0][2])))
+        # a row whose pairs all pass is shared, not copied
+        assert g.priced_pairs[1] is priced[1]
+        # rows with no kept pair are left out
+        assert set(aggregate_graph(net, AggregationParams(1, 0.5)).priced_pairs) == {0}
+        with pytest.raises(TypeError):
+            g.priced_pairs[0] = ()
 
     def test_unconnected_pairs_stay_out_at_maximal_beta(self):
         # 4 nodes, one layered edge; beta = 1 must not produce 12 edges

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerpath import (
+    NEGATIVE,
     POSITIVE,
     AggregationParams,
     InconsistentInputError,
@@ -15,6 +16,7 @@ from layerpath import (
     aggregate_graph,
     dap_sssp,
     edge_count_sweep,
+    mda_sssp,
     path_stats,
     stats_table,
 )
@@ -184,6 +186,22 @@ def test_stats_figures_are_internally_consistent(net, alpha, beta):
         else:
             assert stats.avg_len == stats.min_len == stats.max_len == 0.0
             assert stats.avg_handshakes == 0.0 and stats.num_neighbors == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(layered_networks(polarities=(POSITIVE, NEGATIVE)), st.integers(1, 3), st.data())
+def test_stats_table_agrees_with_path_stats_on_both_strategies(net, alpha, data):
+    # stats_table counts neighbors by aggregated out-degree, path_stats by
+    # filtering the priced row; both must give the same row. A beta equal to
+    # a priced distance puts pairs right on the threshold.
+    distances = {dist for row in net.priced_pairs.values() for _, _, dist in row}
+    beta = data.draw(st.sampled_from(sorted(distances | {1.0})))
+    params = AggregationParams(alpha, beta)
+    table = stats_table(net, params)
+    assert [row.source for row in table] == sorted(net.nodes)
+    for row in table:
+        assert row == path_stats(dap_sssp(net, row.source, params), net, params)
+        assert row == path_stats(mda_sssp(net, row.source, params), net, params)
 
 
 @settings(max_examples=40, deadline=None)

@@ -220,6 +220,14 @@ class TestBench:
         assert out == ""
         assert "--default-sources" in err
 
+    @pytest.mark.parametrize("flag", [("--reps", "1"), ("--default-sources", "0")])
+    def test_flags_are_checked_before_the_load(self, tmp_path, capsys, flag):
+        # a usage error, not the missing file's input error
+        code, out, err = run(capsys, "bench", tmp_path / "absent.csv", *flag)
+        assert code == 2
+        assert out == ""
+        assert flag[0] in err
+
 
 class TestAggregateExport:
     def test_rows_are_sorted_and_thresholded(self, net_csv, capsys):
@@ -270,6 +278,24 @@ class TestErrorExits:
     def test_node_id_must_be_plain_digits(self, tmp_path, capsys, node):
         path = tmp_path / "ids.csv"
         path.write_text(f"src,dst,layer,weight\n0,1,a,0.5\n{node},2,a,0.5\n", encoding="utf-8")
+        code, out, err = run(capsys, "load-summary", path)
+        assert code == 3
+        assert out == ""
+        assert f"{path}:3:" in err
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            b"1,2,a,0.2_5",
+            "1,2,a,\u0660.\u0665".encode(),
+            b"1,2,b\xff,0.5",
+            b"1,2," + b"x" * 140_000 + b",0.5",
+        ],
+        ids=["weight-separator", "weight-non-ascii", "undecodable-byte", "oversized-field"],
+    )
+    def test_unreadable_row_is_an_input_error(self, tmp_path, capsys, row):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"src,dst,layer,weight\n0,1,a,0.5\n" + row + b"\n")
         code, out, err = run(capsys, "load-summary", path)
         assert code == 3
         assert out == ""

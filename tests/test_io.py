@@ -57,6 +57,12 @@ class TestLoader:
         path = write(tmp_path, HEADER + "0,1,a,0.5\n\n1,2,a,0.5\n\n")
         assert load_edge_list(path).num_edges == 2
 
+    def test_repr_weights_load_exactly(self, tmp_path):
+        weights = [1e-05, 0.0, 1.0, 0.1 + 0.2]
+        rows = "".join(f"0,{k + 1},a,{w!r}\n" for k, w in enumerate(weights))
+        net = load_edge_list(write(tmp_path, HEADER + rows))
+        assert [e.weight for e in net.edges()] == weights
+
     def test_numeric_layer_labels_stay_labels(self, tmp_path):
         path = write(tmp_path, HEADER + "0,1,2,0.5\n")
         net = load_edge_list(path)
@@ -120,12 +126,20 @@ class TestLoaderErrors:
             "1_0,1,a,0.5",        # digit separator
             "0,\u0663,a,0.5",     # non-ASCII digit
             "0,1,a,heavy",        # unparsable weight
+            "0,1,a,0.2_5",        # digit separator in a weight
+            "0,1,a,\u0660.\u0665",  # non-ASCII digits in a weight
             "0,1,,0.5",           # empty label
+            b"1,2,b\xff,0.5",     # bytes that are not UTF-8: in a label,
+            b"\xff1,2,b,0.5",     # an id
+            b"1,2,b,0.5\xff",     # or a weight
+            b"1,2," + b"x" * 140_000 + b",0.5",  # over the csv field size limit
         ],
     )
     def test_malformed_rows_report_their_line(self, tmp_path, row):
-        path = write(tmp_path, HEADER + "0,1,a,0.5\n" + row + "\n")
-        with pytest.raises(ParseError, match=":3:"):
+        row = row if isinstance(row, bytes) else row.encode()
+        path = tmp_path / "edges.csv"
+        path.write_bytes(HEADER.encode() + b"0,1,a,0.5\n" + row + b"\n2,3,a,0.5\n")
+        with pytest.raises(ParseError, match=r"edges\.csv:3: "):
             load_edge_list(path)
 
     def test_loop_row(self, tmp_path):
