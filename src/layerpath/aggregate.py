@@ -59,6 +59,13 @@ class AggregationParams:
         object.__setattr__(self, "alpha", _coerce_alpha(self.alpha))
         object.__setattr__(self, "beta", _coerce_beta(self.beta))
 
+    def kept(self, row: tuple) -> tuple:
+        """The pairs of a priced row that meet both thresholds; the row itself if all do."""
+        alpha = self.alpha
+        beta = self.beta
+        kept = [pair for pair in row if pair[1] >= alpha and pair[2] <= beta]
+        return row if len(kept) == len(row) else tuple(kept)
+
 
 class AggregatedEdge(NamedTuple):
     src: int
@@ -127,12 +134,6 @@ def distance(net: MultiLayeredNetwork, x: int, y: int) -> float:
     return pair_distance(wsum, net.num_layers, net.polarity == POSITIVE)
 
 
-def _kept_pairs(row: tuple, alpha: int, beta: float) -> tuple:
-    """The pairs of a priced row that meet both thresholds; the row itself if all do."""
-    kept = [pair for pair in row if pair[1] >= alpha and pair[2] <= beta]
-    return row if len(kept) == len(row) else tuple(kept)
-
-
 def aggregate_graph(net: MultiLayeredNetwork, params: AggregationParams) -> AggregatedGraph:
     """Collapse every qualifying pair into a single aggregated edge.
 
@@ -141,11 +142,9 @@ def aggregate_graph(net: MultiLayeredNetwork, params: AggregationParams) -> Aggr
     epsilon). Only pairs carrying at least one layered edge are visited.
     Requires a sealed network.
     """
-    alpha = params.alpha
-    beta = params.beta
     rows = {}
     for src, row in net.priced_pairs.items():
-        kept = _kept_pairs(row, alpha, beta)
+        kept = params.kept(row)
         if kept:
             rows[src] = kept
     return AggregatedGraph(net.nodes, params, rows)

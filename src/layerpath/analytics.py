@@ -2,18 +2,21 @@
 
 ``path_stats`` condenses one single-source result into a fixed row of
 aggregate figures (route counts, length spread, mean hop count, neighborhood
-size, connectivity share). ``stats_table`` runs that for many sources against
-one aggregation, and ``edge_count_sweep`` counts how many aggregated edges
-survive each combination of thresholds, which is the usual first look at how
-dense the aggregated graph will be.
+size, connectivity share), reading only the result, its recorded thresholds
+and the network's priced rows: hop counts come from one forward pass over the
+parent-first predecessors, and the neighbour count from
+``AggregationParams.kept``. ``stats_table`` aggregates once and calls
+``path_stats`` for each source, and ``edge_count_sweep`` counts how many
+aggregated edges survive each combination of thresholds, which is the usual
+first look at how dense the aggregated graph will be.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aggregate import AggregationParams, _coerce_beta, _kept_pairs, aggregate_graph
-from .core import MultiLayeredNetwork, _coerce_alpha
+from .aggregate import AggregationParams, aggregate_graph
+from .core import MultiLayeredNetwork
 from .errors import InconsistentInputError, ParameterError
 from .paths import ShortestPathResult, aggregated_sssp
 
@@ -60,50 +63,36 @@ class PathStats:
         return tuple(getattr(self, name) for name in STATS_COLUMNS)
 
 
-def _mean_hops(result: ShortestPathResult, targets: list[int]) -> float:
-    """Mean edge count of the shortest paths to ``targets``.
+def path_stats(result: ShortestPathResult, net: MultiLayeredNetwork) -> PathStats:
+    """Summarize ``result`` against the network it was computed from.
 
-    Walks the predecessor tree once per node, memoizing hop counts, so the
-    total cost is linear in the number of reachable nodes.
+    The thresholds are the ones recorded on the result. A result whose node
+    set does not match the network raises (a stale result from a different
+    graph would silently skew every figure).
     """
-    if not targets:
-        return 0.0
-    hops = {result.source: 0}
-    preds = result.predecessors
-    total = 0
-    for target in targets:
-        chain = []
-        v = target
-        while v not in hops:
-            chain.append(v)
-            v = preds[v]  # type: ignore[assignment]
-        h = hops[v]
-        while chain:
-            h += 1
-            hops[chain.pop()] = h
-        total += hops[target]
-    return total / len(targets)
-
-
-def _build_stats(
-    result: ShortestPathResult,
-    params: AggregationParams,
-    num_neighbors: int,
-    num_nodes: int,
-) -> PathStats:
-    targets = [v for v in result.lengths if v != result.source]
-    num_routes = len(targets)
+    net.require_sealed()
+    if result.nodes != net.nodes:
+        raise InconsistentInputError(
+            "result node set does not match the network; was the result "
+            "computed from a different graph?"
+        )
+    params = result.params
+    source = result.source
+    route_lengths = [length for v, length in result.lengths.items() if v != source]
+    num_routes = len(route_lengths)
     if num_routes:
-        route_lengths = [result.lengths[v] for v in targets]
         avg_len = sum(route_lengths) / num_routes
         min_len = min(route_lengths)
         max_len = max(route_lengths)
-        avg_handshakes = _mean_hops(result, targets)
+        hops = {}  # one pass: predecessors list every node after its own
+        for v, pred in result.predecessors.items():
+            hops[v] = 0 if pred is None else hops[pred] + 1
+        avg_handshakes = sum(hops.values()) / num_routes
     else:
         avg_len = min_len = max_len = avg_handshakes = 0.0
-    pct_connected = num_routes / (num_nodes - 1) if num_nodes > 1 else 0.0
+    num_nodes = net.num_nodes
     return PathStats(
-        source=result.source,
+        source=source,
         alpha=params.alpha,
         beta=params.beta,
         num_routes=num_routes,
@@ -111,40 +100,9 @@ def _build_stats(
         min_len=min_len,
         max_len=max_len,
         avg_handshakes=avg_handshakes,
-        num_neighbors=num_neighbors,
-        pct_connected=pct_connected,
+        num_neighbors=len(params.kept(net.priced_pairs.get(source, ()))),
+        pct_connected=num_routes / (num_nodes - 1) if num_nodes > 1 else 0.0,
     )
-
-
-def path_stats(
-    result: ShortestPathResult,
-    net: MultiLayeredNetwork,
-    params: AggregationParams | None = None,
-) -> PathStats:
-    """Summarize ``result`` against the network it was computed from.
-
-    ``params`` defaults to the parameters recorded on the result; passing a
-    conflicting value raises, as does a result whose node set does not match
-    the network (a stale result from a different graph would silently skew
-    every figure). ``num_neighbors`` counts the source's priced pairs with
-    the row filter ``aggregate_graph`` applies.
-    """
-    net.require_sealed()
-    if params is None:
-        params = result.params if result.params is not None else AggregationParams()
-    elif result.params is not None and result.params != params:
-        raise InconsistentInputError(
-            f"result was computed under {result.params}, not {params}"
-        )
-    if result.nodes != net.nodes:
-        raise InconsistentInputError(
-            "result node set does not match the network; was the result "
-            "computed from a different graph?"
-        )
-
-    row = net.priced_pairs.get(result.source, ())
-    num_neighbors = len(_kept_pairs(row, params.alpha, params.beta))
-    return _build_stats(result, params, num_neighbors, net.num_nodes)
 
 
 def stats_table(
@@ -158,19 +116,9 @@ def stats_table(
     economical way to profile a whole network under fixed thresholds.
     """
     net.require_sealed()
-    if params is None:
-        params = AggregationParams()
-    graph = aggregate_graph(net, params)
-    if sources is None:
-        chosen = sorted(net.nodes)
-    else:
-        chosen = sorted(set(sources))
-    num_nodes = net.num_nodes
-    rows = []
-    for source in chosen:
-        result = aggregated_sssp(graph, source)
-        rows.append(_build_stats(result, params, graph.out_degree(source), num_nodes))
-    return rows
+    graph = aggregate_graph(net, AggregationParams() if params is None else params)
+    chosen = sorted(net.nodes) if sources is None else sorted(set(sources))
+    return [path_stats(aggregated_sssp(graph, source), net) for source in chosen]
 
 
 @dataclass(frozen=True)
@@ -210,8 +158,8 @@ def edge_count_sweep(
         raise ParameterError("at least one alpha value is required")
     if not betas:
         raise ParameterError("at least one beta value is required")
-    alpha_grid = tuple(_coerce_alpha(a) for a in alphas)
-    beta_grid = tuple(_coerce_beta(b) for b in betas)
+    alpha_grid = tuple(AggregationParams(alpha=alpha).alpha for alpha in alphas)
+    beta_grid = tuple(AggregationParams(beta=beta).beta for beta in betas)
 
     cells = [[0] * len(beta_grid) for _ in alpha_grid]
     for row in net.priced_pairs.values():

@@ -7,9 +7,10 @@ stdout or ``-o``. Emissions are deterministic for identical inputs and
 flags: rows are keyed by ascending node id, grids keep the order they were
 given in.
 
-Exit codes: 0 success; 2 usage errors (bad flags, unknown source node,
-invalid thresholds); 3 input errors (unreadable, malformed, or rule-breaking
-edge lists); 4 size-guard refusals.
+Exit codes: 0 success; 1 stdout closed before the output was written (e.g.
+piped into ``head``), with no message; 2 usage errors (bad flags, unknown
+source node, invalid thresholds); 3 input errors (unreadable, malformed, or
+rule-breaking edge lists); 4 size-guard refusals.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 
 from .aggregate import AggregationParams, aggregate_graph
 from .analytics import STATS_COLUMNS, edge_count_sweep, path_stats, stats_table
 from .bench import benchmark, format_bench_report
-from .core import NEGATIVE, POSITIVE, MultiLayeredNetwork, parse_node_id
+from .core import NEGATIVE, POSITIVE, MultiLayeredNetwork, parse_natural, parse_real
 from .edgelist import (
     ON_DUPLICATE_ERROR,
     ON_DUPLICATE_KEEP_MAX,
@@ -55,25 +57,20 @@ REPEATED_DIJKSTRA = "repeated-dijkstra"
 # -- small plumbing --------------------------------------------------------
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+def _text_of(parse, what: str):
+    """argparse type for one ``what`` parsed by ``core.parse_natural``/``parse_real``."""
+    def value(text: str):
+        try:
+            return parse(text.strip(), what)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return value
 
 
-def _node_list(text: str) -> list[int]:
-    try:
-        return [parse_node_id(part.strip()) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+def _list_of(parse, what: str):
+    """argparse type for a comma-separated list of ``what``; blank parts are skipped."""
+    one = _text_of(parse, what)
+    return lambda text: [one(part) for part in text.split(",") if part.strip() != ""]
 
 
 @contextmanager
@@ -180,7 +177,7 @@ def cmd_sssp(args) -> int:
                     for target in targets
                     if target != source
                 ]
-            slots[s][c] = (path_stats(result, net, params).as_row(), path_rows)
+            slots[s][c] = (path_stats(result, net).as_row(), path_rows)
     stats_rows = [stats for per_source in slots for stats, _ in per_source]
     path_rows = [row for per_source in slots for _, rows in per_source for row in rows]
 
@@ -248,8 +245,8 @@ def cmd_apsp(args) -> int:
 
 def cmd_sweep(args) -> int:
     net = _load(args)
+    sources = _sources_from(args, net)  # before the sweep, which bins every pair
     report = edge_count_sweep(net, args.alphas, args.betas)
-    sources = _sources_from(args, net)
 
     stats_rows = []
     if sources:
@@ -357,18 +354,21 @@ def _add_output_args(p: argparse.ArgumentParser, formats=("csv", "json")) -> Non
 
 
 def _add_threshold_args(p: argparse.ArgumentParser, grids: bool = False) -> None:
-    p.add_argument("--alpha", type=int, default=1, help="layer-count threshold (default: 1)")
-    p.add_argument("--beta", type=float, default=1.0, help="distance threshold (default: 1.0)")
+    p.add_argument("--alpha", type=_text_of(parse_natural, "alpha"), default=1,
+                   help="layer-count threshold (default: 1)")
+    p.add_argument("--beta", type=_text_of(parse_real, "beta"), default=1.0,
+                   help="distance threshold (default: 1.0)")
     if grids:
-        p.add_argument("--alphas", type=_int_list, default=None,
+        p.add_argument("--alphas", type=_list_of(parse_natural, "alpha"), default=None,
                        help="comma-separated alpha grid, overrides --alpha")
-        p.add_argument("--betas", type=_float_list, default=None,
+        p.add_argument("--betas", type=_list_of(parse_real, "beta"), default=None,
                        help="comma-separated beta grid, overrides --beta")
 
 
 def _add_source_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--source", action="append", type=_node_list, default=None, metavar="NODES",
+        "--source", action="append", type=_list_of(parse_natural, "node id"), default=None,
+        metavar="NODES",
         help="source node id(s); repeatable, comma lists allowed",
     )
 
@@ -418,9 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="aggregated edge counts over a threshold grid")
     _add_input_args(p)
-    p.add_argument("--alphas", type=_int_list, required=True,
+    p.add_argument("--alphas", type=_list_of(parse_natural, "alpha"), required=True,
                    help="comma-separated alpha grid")
-    p.add_argument("--betas", type=_float_list, required=True,
+    p.add_argument("--betas", type=_list_of(parse_real, "beta"), required=True,
                    help="comma-separated beta grid")
     _add_source_arg(p)
     _add_output_args(p)
@@ -453,7 +453,14 @@ def main(argv=None) -> int:
         # argparse has already printed its message; fold --help's exit in
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`), as in the SIGPIPE recipe of the
+        # Python docs: point stdout at devnull so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SizeGuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -67,15 +67,30 @@ def _coerce_node(node) -> int:
     return node
 
 
-def parse_node_id(text: str) -> int:
-    """Node id from decimal text; only ``[0-9]+`` is accepted.
+def parse_natural(text: str, what: str = "node id") -> int:
+    """Non-negative integer (a node id, an alpha) from text matching ``[0-9]+``.
 
     Plain ``int()`` would also take ``+3``, ``1_0`` or non-ASCII digits and
     silently renumber the node, so a dump would no longer match its input.
     """
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"node id {text!r} is not a non-negative decimal integer")
+        raise ValueError(f"{what} {text!r} is not a non-negative decimal integer")
     return int(text)
+
+
+def parse_real(text: str, what: str = "weight") -> float:
+    """Real number (a weight, a beta) from ASCII text without ``_``.
+
+    ``float()`` alone would also take ``0.2_5`` or non-ASCII digits, and a
+    dump would then no longer reproduce the input; ``repr`` forms such as
+    ``1e-05`` pass.
+    """
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise ValueError(f"{what} {text!r} is not a number")
 
 
 def _coerce_alpha(alpha) -> int:

@@ -31,30 +31,12 @@ from .core import (  # the policy names stay importable from here too
     POSITIVE,
     LayerId,
     MultiLayeredNetwork,
-    parse_node_id,
+    parse_natural,
+    parse_real,
 )
 from .errors import EmptyFileError, GraphError, ParseError
 
 HEADER = ("src", "dst", "layer", "weight")
-
-
-def _parse_node(field: str) -> int:
-    try:
-        return parse_node_id(field.strip())
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-
-
-def _parse_weight(field: str) -> float:
-    # float() alone would also take "0.2_5" or non-ASCII digits, and a dump
-    # would then no longer reproduce the input
-    text = field.strip()
-    try:
-        if not text.isascii() or "_" in text:
-            raise ValueError
-        return float(text)
-    except ValueError:
-        raise ParseError(f"weight {text!r} is not a number") from None
 
 
 def load_edge_list(
@@ -88,12 +70,15 @@ def load_edge_list(
                     continue  # tolerate blank lines, e.g. a trailing newline
                 if len(row) != 4:
                     raise ParseError(f"expected 4 fields, got {len(row)}")
-                src = _parse_node(row[0])
-                dst = _parse_node(row[1])
-                label = row[2].strip()
-                if not label:
-                    raise ParseError("empty layer label")
-                weight = _parse_weight(row[3])
+                try:
+                    src = parse_natural(row[0].strip())
+                    dst = parse_natural(row[1].strip())
+                    label = row[2].strip()
+                    if not label:
+                        raise ParseError("empty layer label")
+                    weight = parse_real(row[3].strip())
+                except ValueError as exc:  # id or weight text
+                    raise ParseError(str(exc)) from None
                 lid = layer_ids.get(label)
                 if lid is None:
                     try:

@@ -23,7 +23,10 @@ enumerator kept around as a test oracle.
 All distances are non-negative, so Dijkstra is exact; unreachable nodes are
 reported as absent from the result map rather than as a sentinel number.
 Ties between frontier nodes with equal tentative length settle the lowest
-node id first, which makes runs reproducible.
+node id first, which makes runs reproducible. Each heap entry carries the
+predecessor it was pushed from, and a node's predecessor is recorded when it
+settles, so a result's ``predecessors`` list every node after its own
+predecessor; ``brute_force_sp`` keeps the same parent-first order.
 """
 
 from __future__ import annotations
@@ -48,16 +51,19 @@ class ShortestPathResult:
     """Single-source shortest path lengths and predecessor tree.
 
     ``lengths`` maps every reachable node (the source included, at 0.0) to its
-    shortest path length; nodes absent from the map are unreachable.
-    ``predecessors`` maps each reachable node to the node before it on a
-    shortest path, with the source mapped to None.
+    shortest path length, in the order the nodes were first reached; nodes
+    absent from the map are unreachable. ``predecessors`` maps each reachable
+    node to the node before it on a shortest path, with the source mapped to
+    None, and lists every node after its own predecessor (the source first),
+    so one forward pass can fold anything along the tree. ``params`` are the
+    thresholds the search ran under.
     """
 
     source: int
     lengths: dict[int, float]
     predecessors: dict[int, int | None]
     nodes: frozenset[int]
-    params: AggregationParams | None = None
+    params: AggregationParams
 
     @property
     def reachable(self) -> set[int]:
@@ -115,21 +121,22 @@ def _dijkstra(rows: Mapping[int, tuple], source: int, params: AggregationParams)
 
     Pairs below ``params.alpha`` layers or above ``params.beta`` are skipped as
     they are scanned. Lazy-deletion variant: a node may sit in the heap several
-    times; stale entries are skipped once the node is settled. Only finite
-    tentative lengths ever enter the heap, so draining it is equivalent to
-    stopping as soon as the extracted minimum would be infinite.
+    times, each entry ``(length, node, predecessor)``; the first one popped
+    settles the node and records its predecessor, so ``preds`` is the settled
+    set, in settle order. Only finite tentative lengths ever enter the heap,
+    so draining it is equivalent to stopping as soon as the extracted minimum
+    would be infinite.
     """
     alpha = params.alpha
     beta = params.beta
     lengths = {source: 0.0}
-    preds: dict[int, int | None] = {source: None}
-    settled = set()
-    heap = [(0.0, source)]
+    preds: dict[int, int | None] = {}
+    heap = [(0.0, source, None)]
     while heap:
-        dist, v = heapq.heappop(heap)
-        if v in settled:
+        dist, v, pred = heapq.heappop(heap)
+        if v in preds:
             continue
-        settled.add(v)
+        preds[v] = pred
         for w, count, d in rows.get(v, ()):
             if count < alpha or d > beta:
                 continue
@@ -137,8 +144,7 @@ def _dijkstra(rows: Mapping[int, tuple], source: int, params: AggregationParams)
             cur = lengths.get(w)
             if cur is None or cand < cur:
                 lengths[w] = cand
-                preds[w] = v
-                heapq.heappush(heap, (cand, w))
+                heapq.heappush(heap, (cand, w, v))
     return lengths, preds
 
 
@@ -278,7 +284,10 @@ def brute_force_sp(
                 continue
             cand = acc + d
             if cand < lengths.get(w, inf):
+                # re-insert, so the order stays parent first: w's final
+                # predecessor has reached its own final length by now
                 lengths[w] = cand
+                preds.pop(w, None)
                 preds[w] = v
             on_path.add(w)
             explore(w, cand)

@@ -79,10 +79,10 @@ class TestPathStats:
             ],
         )
         params = AggregationParams(1, 0.6)
-        stats = path_stats(dap_sssp(net, 0, params), net, params)
+        stats = path_stats(dap_sssp(net, 0, params), net)
         assert stats.num_neighbors == 2  # node 3 is beyond beta
         params = AggregationParams(2, 1.0)
-        stats = path_stats(dap_sssp(net, 0, params), net, params)
+        stats = path_stats(dap_sssp(net, 0, params), net)
         assert stats.num_neighbors == 1
 
     def test_mismatched_network_is_rejected(self):
@@ -90,12 +90,6 @@ class TestPathStats:
         other = build_net(("a",), [(0, 1, "a", 0.5)])
         with pytest.raises(InconsistentInputError):
             path_stats(result, other)
-
-    def test_conflicting_params_are_rejected(self):
-        net = chain_net()
-        result = dap_sssp(net, 0, AggregationParams(1, 0.5))
-        with pytest.raises(InconsistentInputError):
-            path_stats(result, net, AggregationParams(1, 1.0))
 
     def test_row_column_order(self):
         net = chain_net()
@@ -125,7 +119,7 @@ class TestStatsTable:
         params = AggregationParams(1, 0.75)
         table = stats_table(net, params)
         for row in table:
-            expected = path_stats(dap_sssp(net, row.source, params), net, params)
+            expected = path_stats(dap_sssp(net, row.source, params), net)
             assert row == expected
 
 
@@ -176,13 +170,16 @@ def test_stats_figures_are_internally_consistent(net, alpha, beta):
     params = AggregationParams(alpha, beta)
     for source in sorted(net.nodes):
         result = dap_sssp(net, source, params)
-        stats = path_stats(result, net, params)
+        stats = path_stats(result, net)
         assert stats.num_routes == len(result.reachable) - 1
+        assert (stats.alpha, stats.beta) == (alpha, beta)
         assert 0.0 <= stats.pct_connected <= 1.0
         if stats.num_routes:
             assert stats.min_len <= stats.avg_len <= stats.max_len
             assert stats.avg_handshakes >= 1.0
             assert stats.num_neighbors >= 1
+            hops = [len(result.path_to(v)) - 1 for v in result.lengths if v != source]
+            assert stats.avg_handshakes == sum(hops) / len(hops)
         else:
             assert stats.avg_len == stats.min_len == stats.max_len == 0.0
             assert stats.avg_handshakes == 0.0 and stats.num_neighbors == 0
@@ -191,17 +188,18 @@ def test_stats_figures_are_internally_consistent(net, alpha, beta):
 @settings(max_examples=50, deadline=None)
 @given(layered_networks(polarities=(POSITIVE, NEGATIVE)), st.integers(1, 3), st.data())
 def test_stats_table_agrees_with_path_stats_on_both_strategies(net, alpha, data):
-    # stats_table counts neighbors by aggregated out-degree, path_stats by
-    # filtering the priced row; both must give the same row. A beta equal to
-    # a priced distance puts pairs right on the threshold.
+    # stats_table runs path_stats on searches of one shared aggregation, so
+    # there is one neighbour count; rows from fresh dap and mda searches must
+    # match it. A beta equal to a priced distance puts pairs right on the
+    # threshold.
     distances = {dist for row in net.priced_pairs.values() for _, _, dist in row}
     beta = data.draw(st.sampled_from(sorted(distances | {1.0})))
     params = AggregationParams(alpha, beta)
     table = stats_table(net, params)
     assert [row.source for row in table] == sorted(net.nodes)
     for row in table:
-        assert row == path_stats(dap_sssp(net, row.source, params), net, params)
-        assert row == path_stats(mda_sssp(net, row.source, params), net, params)
+        assert row == path_stats(dap_sssp(net, row.source, params), net)
+        assert row == path_stats(mda_sssp(net, row.source, params), net)
 
 
 @settings(max_examples=40, deadline=None)

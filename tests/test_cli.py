@@ -4,10 +4,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from layerpath import STATS_COLUMNS, load_edge_list
+import layerpath
+from layerpath import STATS_COLUMNS, cli, load_edge_list
 from layerpath.cli import main
 
 
@@ -131,6 +136,50 @@ class TestSssp:
         assert "grid" in err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sssp", "--source", "0", "--alpha", "+2"),
+            ("sssp", "--source", "0", "--alphas", "1,\u0662"),
+            ("sssp", "--source", "0", "--betas", "\uff10.\uff15"),
+            ("sssp", "--source", "0", "--betas", "1_0e-1"),
+            ("sssp", "--source", "0", "--beta", "0.5_0"),
+            ("sweep", "--betas", "1.0", "--alphas", "+1"),
+            ("aggregate-export", "--alpha", "1_0"),
+        ],
+        ids=["alpha-sign", "alphas-arabic-indic", "betas-fullwidth", "betas-separator",
+             "beta-separator", "sweep-alphas-sign", "export-alpha-separator"],
+    )
+    def test_threshold_text_must_be_plain(self, net_csv, capsys, argv):
+        # int() and float() would read these as 2, 2, 0.5, 1.0, 0.5, 1 and 10
+        command, *flags = argv
+        code, out, err = run(capsys, command, net_csv, *flags)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flags[-2]}:" in err
+
+    def test_closed_stdout_exits_1_without_a_message(self, tmp_path, capsys):
+        # as with `| head -c 10`: the reader leaves while the paths dump, far
+        # larger than a pipe buffer, is still being written
+        path = tmp_path / "big.csv"
+        assert main(["generate", "--nodes", "600", "--layers", "2", "--density", "0.01",
+                     "--seed", "5", "-o", str(path)]) == 0
+        capsys.readouterr()
+        src = str(Path(layerpath.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from layerpath.cli import run; run()",
+             "sssp", str(path), "--source", "0,1,2,3,4,5,6,7", "--paths"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 1
+        assert err == b""
+
+
 class TestApsp:
     def test_matrix_shape_and_header(self, net_csv, capsys):
         code, out, _ = run(capsys, "apsp", net_csv)
@@ -197,6 +246,17 @@ class TestSweep:
     def test_grids_are_required(self, net_csv, capsys):
         code, _, _ = run(capsys, "sweep", net_csv, "--alphas", "1,2")
         assert code == 2
+
+    def test_unknown_source_is_rejected_before_the_sweep(self, net_csv, capsys, monkeypatch):
+        def sweep(*args):
+            raise AssertionError("the grid was binned before --source was checked")
+
+        monkeypatch.setattr(cli, "edge_count_sweep", sweep)
+        code, out, err = run(capsys, "sweep", net_csv, "--alphas", "1", "--betas", "1.0",
+                             "--source", "99")
+        assert code == 2
+        assert out == ""
+        assert "99" in err
 
 
 class TestBench:

@@ -4,7 +4,7 @@ from math import inf
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from layerpath import (
@@ -271,3 +271,20 @@ def test_predecessor_tree_is_consistent(net, thresholds):
             path = result.path_to(v)
             assert path[0] == source and path[-1] == v
             assert len(path) == len(set(path)), "shortest paths are simple"
+
+
+@settings(max_examples=60, deadline=None)
+@given(layered_networks(polarities=(POSITIVE, NEGATIVE)), THRESHOLDS)
+# 2 is reached straight from 0 before 1 is, but its shortest path runs via 1
+@example(build_net(("a",), [(0, 2, "a", 0.1), (0, 1, "a", 0.9), (1, 2, "a", 0.9)]), (1, 1.0))
+def test_predecessors_list_every_node_after_its_predecessor(net, thresholds):
+    # path_stats counts hops in one forward pass over this order
+    params = AggregationParams(*thresholds)
+    for source in sorted(net.nodes):
+        for result in all_strategies(net, source, params):
+            order = list(result.predecessors)
+            assert order[0] == source and set(order) == set(result.lengths)
+            position = {v: i for i, v in enumerate(order)}
+            for v, pred in result.predecessors.items():
+                if v != source:
+                    assert position[pred] < position[v]
