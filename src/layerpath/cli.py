@@ -230,16 +230,18 @@ def cmd_apsp(args) -> int:
                 "beta": params.beta,
                 "order": matrix.order,
                 "matrix": [
-                    [_json_length(float(v)) for v in row] for row in matrix.values
+                    [_json_length(v) for v in row.tolist()] for row in matrix.values
                 ],
             }
             json.dump(payload, out, indent=2)
             out.write("\n")
         else:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(["src"] + [str(v) for v in matrix.order])
+            # one string per row: float reprs and node ids never need CSV
+            # quoting, so this is what csv.writer would write; a row at a
+            # time, since the whole matrix as lists holds n*n float objects
+            out.write(f"src,{','.join(map(str, matrix.order))}\n")
             for node, row in zip(matrix.order, matrix.values):
-                writer.writerow([str(node)] + [repr(float(v)) for v in row])
+                out.write(f"{node},{','.join(map(repr, row.tolist()))}\n")
     return 0
 
 
@@ -381,11 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a random multi-layer edge list")
-    p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--layers", type=int, required=True)
-    p.add_argument("--density", type=float, required=True,
+    p.add_argument("--nodes", type=_text_of(parse_natural, "node count"), required=True)
+    p.add_argument("--layers", type=_text_of(parse_natural, "layer count"), required=True)
+    p.add_argument("--density", type=_text_of(parse_real, "density"), required=True,
                    help="per-layer edge density in [0,1]")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_text_of(parse_natural, "seed"), default=None)
     p.add_argument("--polarity", choices=(POSITIVE, NEGATIVE), default=POSITIVE)
     _add_output_args(p, formats=())
     p.set_defaults(func=cmd_generate)
@@ -411,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_threshold_args(p)
     p.add_argument("--strategy", choices=(FLOYD_WARSHALL, REPEATED_DIJKSTRA),
                    default=FLOYD_WARSHALL)
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_APSP_NODE_CAP,
+    p.add_argument("--max-nodes", type=_text_of(parse_natural, "node cap"),
+                   default=DEFAULT_APSP_NODE_CAP,
                    help=f"size guard (default: {DEFAULT_APSP_NODE_CAP})")
     _add_output_args(p)
     p.set_defaults(func=cmd_apsp)
@@ -430,8 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_threshold_args(p)
     _add_source_arg(p)
-    p.add_argument("--reps", type=int, default=3, help="repetitions, >= 3")
-    p.add_argument("--default-sources", type=int, default=10,
+    p.add_argument("--reps", type=_text_of(parse_natural, "repetition count"), default=3,
+                   help="repetitions, >= 3")
+    p.add_argument("--default-sources", type=_text_of(parse_natural, "source count"),
+                   default=10,
                    help="how many lowest node ids to use when --source is absent")
     _add_output_args(p, formats=())
     p.set_defaults(func=cmd_bench)

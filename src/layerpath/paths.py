@@ -44,6 +44,12 @@ from .errors import SizeGuardExceededError, UnknownNodeError
 
 DEFAULT_APSP_NODE_CAP = 2_000
 DEFAULT_BRUTE_FORCE_NODE_CAP = 10
+# One Floyd-Warshall block of float64 rows, and as much again for its
+# temporary: small enough that both stay in a core's L2 cache across steps.
+# On a 2-CPU x86 VM (2 MB L2 per core), 256 and 512 KB were fastest at 800
+# nodes, with 64 KB 45% slower and 1 MB 15% slower; at 2,000 nodes 128 to
+# 512 KB were within 10% of each other.
+_FW_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -223,17 +229,45 @@ def ml_floyd_warshall(
 ) -> DistanceMatrix:
     """All-pairs shortest lengths over the aggregated edge relation.
 
-    Classic O(|V|^3) relaxation on a dense matrix; guarded by ``max_nodes``
+    O(|V|^3) Floyd-Warshall on a dense matrix, guarded by ``max_nodes``
     because the cube grows quickly. Rows and columns are ordered by
     ascending node id.
+
+    The relaxation runs a block of rows at a time, so the block and its
+    temporary stay in cache across many steps instead of streaming the whole
+    matrix through every step. In a first pass each block, in order, applies
+    the steps ``k`` up to its own last row; in a second pass it applies the
+    rest. Step ``k`` reads row ``k`` as it stands at step ``k`` (the step
+    leaves its own row alone, since the diagonal is 0.0), and later steps
+    change that row, so it is copied aside when it is reached. Every entry
+    therefore sees the textbook sequence ``d = min(d, d[i, k] + d[k, j])``
+    for k = 0..n-1, in order, with the same operands, and the matrix is bit
+    for bit the one the whole-matrix loop gives.
     """
     params, order, index, values = _all_pairs_frame(net, params, max_nodes)
     np.fill_diagonal(values, 0.0)
     for src, dst, dist, _ in aggregate_graph(net, params).edges():
         values[index[src], index[dst]] = dist
-    for k in range(len(order)):
-        np.minimum(values, values[:, k, None] + values[None, k, :], out=values)
+    n = len(order)
+    height = _fw_block_height(n)
+    snap = np.empty_like(values)  # row k as it stood at step k
+    tmp = np.empty((height, n))
+    bounds = [(start, min(start + height, n)) for start in range(0, n, height)]
+    for first_pass in (True, False):
+        for start, stop in bounds:
+            block = values[start:stop]
+            cand = tmp[: stop - start]
+            for k in range(stop) if first_pass else range(stop, n):
+                if start <= k < stop:  # row k is in this block
+                    snap[k] = block[k - start]
+                np.add(block[:, k, None], snap[k], out=cand)
+                np.minimum(block, cand, out=block)
     return DistanceMatrix(order, values, params)
+
+
+def _fw_block_height(n: int) -> int:
+    """Rows per Floyd-Warshall block: as many as fit ``_FW_BLOCK_BYTES``, at least one."""
+    return max(1, _FW_BLOCK_BYTES // (8 * max(n, 1)))
 
 
 def apsp_repeated_dijkstra(

@@ -7,6 +7,8 @@ between the two sides is evidence rather than tautology.
 import heapq
 from math import inf
 
+import numpy as np
+
 
 def textbook_dijkstra(weighted_edges, source):
     """Single-source Dijkstra over (src, dst, distance) triples.
@@ -54,3 +56,15 @@ def naive_neighborhood(net, x, alpha):
         dst for (src, dst), (count, _) in recount_pairs(net).items()
         if src == x and count >= alpha
     }
+
+
+def textbook_floyd_warshall(initial):
+    """All-pairs lengths from an n x n start matrix (0 diagonal, inf for no edge).
+
+    The whole-matrix k-loop: step k relaxes every entry through node k at
+    once, reading column k and row k as they stand before the step.
+    """
+    values = np.array(initial, dtype=np.float64)
+    for k in range(len(values)):
+        np.minimum(values, values[:, k, None] + values[None, k, :], out=values)
+    return values

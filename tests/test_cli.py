@@ -12,7 +12,14 @@ from pathlib import Path
 import pytest
 
 import layerpath
-from layerpath import STATS_COLUMNS, cli, load_edge_list
+from layerpath import (
+    STATS_COLUMNS,
+    AggregationParams,
+    apsp_repeated_dijkstra,
+    cli,
+    load_edge_list,
+    ml_floyd_warshall,
+)
 from layerpath.cli import main
 
 
@@ -217,6 +224,74 @@ class TestApsp:
         assert len(payload["matrix"]) == 12
         flat = [c for row in payload["matrix"] for c in row]
         assert all(c is None or isinstance(c, float) or c == 0 for c in flat)
+
+
+    @pytest.mark.parametrize("strategy", ["floyd-warshall", "repeated-dijkstra"])
+    @pytest.mark.parametrize("flags", [(), ("--polarity", "negative", "--alpha", "2",
+                                            "--beta", "0.75")])
+    def test_bytes_match_the_cell_by_cell_emitters(self, tmp_path, capsys, strategy, flags):
+        # the matrix as csv.writer with repr(float(v)) per cell, and JSON
+        # with _json_length(float(v)) per cell, used to write it
+        path = tmp_path / "net.csv"
+        assert main(["generate", "--nodes", "30", "--layers", "3", "--density", "0.03",
+                     "--seed", "4", "-o", str(path)]) == 0
+        polarity = "negative" if "negative" in flags else "positive"
+        net = load_edge_list(path, polarity=polarity)
+        params = AggregationParams(2, 0.75) if flags else AggregationParams()
+        kernel = ml_floyd_warshall if strategy == "floyd-warshall" else apsp_repeated_dijkstra
+        matrix = kernel(net, params)
+        assert math.isinf(matrix.values.max())  # unreachable pairs are in the output
+
+        want_csv = io.StringIO()
+        writer = csv.writer(want_csv, lineterminator="\n")
+        writer.writerow(["src"] + [str(v) for v in matrix.order])
+        for node, row in zip(matrix.order, matrix.values):
+            writer.writerow([str(node)] + [repr(float(v)) for v in row])
+        want_json = io.StringIO()
+        json.dump({
+            "alpha": params.alpha,
+            "beta": params.beta,
+            "order": matrix.order,
+            "matrix": [[cli._json_length(float(v)) for v in row] for row in matrix.values],
+        }, want_json, indent=2)
+        want_json.write("\n")
+
+        for fmt, want in (("csv", want_csv), ("json", want_json)):
+            out = tmp_path / f"matrix.{fmt}"
+            assert main(["apsp", str(path), "--strategy", strategy, "--format", fmt,
+                         *flags, "-o", str(out)]) == 0
+            assert out.read_bytes() == want.getvalue().encode()
+            code, stdout, _ = run(capsys, "apsp", path, "--strategy", strategy,
+                                  "--format", fmt, *flags)
+            assert code == 0 and stdout == want.getvalue()
+        assert "inf" in want_csv.getvalue() and "null" in want_json.getvalue()
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("apsp", "NET", "--max-nodes", "1_0"),
+            ("bench", "NET", "--reps", "+3"),
+            ("bench", "NET", "--default-sources", "\u0663"),
+            ("generate", "--layers", "1", "--density", "0.5", "--nodes", "\u0663"),
+            ("generate", "--nodes", "3", "--density", "0.5", "--layers", "+1"),
+            ("generate", "--nodes", "3", "--layers", "1", "--density", "\uff10.\uff15"),
+            ("generate", "--nodes", "3", "--layers", "1", "--density", "0.5",
+             "--seed", "1_0"),
+        ],
+        ids=["apsp-max-nodes", "bench-reps", "bench-default-sources", "generate-nodes",
+             "generate-layers", "generate-density", "generate-seed"],
+    )
+    def test_numbers_must_be_plain(self, net_csv, tmp_path, capsys, argv):
+        # int() and float() would read these as 10, 3, 3, 3, 1, 0.5 and 10
+        target = tmp_path / "out.txt"
+        argv = [str(net_csv) if a == "NET" else a for a in argv]
+        code, out, err = run(capsys, *argv, "-o", target)
+        assert code == 2
+        assert out == ""
+        assert f"argument {argv[-2]}:" in err
+        assert not target.exists()
 
 
 class TestSweep:

@@ -1,5 +1,6 @@
 """Shortest-path strategies: agreement, reconstruction, guards."""
 
+import random
 from math import inf
 
 import numpy as np
@@ -22,8 +23,11 @@ from layerpath import (
     dap_sssp,
     mda_sssp,
     ml_floyd_warshall,
+    random_network,
 )
+from layerpath.paths import _fw_block_height
 from netgen import build_net, layered_networks
+from oracles import textbook_floyd_warshall
 
 DEFAULTS = AggregationParams()
 
@@ -227,6 +231,65 @@ class TestAllPairs:
             matrix.entry(0, 42)
 
 
+def zero_distance_net(n, polarity, seed):
+    """n nodes, about 3 pairs out of each over 1-3 of 3 layers, with isolated nodes.
+
+    Weights come from a small set that holds the zero-distance weight (1.0
+    under positive polarity, 0.0 under negative), so some pairs price at
+    exactly 0.0, and every tenth node has no out-edges, so some pairs are
+    unreachable.
+    """
+    rng = random.Random(seed)
+    zero = 1.0 if polarity == POSITIVE else 0.0
+    edges = []
+    for src in range(n):
+        if src % 10 == 9:
+            continue
+        for dst in rng.sample([v for v in range(n) if v != src], min(3, n - 1)):
+            for layer in rng.sample(("a", "b", "c"), rng.randint(1, 3)):
+                edges.append((src, dst, layer, rng.choice((zero, zero, 0.25, 0.5, 0.75))))
+    return build_net(("a", "b", "c"), edges, polarity=polarity, extra_nodes=range(n))
+
+
+def start_matrix(net, params):
+    """Floyd-Warshall's input for a net over nodes 0..n-1: aggregated distances, 0 diagonal."""
+    n = net.num_nodes
+    start = np.full((n, n), inf)
+    np.fill_diagonal(start, 0.0)
+    for e in aggregate_graph(net, params).edges():
+        start[e.src, e.dst] = e.distance
+    return start
+
+
+class TestBlockedFloydWarshall:
+    @pytest.mark.parametrize("params", [AggregationParams(1, 1.0), AggregationParams(2, 0.75)])
+    @pytest.mark.parametrize("polarity", [POSITIVE, NEGATIVE])
+    @pytest.mark.parametrize("n", [300, 40, 1])
+    def test_bit_identical_to_the_textbook_loop(self, n, polarity, params):
+        height = _fw_block_height(n)
+        if n == 300:  # three or more blocks, the last one short
+            assert -(-n // height) >= 3 and n % height != 0
+        else:  # one block, so only the first pass does any work
+            assert height >= n
+        net = zero_distance_net(n, polarity, seed=n)
+        want = textbook_floyd_warshall(start_matrix(net, params))
+        got = ml_floyd_warshall(net, params).values
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+        if n > 1:  # the cases the test is for are really there
+            off = ~np.eye(n, dtype=bool)
+            assert np.isinf(got[off]).any()
+            assert (got[off] == 0.0).any()
+            assert ((got[off] > 0.0) & np.isfinite(got[off])).any()
+
+    def test_bit_identical_on_generated_nets(self):
+        for seed in range(4):
+            net = random_network(150 + 37 * seed, 3, 0.01, seed=seed)
+            for params in (AggregationParams(1, 1.0), AggregationParams(2, 0.75)):
+                want = textbook_floyd_warshall(start_matrix(net, params))
+                assert ml_floyd_warshall(net, params).values.tobytes() == want.tobytes()
+
+
 class TestBruteForceGuard:
     def test_node_cap(self):
         net = build_net(("a",), [(0, 1, "a", 0.5)], extra_nodes=range(2, 11))
@@ -288,3 +351,33 @@ def test_predecessors_list_every_node_after_its_predecessor(net, thresholds):
             for v, pred in result.predecessors.items():
                 if v != source:
                     assert position[pred] < position[v]
+
+
+def _assert_lengths_are_path_sums(graph, result):
+    # each node settles from the heap entry that set its final length, so
+    # the left-to-right sum along its path reproduces that length exactly
+    for v, length in result.lengths.items():
+        path = result.path_to(v)
+        total = 0.0
+        for x, y in zip(path, path[1:]):
+            total += graph.edge(x, y).distance
+        assert total == length, (result.source, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layered_networks(polarities=(POSITIVE, NEGATIVE)), THRESHOLDS)
+def test_lengths_are_left_to_right_path_sums(net, thresholds):
+    params = AggregationParams(*thresholds)
+    graph = aggregate_graph(net, params)
+    for source in sorted(net.nodes):
+        _assert_lengths_are_path_sums(graph, dap_sssp(net, source, params))
+        _assert_lengths_are_path_sums(graph, mda_sssp(net, source, params))
+
+
+def test_lengths_are_left_to_right_path_sums_on_a_generated_net():
+    net = random_network(300, 3, 0.01, seed=17)
+    for params in (AggregationParams(1, 1.0), AggregationParams(2, 0.75)):
+        graph = aggregate_graph(net, params)
+        for source in range(0, 300, 30):
+            _assert_lengths_are_path_sums(graph, dap_sssp(net, source, params))
+            _assert_lengths_are_path_sums(graph, mda_sssp(net, source, params))
