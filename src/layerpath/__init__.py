@@ -4,7 +4,7 @@ A multi-layered network keeps one directed edge set per relationship layer.
 This package aggregates those layers into single weighted edges under a
 layer-count threshold (alpha) and a distance threshold (beta), and computes
 shortest paths over the aggregated relation either by preprocessing the whole
-graph first or by pricing edges on the fly during the search. See README.md
+graph first or by applying the thresholds during the search. See README.md
 for the file formats and the command line front end.
 """
 
@@ -64,7 +64,6 @@ from .paths import (
     ShortestPathResult,
     aggregated_sssp,
     apsp_repeated_dijkstra,
-    brute_force_sp,
     dap_sssp,
     mda_sssp,
     ml_floyd_warshall,
@@ -110,7 +109,6 @@ __all__ = [
     "aggregated_sssp",
     "apsp_repeated_dijkstra",
     "benchmark",
-    "brute_force_sp",
     "dap_sssp",
     "distance",
     "dump_edge_list",

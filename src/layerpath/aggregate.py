@@ -26,12 +26,23 @@ out-degrees behave under loose thresholds. Tests pin this behavior.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from .core import MultiLayeredNetwork, POSITIVE, _coerce_alpha, pair_distance
-from .errors import InvalidBetaError, SameNodeError
+from .core import MultiLayeredNetwork, POSITIVE, pair_distance
+from .errors import InvalidAlphaError, InvalidBetaError, SameNodeError
+
+
+def _coerce_alpha(alpha) -> int:
+    try:
+        alpha = operator.index(alpha)
+    except TypeError:
+        raise InvalidAlphaError(f"alpha must be an integer, got {alpha!r}") from None
+    if alpha < 1:
+        raise InvalidAlphaError(f"alpha must be >= 1, got {alpha}")
+    return alpha
 
 
 def _coerce_beta(beta) -> float:
@@ -105,9 +116,6 @@ class AggregatedGraph:
     def priced_pairs(self) -> Mapping[int, tuple[tuple[int, int, float], ...]]:
         """Read-only ``src -> ((dst, layer count, distance), ...)`` of kept pairs."""
         return MappingProxyType(self._rows)
-
-    def out_degree(self, x: int) -> int:
-        return len(self._rows.get(x, ()))
 
     def edge(self, x: int, y: int) -> AggregatedEdge | None:
         for dst, count, dist in self._rows.get(x, ()):

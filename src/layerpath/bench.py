@@ -1,10 +1,11 @@
 """Timing harness comparing the two shortest-path strategies.
 
-The preprocessing strategy pays one aggregation up front and then runs a
-plain Dijkstra per source; the on-the-fly strategy prices edges inside each
-search. This module times both over the same source set and reports the
-aggregation phase separately, since amortizing it over many sources is the
-whole argument for preprocessing.
+Both strategies read the pairs that sealing priced. The preprocessing
+strategy filters them by the thresholds once, up front, and then runs a plain
+Dijkstra per source; the on-the-fly strategy applies the thresholds inside
+each search. This module times both over the same source set and reports the
+aggregation phase (the threshold filter alone) separately, since amortizing
+it over many sources is the whole argument for preprocessing.
 """
 
 from __future__ import annotations

@@ -82,13 +82,6 @@ def _out_stream(path: str | None):
             yield handle
 
 
-def _cell(value) -> str:
-    """CSV cell text: repr for floats (so inf prints as 'inf'), str otherwise."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _json_length(value: float):
     return value if math.isfinite(value) else None
 
@@ -203,15 +196,12 @@ def cmd_sssp(args) -> int:
         else:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(STATS_COLUMNS)
-            for row in stats_rows:
-                writer.writerow([_cell(v) for v in row])
+            writer.writerows(stats_rows)
             if args.paths:
                 out.write("\n")
                 writer.writerow(("source", "alpha", "beta", "target", "length", "path"))
                 for src, alpha, beta, target, length, path in path_rows:
-                    writer.writerow(
-                        (src, alpha, _cell(beta), target, _cell(length), _path_text(path))
-                    )
+                    writer.writerow((src, alpha, beta, target, length, _path_text(path)))
     return 0
 
 
@@ -275,12 +265,11 @@ def cmd_sweep(args) -> int:
             writer.writerow(("alpha", "beta", "num_edges"))
             for i, alpha in enumerate(report.alphas):
                 for j, beta in enumerate(report.betas):
-                    writer.writerow((alpha, _cell(beta), report.counts[i][j]))
+                    writer.writerow((alpha, beta, report.counts[i][j]))
             if sources:
                 out.write("\n")
                 writer.writerow(STATS_COLUMNS)
-                for row in stats_rows:
-                    writer.writerow([_cell(v) for v in row])
+                writer.writerows(stats_rows)
     return 0
 
 
@@ -322,8 +311,7 @@ def cmd_aggregate_export(args) -> int:
         else:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(("src", "dst", "distance", "layer_count"))
-            for e in edges:
-                writer.writerow((e.src, e.dst, repr(e.distance), e.layer_count))
+            writer.writerows(edges)  # AggregatedEdge fields are the header's columns
     return 0
 
 

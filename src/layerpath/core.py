@@ -21,7 +21,6 @@ from typing import Iterator, Mapping, NamedTuple
 from .errors import (
     DuplicateEdgeError,
     GraphError,
-    InvalidAlphaError,
     LoopEdgeError,
     ParameterError,
     SealedNetworkError,
@@ -91,16 +90,6 @@ def parse_real(text: str, what: str = "weight") -> float:
         except ValueError:
             pass
     raise ValueError(f"{what} {text!r} is not a number")
-
-
-def _coerce_alpha(alpha) -> int:
-    try:
-        alpha = operator.index(alpha)
-    except TypeError:
-        raise InvalidAlphaError(f"alpha must be an integer, got {alpha!r}") from None
-    if alpha < 1:
-        raise InvalidAlphaError(f"alpha must be >= 1, got {alpha}")
-    return alpha
 
 
 def pair_distance(wsum: float, num_layers: int, positive: bool) -> float:
@@ -189,8 +178,8 @@ class MultiLayeredNetwork:
 
     def add_edge(
         self, src: int, dst: int, layer, weight: float, *, on_duplicate: str = ON_DUPLICATE_ERROR
-    ) -> LayeredEdge:
-        """Add one directed edge on one layer; returns the edge as stored.
+    ) -> None:
+        """Add one directed edge on one layer.
 
         Endpoints are auto-registered. Raises ``UnknownLayerError`` for
         unregistered layers, ``WeightOutOfRangeError`` for weights outside
@@ -225,7 +214,6 @@ class MultiLayeredNetwork:
             self._layer_edge_counts[lid.index] += 1
             self._num_edges += 1
         per_layer[lid.index] = weight
-        return LayeredEdge(src, dst, lid, weight)
 
     def seal(self) -> "MultiLayeredNetwork":
         """Freeze the network and price every connected pair once.
@@ -293,13 +281,6 @@ class MultiLayeredNetwork:
 
     def has_node(self, node: int) -> bool:
         return node in self._nodes
-
-    def has_layer(self, layer) -> bool:
-        try:
-            self.layer(layer)
-        except UnknownLayerError:
-            return False
-        return True
 
     def layer(self, ref) -> LayerId:
         """Resolve an int index, str label, or LayerId to a LayerId."""
@@ -372,16 +353,6 @@ class MultiLayeredNetwork:
             if lidx in per_layer
         }
 
-    def multi_neighborhood_out(self, x: int, alpha: int) -> set[int]:
-        """Nodes that x points to on at least ``alpha`` layers."""
-        self._check_node(x)
-        alpha = _coerce_alpha(alpha)
-        return {
-            dst
-            for dst, per_layer in self._adj.get(x, {}).items()
-            if len(per_layer) >= alpha
-        }
-
     # -- comparison ---------------------------------------------------------
 
     def edge_set(self) -> frozenset[tuple[int, int, str, float]]:
@@ -394,9 +365,9 @@ class MultiLayeredNetwork:
         if not isinstance(other, MultiLayeredNetwork):
             return NotImplemented
         return (
-            self._polarity == other._polarity
-            and self._nodes == other._nodes
-            and set(self._labels) == set(other._labels)
+            self.polarity == other.polarity
+            and self.nodes == other.nodes
+            and {lid.label for lid in self.layers} == {lid.label for lid in other.layers}
             and self.edge_set() == other.edge_set()
         )
 

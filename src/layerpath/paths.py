@@ -17,8 +17,7 @@ rows, which are those priced rows cut down to the pairs that pass. So they
 agree bit for bit by construction.
 
 ``ml_floyd_warshall`` produces the all-pairs matrix over the same aggregated
-edge relation, and ``brute_force_sp`` is a deliberately naive simple-path
-enumerator kept around as a test oracle.
+edge relation.
 
 All distances are non-negative, so Dijkstra is exact; unreachable nodes are
 reported as absent from the result map rather than as a sentinel number.
@@ -26,7 +25,7 @@ Ties between frontier nodes with equal tentative length settle the lowest
 node id first, which makes runs reproducible. Each heap entry carries the
 predecessor it was pushed from, and a node's predecessor is recorded when it
 settles, so a result's ``predecessors`` list every node after its own
-predecessor; ``brute_force_sp`` keeps the same parent-first order.
+predecessor.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .core import MultiLayeredNetwork
 from .errors import SizeGuardExceededError, UnknownNodeError
 
 DEFAULT_APSP_NODE_CAP = 2_000
-DEFAULT_BRUTE_FORCE_NODE_CAP = 10
 # One Floyd-Warshall block of float64 rows, and as much again for its
 # temporary: small enough that both stay in a core's L2 cache across steps.
 # On a 2-CPU x86 VM (2 MB L2 per core), 256 and 512 KB were fastest at 800
@@ -70,11 +68,6 @@ class ShortestPathResult:
     predecessors: dict[int, int | None]
     nodes: frozenset[int]
     params: AggregationParams
-
-    @property
-    def reachable(self) -> set[int]:
-        """All nodes with a finite shortest path length, source included."""
-        return set(self.lengths)
 
     def length(self, v: int) -> float:
         """Shortest path length to ``v``; ``inf`` if unreachable."""
@@ -208,7 +201,7 @@ def mda_sssp(
     source: int,
     params: AggregationParams | None = None,
 ) -> ShortestPathResult:
-    """On-the-fly strategy: threshold and price edges during the search.
+    """On-the-fly strategy: threshold the priced pairs during the search.
 
     Runs the same search loop as ``aggregated_sssp``, on the network's own
     priced rows: each settled node's pairs are tested against both
@@ -287,45 +280,3 @@ def apsp_repeated_dijkstra(
         for v, length in aggregated_sssp(graph, source).lengths.items():
             row[index[v]] = length
     return DistanceMatrix(order, values, params)
-
-
-def brute_force_sp(
-    net: MultiLayeredNetwork,
-    source: int,
-    params: AggregationParams | None = None,
-    *,
-    max_nodes: int = DEFAULT_BRUTE_FORCE_NODE_CAP,
-) -> ShortestPathResult:
-    """Test oracle: exhaustive enumeration of simple paths, no pruning.
-
-    Runtime is exponential in the node count, hence the hard cap. Kept free
-    of any Dijkstra-style shortcut so it can stand as an independent check.
-    """
-    params = _checked_params(net, source, params)
-    if net.num_nodes > max_nodes:
-        raise SizeGuardExceededError(
-            f"{net.num_nodes} nodes exceed the brute-force cap of {max_nodes}"
-        )
-    rows = aggregate_graph(net, params).priced_pairs
-
-    lengths = {source: 0.0}
-    preds: dict[int, int | None] = {source: None}
-    on_path = {source}
-
-    def explore(v: int, acc: float) -> None:
-        for w, _, d in rows.get(v, ()):
-            if w in on_path:
-                continue
-            cand = acc + d
-            if cand < lengths.get(w, inf):
-                # re-insert, so the order stays parent first: w's final
-                # predecessor has reached its own final length by now
-                lengths[w] = cand
-                preds.pop(w, None)
-                preds[w] = v
-            on_path.add(w)
-            explore(w, cand)
-            on_path.discard(w)
-
-    explore(source, 0.0)
-    return ShortestPathResult(source, lengths, preds, net.nodes, params)

@@ -1,13 +1,20 @@
 """Reference implementations used only as test oracles.
 
 Deliberately plain and kept apart from the package code so that agreement
-between the two sides is evidence rather than tautology.
+between the two sides is evidence rather than tautology. Nothing here imports
+``layerpath``: networks are read only through ``edges()``, ``num_nodes``,
+``num_layers`` and ``polarity``, and thresholds only through
+``alpha`` and ``beta``, so pricing is rebuilt here from the raw edges with
+its own copy of the distance formula and its own threshold test.
 """
 
 import heapq
 from math import inf
+from typing import NamedTuple
 
 import numpy as np
+
+DEFAULT_BRUTE_FORCE_NODE_CAP = 10
 
 
 def textbook_dijkstra(weighted_edges, source):
@@ -48,6 +55,82 @@ def recount_pairs(net):
         count, wsum = seen.get((e.src, e.dst), (0, 0.0))
         seen[(e.src, e.dst)] = (count + 1, wsum + e.weight)
     return seen
+
+
+def oracle_priced_pairs(net):
+    """{src: [(dst, layer count, distance), ...]} priced from raw edges, in edge order.
+
+    Each pair's weights are added with float ``+`` in the order ``edges()``
+    yields them, then put through the paper's formula: ``1 - sum / |L|`` under
+    positive polarity, ``sum / |L|`` under negative.
+    """
+    num_layers = net.num_layers
+    positive = net.polarity == "positive"
+    rows = {}
+    for (src, dst), (count, wsum) in recount_pairs(net).items():
+        dist = 1.0 - wsum / num_layers if positive else wsum / num_layers
+        rows.setdefault(src, []).append((dst, count, dist))
+    return rows
+
+
+def oracle_edges(net, params):
+    """(src, dst, distance) of every priced pair with >= alpha layers and distance <= beta."""
+    return [
+        (src, dst, dist)
+        for src, row in oracle_priced_pairs(net).items()
+        for dst, count, dist in row
+        if count >= params.alpha and dist <= params.beta
+    ]
+
+
+class OracleResult(NamedTuple):
+    """Lengths and parent-first predecessors of the reached nodes."""
+
+    lengths: dict
+    predecessors: dict
+
+    def path_to(self, target):
+        if target not in self.lengths:
+            return []
+        path = [target]
+        while self.predecessors[path[-1]] is not None:
+            path.append(self.predecessors[path[-1]])
+        return path[::-1]
+
+
+def brute_force_sp(net, source, params, *, max_nodes=DEFAULT_BRUTE_FORCE_NODE_CAP):
+    """Exhaustive enumeration of simple paths over ``oracle_edges``, no pruning.
+
+    Runtime is exponential in the node count, hence the hard cap. Kept free
+    of any Dijkstra-style shortcut so it can stand as an independent check.
+    """
+    if net.num_nodes > max_nodes:
+        raise ValueError(f"{net.num_nodes} nodes exceed the brute-force cap of {max_nodes}")
+    adj = {}
+    for src, dst, dist in oracle_edges(net, params):
+        adj.setdefault(src, []).append((dst, dist))
+
+    lengths = {source: 0.0}
+    preds = {source: None}
+    on_path = {source}
+
+    def explore(v, acc):
+        for w, d in adj.get(v, ()):
+            if w in on_path:
+                continue
+            cand = acc + d
+            if cand < lengths.get(w, inf):
+                # re-insert, so the order stays parent first: w's final
+                # predecessor has reached its own final length by now
+                lengths[w] = cand
+                preds.pop(w, None)
+                preds[w] = v
+            on_path.add(w)
+            explore(w, cand)
+            on_path.discard(w)
+
+    explore(source, 0.0)
+    return OracleResult(lengths, preds)
 
 
 def naive_neighborhood(net, x, alpha):

@@ -22,7 +22,6 @@ from layerpath import (
     aggregated_sssp,
     apsp_repeated_dijkstra,
     benchmark,
-    brute_force_sp,
     dap_sssp,
     distance,
     dump_edge_list,
@@ -35,7 +34,7 @@ from layerpath import (
 )
 from layerpath.cli import main as cli_main
 
-from oracles import single_layer_distances, textbook_dijkstra
+from oracles import brute_force_sp, single_layer_distances, textbook_dijkstra
 
 TOL = 1e-12
 

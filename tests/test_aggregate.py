@@ -145,7 +145,6 @@ class TestAggregateGraph:
         assert g.edge(0, 1).distance == 0.5
         assert g.edge(1, 2).layer_count == 1
         assert g.edge(2, 1) is None
-        assert g.out_degree(0) == 1 and g.out_degree(2) == 0
         assert g.priced_pairs[0] == ((1, 2, 0.5),)
         assert 2 not in g.priced_pairs
 

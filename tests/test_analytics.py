@@ -171,7 +171,7 @@ def test_stats_figures_are_internally_consistent(net, alpha, beta):
     for source in sorted(net.nodes):
         result = dap_sssp(net, source, params)
         stats = path_stats(result, net)
-        assert stats.num_routes == len(result.reachable) - 1
+        assert stats.num_routes == len(result.lengths) - 1
         assert (stats.alpha, stats.beta) == (alpha, beta)
         assert 0.0 <= stats.pct_connected <= 1.0
         if stats.num_routes:

@@ -1,6 +1,7 @@
-"""Network construction, validation, and neighborhood queries."""
+"""Network construction, validation, neighborhood queries and seal pricing."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 from layerpath import (
     NEGATIVE,
     POSITIVE,
+    AggregationParams,
     DuplicateEdgeError,
     GraphError,
-    InvalidAlphaError,
     LayerId,
+    LayeredEdge,
     LoopEdgeError,
     MultiLayeredNetwork,
     ParameterError,
@@ -23,9 +25,14 @@ from layerpath import (
     WeightOutOfRangeError,
 )
 from netgen import build_net, layered_networks
-from oracles import naive_neighborhood, recount_pairs
+from oracles import naive_neighborhood, oracle_priced_pairs, recount_pairs
 
 X, Y, Z, U, V = range(5)
+
+
+def kept_targets(net, x, alpha):
+    """Nodes that x points to on at least ``alpha`` layers, by the alpha rule of aggregation."""
+    return {dst for dst, _, _ in AggregationParams(alpha).kept(net.priced_pairs.get(x, ()))}
 
 
 def demo_net():
@@ -70,11 +77,6 @@ class TestLayers:
             with pytest.raises(UnknownLayerError):
                 net.layer(bad)
 
-    def test_has_layer(self):
-        net = MultiLayeredNetwork(layers=("a",))
-        assert net.has_layer("a") and net.has_layer(0)
-        assert not net.has_layer("z") and not net.has_layer(5)
-
 
 class TestNodes:
     def test_add_node_idempotent(self):
@@ -99,12 +101,10 @@ class TestNodes:
 
 
 class TestEdges:
-    def test_add_edge_returns_resolved_edge(self):
+    def test_add_edge_stores_the_resolved_edge(self):
         net = MultiLayeredNetwork(layers=("a",))
-        edge = net.add_edge(0, 1, "a", 0.25)
-        assert edge.src == 0 and edge.dst == 1
-        assert edge.layer == LayerId(0, "a")
-        assert edge.weight == 0.25
+        assert net.add_edge(0, 1, "a", 0.25) is None
+        assert list(net.edges()) == [LayeredEdge(0, 1, LayerId(0, "a"), 0.25)]
         assert net.nodes == frozenset({0, 1})
 
     def test_loop_rejected(self):
@@ -126,8 +126,9 @@ class TestEdges:
         net = MultiLayeredNetwork(layers=("a", "b"))
         net.add_edge(0, 1, "a", 0.5)
         net.add_edge(0, 1, "b", 0.25)
-        assert net.add_edge(0, 1, "a", 0.75, on_duplicate="keep-max").weight == 0.75
-        assert net.add_edge(0, 1, "a", 0.125, on_duplicate="keep-max").weight == 0.75
+        net.add_edge(0, 1, "a", 0.75, on_duplicate="keep-max")
+        assert net.layer_weights(0, 1)[net.layer("a")] == 0.75
+        net.add_edge(0, 1, "a", 0.125, on_duplicate="keep-max")
         assert [(e.layer.label, e.weight) for e in net.edges()] == [("a", 0.75), ("b", 0.25)]
         assert net.num_edges == 2
         with pytest.raises(WeightOutOfRangeError):
@@ -223,17 +224,12 @@ class TestQueries:
 
     def test_multi_neighborhood_thresholds(self):
         net = demo_net()
-        assert net.multi_neighborhood_out(X, 1) == {Y, Z, U, V}
-        assert net.multi_neighborhood_out(X, 2) == {Y, Z, U, V}
-        assert net.multi_neighborhood_out(X, 3) == {Y, Z}
+        assert kept_targets(net, X, 1) == {Y, Z, U, V}
+        assert kept_targets(net, X, 2) == {Y, Z, U, V}
+        assert kept_targets(net, X, 3) == {Y, Z}
         # more layers than the network has: nothing qualifies
-        assert net.multi_neighborhood_out(X, 4) == set()
-        assert net.multi_neighborhood_out(V, 1) == {U}
-
-    def test_multi_neighborhood_alpha_validation(self):
-        net = demo_net()
-        with pytest.raises(InvalidAlphaError):
-            net.multi_neighborhood_out(X, 0)
+        assert kept_targets(net, X, 4) == set()
+        assert kept_targets(net, V, 1) == {U}
 
 
 class TestPricedPairs:
@@ -312,7 +308,7 @@ class TestEquality:
 @given(layered_networks(polarities=(POSITIVE, NEGATIVE)), st.integers(1, 4))
 def test_neighborhood_matches_naive_recount(net, alpha):
     for x in net.nodes:
-        assert net.multi_neighborhood_out(x, alpha) == naive_neighborhood(net, x, alpha)
+        assert kept_targets(net, x, alpha) == naive_neighborhood(net, x, alpha)
 
 
 @settings(max_examples=60)
@@ -323,3 +319,24 @@ def test_pair_cache_matches_edge_recount(net):
         assert net.pair_summary(src, dst) == (count, wsum)
     total = sum(count for count, _ in recounted.values())
     assert net.num_edges == total == len(list(net.edges()))
+
+
+def _bits(rows):
+    """Rows in order, each distance as its exact float bits."""
+    return [(src, [(dst, count, dist.hex()) for dst, count, dist in row]) for src, row in rows.items()]
+
+
+@settings(max_examples=100)
+@given(layered_networks(max_layers=6, polarities=(POSITIVE, NEGATIVE)))
+def test_priced_pairs_match_an_independent_pricer(net):
+    # the rows both searches read, against a pricer that shares no code with seal()
+    assert _bits(net.priced_pairs) == _bits(oracle_priced_pairs(net))
+    exact_sums = {}
+    for e in net.edges():
+        exact_sums[e.src, e.dst] = exact_sums.get((e.src, e.dst), 0) + Fraction(e.weight)
+    num_layers = net.num_layers
+    for src, row in net.priced_pairs.items():
+        for dst, _, dist in row:
+            mean = exact_sums[src, dst] / num_layers
+            exact = 1 - mean if net.polarity == POSITIVE else mean
+            assert abs(Fraction(dist) - exact) <= Fraction(num_layers, 2**52)

@@ -1,11 +1,16 @@
-"""networkx as a third oracle, independent of the package's own searches."""
+"""networkx as a third oracle, independent of the package's searches and pricing.
+
+The graph handed to networkx is priced and thresholded by ``oracles``, from
+the raw edges, so a fault in sealing or in the threshold rule shows here.
+"""
 
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerpath import NEGATIVE, POSITIVE, AggregationParams, aggregate_graph, dap_sssp, mda_sssp
+from layerpath import NEGATIVE, POSITIVE, AggregationParams, dap_sssp, mda_sssp
 from netgen import layered_networks
+from oracles import oracle_edges
 
 THRESHOLDS = st.builds(
     AggregationParams, st.integers(1, 3), st.sampled_from([0.25, 0.5, 0.75, 1.0])
@@ -17,9 +22,7 @@ THRESHOLDS = st.builds(
 def test_both_strategies_match_networkx_dijkstra(net, params):
     graph = nx.DiGraph()
     graph.add_nodes_from(net.nodes)
-    graph.add_weighted_edges_from(
-        (e.src, e.dst, e.distance) for e in aggregate_graph(net, params).edges()
-    )
+    graph.add_weighted_edges_from(oracle_edges(net, params))
     for source in sorted(net.nodes):
         expected = nx.single_source_dijkstra_path_length(graph, source)
         for search in (dap_sssp, mda_sssp):

@@ -19,7 +19,6 @@ from layerpath import (
     aggregate_graph,
     aggregated_sssp,
     apsp_repeated_dijkstra,
-    brute_force_sp,
     dap_sssp,
     mda_sssp,
     ml_floyd_warshall,
@@ -27,7 +26,7 @@ from layerpath import (
 )
 from layerpath.paths import _fw_block_height
 from netgen import build_net, layered_networks
-from oracles import textbook_floyd_warshall
+from oracles import brute_force_sp, textbook_floyd_warshall
 
 DEFAULTS = AggregationParams()
 
@@ -136,7 +135,7 @@ class TestResultShape:
         assert 2 not in result.lengths
         assert result.length(2) == inf
         assert result.path_to(2) == []
-        assert result.reachable == {0, 1}
+        assert set(result.lengths) == {0, 1}
 
     def test_unknown_nodes_are_rejected(self):
         result = dap_sssp(triangle(), 0)
@@ -148,8 +147,6 @@ class TestResultShape:
             dap_sssp(triangle(), 9)
         with pytest.raises(UnknownNodeError):
             mda_sssp(triangle(), 9)
-        with pytest.raises(UnknownNodeError):
-            brute_force_sp(triangle(), 9)
 
     def test_alpha_above_layer_count_leaves_only_the_source(self):
         result = dap_sssp(triangle(), 0, AggregationParams(2, 1.0))
@@ -163,7 +160,7 @@ class TestResultShape:
     def test_requires_seal(self):
         net = MultiLayeredNetwork(layers=("a",))
         net.add_edge(0, 1, "a", 0.5)
-        for op in (dap_sssp, mda_sssp, brute_force_sp):
+        for op in (dap_sssp, mda_sssp):
             with pytest.raises(UnsealedNetworkError):
                 op(net, 0)
         with pytest.raises(UnsealedNetworkError):
@@ -293,9 +290,9 @@ class TestBlockedFloydWarshall:
 class TestBruteForceGuard:
     def test_node_cap(self):
         net = build_net(("a",), [(0, 1, "a", 0.5)], extra_nodes=range(2, 11))
-        with pytest.raises(SizeGuardExceededError):
-            brute_force_sp(net, 0)
-        assert brute_force_sp(net, 0, max_nodes=11).lengths[1] == 0.5
+        with pytest.raises(ValueError):
+            brute_force_sp(net, 0, DEFAULTS)
+        assert brute_force_sp(net, 0, DEFAULTS, max_nodes=11).lengths[1] == 0.5
 
 
 @settings(max_examples=80, deadline=None)
@@ -309,7 +306,7 @@ def test_strategies_agree_everywhere(net, thresholds):
         brute = brute_force_sp(net, source, params)
         assert dap.lengths == mda.lengths
         assert dap.predecessors == mda.predecessors
-        assert brute.reachable == dap.reachable
+        assert brute.lengths.keys() == dap.lengths.keys()
         for v, length in dap.lengths.items():
             assert abs(brute.lengths[v] - length) <= 1e-12
 
