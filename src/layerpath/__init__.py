@@ -43,7 +43,6 @@ from .errors import (
     DuplicateEdgeError,
     EmptyFileError,
     GraphError,
-    InconsistentInputError,
     InvalidAlphaError,
     InvalidBetaError,
     LayerPathError,
@@ -80,7 +79,6 @@ __all__ = [
     "DuplicateEdgeError",
     "EmptyFileError",
     "GraphError",
-    "InconsistentInputError",
     "InvalidAlphaError",
     "InvalidBetaError",
     "LayerId",

@@ -37,6 +37,8 @@ from .errors import InvalidAlphaError, InvalidBetaError, SameNodeError
 
 def _coerce_alpha(alpha) -> int:
     try:
+        if isinstance(alpha, bool):  # operator.index would take True as 1
+            raise TypeError
         alpha = operator.index(alpha)
     except TypeError:
         raise InvalidAlphaError(f"alpha must be an integer, got {alpha!r}") from None

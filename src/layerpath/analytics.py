@@ -2,13 +2,14 @@
 
 ``path_stats`` condenses one single-source result into a fixed row of
 aggregate figures (route counts, length spread, mean hop count, neighborhood
-size, connectivity share), reading only the result, its recorded thresholds
-and the network's priced rows: hop counts come from one forward pass over the
-parent-first predecessors, and the neighbour count from
-``AggregationParams.kept``. ``stats_table`` aggregates once and calls
-``path_stats`` for each source, and ``edge_count_sweep`` counts how many
-aggregated edges survive each combination of thresholds, which is the usual
-first look at how dense the aggregated graph will be.
+size, connectivity share) from the result alone: its thresholds, node set
+and the priced rows its search read (``result.rows``). Hop counts come from
+one forward pass over the parent-first predecessors, and the neighbour count
+from ``AggregationParams.kept`` on the source's row. ``stats_table``
+aggregates once and calls ``path_stats`` for each source, and
+``edge_count_sweep`` counts how many aggregated edges survive each
+combination of thresholds, which is the usual first look at how dense the
+aggregated graph will be.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from .aggregate import AggregationParams, aggregate_graph
 from .core import MultiLayeredNetwork
-from .errors import InconsistentInputError, ParameterError
+from .errors import ParameterError
 from .paths import ShortestPathResult, aggregated_sssp
 
 # Column order is part of the output contract; exporters must not reorder.
@@ -63,25 +64,19 @@ class PathStats:
         return tuple(getattr(self, name) for name in STATS_COLUMNS)
 
 
-def path_stats(result: ShortestPathResult, net: MultiLayeredNetwork) -> PathStats:
-    """Summarize ``result`` against the network it was computed from.
-
-    The thresholds are the ones recorded on the result. A result whose node
-    set does not match the network raises (a stale result from a different
-    graph would silently skew every figure).
-    """
-    net.require_sealed()
-    if result.nodes != net.nodes:
-        raise InconsistentInputError(
-            "result node set does not match the network; was the result "
-            "computed from a different graph?"
-        )
+def path_stats(result: ShortestPathResult) -> PathStats:
+    """Summarize ``result`` under the thresholds recorded on it."""
     params = result.params
     source = result.source
     route_lengths = [length for v, length in result.lengths.items() if v != source]
     num_routes = len(route_lengths)
     if num_routes:
-        avg_len = sum(route_lengths) / num_routes
+        # plain += in discovery order; sum() compensates on Python >= 3.12
+        # and would change the last bits of some averages
+        total = 0.0
+        for length in route_lengths:
+            total += length
+        avg_len = total / num_routes
         min_len = min(route_lengths)
         max_len = max(route_lengths)
         hops = {}  # one pass: predecessors list every node after its own
@@ -90,7 +85,7 @@ def path_stats(result: ShortestPathResult, net: MultiLayeredNetwork) -> PathStat
         avg_handshakes = sum(hops.values()) / num_routes
     else:
         avg_len = min_len = max_len = avg_handshakes = 0.0
-    num_nodes = net.num_nodes
+    num_nodes = len(result.nodes)
     return PathStats(
         source=source,
         alpha=params.alpha,
@@ -100,14 +95,14 @@ def path_stats(result: ShortestPathResult, net: MultiLayeredNetwork) -> PathStat
         min_len=min_len,
         max_len=max_len,
         avg_handshakes=avg_handshakes,
-        num_neighbors=len(params.kept(net.priced_pairs.get(source, ()))),
+        num_neighbors=len(params.kept(result.rows.get(source, ()))),
         pct_connected=num_routes / (num_nodes - 1) if num_nodes > 1 else 0.0,
     )
 
 
 def stats_table(
     net: MultiLayeredNetwork,
-    params: AggregationParams | None = None,
+    params: AggregationParams = AggregationParams(),
     sources: list[int] | None = None,
 ) -> list[PathStats]:
     """One ``PathStats`` row per source, in ascending node order.
@@ -116,9 +111,9 @@ def stats_table(
     economical way to profile a whole network under fixed thresholds.
     """
     net.require_sealed()
-    graph = aggregate_graph(net, AggregationParams() if params is None else params)
+    graph = aggregate_graph(net, params)
     chosen = sorted(net.nodes) if sources is None else sorted(set(sources))
-    return [path_stats(aggregated_sssp(graph, source), net) for source in chosen]
+    return [path_stats(aggregated_sssp(graph, source)) for source in chosen]
 
 
 @dataclass(frozen=True)
@@ -150,8 +145,8 @@ def edge_count_sweep(
 ) -> SweepReport:
     """Count surviving aggregated edges for every threshold combination.
 
-    A single pass over the priced pairs bins each one against the grid, so
-    cost is O(pairs * grid) instead of one aggregation per cell.
+    Each cell counts the priced pairs ``AggregationParams.kept`` keeps under
+    its thresholds, without building an aggregated graph.
     """
     net.require_sealed()
     if not alphas:
@@ -161,17 +156,12 @@ def edge_count_sweep(
     alpha_grid = tuple(AggregationParams(alpha=alpha).alpha for alpha in alphas)
     beta_grid = tuple(AggregationParams(beta=beta).beta for beta in betas)
 
-    cells = [[0] * len(beta_grid) for _ in alpha_grid]
-    for row in net.priced_pairs.values():
-        for _, count, dist in row:
-            for alpha, cell_row in zip(alpha_grid, cells):
-                if count < alpha:
-                    continue
-                for j, beta in enumerate(beta_grid):
-                    if dist <= beta:
-                        cell_row[j] += 1
-    return SweepReport(
-        alphas=alpha_grid,
-        betas=beta_grid,
-        counts=tuple(tuple(row) for row in cells),
+    rows = net.priced_pairs.values()
+    counts = tuple(
+        tuple(
+            sum(len(AggregationParams(alpha, beta).kept(row)) for row in rows)
+            for beta in beta_grid
+        )
+        for alpha in alpha_grid
     )
+    return SweepReport(alphas=alpha_grid, betas=beta_grid, counts=counts)

@@ -53,7 +53,7 @@ class BenchReport:
 def benchmark(
     net: MultiLayeredNetwork,
     sources: list[int],
-    params: AggregationParams | None = None,
+    params: AggregationParams = AggregationParams(),
     *,
     reps: int = 3,
 ) -> BenchReport:
@@ -64,8 +64,6 @@ def benchmark(
     cache effects wash out of the medians.
     """
     net.require_sealed()
-    if params is None:
-        params = AggregationParams()
     if reps < 1:
         raise ParameterError(f"reps must be >= 1, got {reps!r}")
     if not sources:

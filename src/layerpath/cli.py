@@ -118,6 +118,11 @@ def cmd_generate(args) -> int:
         seed=args.seed,
         polarity=args.polarity,
     )
+    if not net.num_edges:  # an edge list needs at least one edge to load
+        raise ParameterError(
+            f"--density {args.density} gives no edges on {args.nodes} nodes; "
+            "raise --density"
+        )
     with _out_stream(args.output) as out:
         write_edge_csv(net, out)
     return 0
@@ -130,19 +135,29 @@ def cmd_load_summary(args) -> int:
     return 0
 
 
-def _cell_results(net, params, sources, strategy):
-    """(source, result) per source under one threshold cell.
+def _cell_rows(net, params, sources, strategy, targets):
+    """(stats row, path rows to ``targets``) per source under one threshold cell.
 
-    dap aggregates once for all sources; the graph is freed when the cell
-    is done, so only one is ever held.
+    dap aggregates once for all sources. A result holds the rows it searched,
+    so no result outlives the call: the next cell's graph is built only after
+    this one is freed.
     """
     if strategy == "mda":
-        for source in sources:
-            yield source, mda_sssp(net, source, params)
+        results = (mda_sssp(net, source, params) for source in sources)
     else:
         graph = aggregate_graph(net, params)
-        for source in sources:
-            yield source, aggregated_sssp(graph, source)
+        results = (aggregated_sssp(graph, source) for source in sources)
+    rows = []
+    for result in results:
+        source = result.source
+        path_rows = [
+            (source, params.alpha, params.beta, target,
+             result.length(target), result.path_to(target))
+            for target in targets
+            if target != source
+        ]
+        rows.append((path_stats(result).as_row(), path_rows))
+    return rows
 
 
 def cmd_sssp(args) -> int:
@@ -155,24 +170,13 @@ def cmd_sssp(args) -> int:
     if not alphas or not betas:
         raise ParameterError("sssp requires non-empty --alphas and --betas grids")
     cells = [AggregationParams(alpha, beta) for alpha in alphas for beta in betas]
-    targets = sorted(net.nodes)
+    targets = sorted(net.nodes) if args.paths else []
 
-    # one (stats row, path rows) slot per (source, cell), filled cell by cell
-    # and read out source-major
-    slots = [[None] * len(cells) for _ in sources]
-    for c, params in enumerate(cells):
-        for s, (source, result) in enumerate(_cell_results(net, params, sources, args.strategy)):
-            path_rows = []
-            if args.paths:
-                path_rows = [
-                    (source, params.alpha, params.beta, target,
-                     result.length(target), result.path_to(target))
-                    for target in targets
-                    if target != source
-                ]
-            slots[s][c] = (path_stats(result, net).as_row(), path_rows)
-    stats_rows = [stats for per_source in slots for stats, _ in per_source]
-    path_rows = [row for per_source in slots for _, rows in per_source for row in rows]
+    # computed cell by cell, read out source-major
+    per_cell = [_cell_rows(net, params, sources, args.strategy, targets) for params in cells]
+    per_source = list(zip(*per_cell))
+    stats_rows = [stats for slots in per_source for stats, _ in slots]
+    path_rows = [row for slots in per_source for _, rows in slots for row in rows]
 
     with _out_stream(args.output) as out:
         if args.format == "json":
@@ -237,7 +241,7 @@ def cmd_apsp(args) -> int:
 
 def cmd_sweep(args) -> int:
     net = _load(args)
-    sources = _sources_from(args, net)  # before the sweep, which bins every pair
+    sources = _sources_from(args, net)  # before the sweep, which reads every pair
     report = edge_count_sweep(net, args.alphas, args.betas)
 
     stats_rows = []

@@ -58,6 +58,8 @@ class LayeredEdge:
 
 def _coerce_node(node) -> int:
     try:
+        if isinstance(node, bool):  # operator.index would take True as node 1
+            raise TypeError
         node = operator.index(node)
     except TypeError:
         raise TypeError(f"node id must be an integer, got {node!r}") from None

@@ -57,10 +57,6 @@ class SizeGuardExceededError(LayerPathError):
     """Input larger than the configured node cap for an expensive routine."""
 
 
-class InconsistentInputError(LayerPathError):
-    """Arguments that do not belong together (e.g. result from other params)."""
-
-
 class ParseError(LayerPathError):
     """Malformed edge-list input; message carries file and line context."""
 

@@ -60,7 +60,8 @@ class ShortestPathResult:
     node to the node before it on a shortest path, with the source mapped to
     None, and lists every node after its own predecessor (the source first),
     so one forward pass can fold anything along the tree. ``params`` are the
-    thresholds the search ran under.
+    thresholds the search ran under and ``rows`` the priced rows it read:
+    the network's own for mda, the aggregated graph's kept ones for dap.
     """
 
     source: int
@@ -68,6 +69,7 @@ class ShortestPathResult:
     predecessors: dict[int, int | None]
     nodes: frozenset[int]
     params: AggregationParams
+    rows: Mapping[int, tuple[tuple[int, int, float], ...]]
 
     def length(self, v: int) -> float:
         """Shortest path length to ``v``; ``inf`` if unreachable."""
@@ -102,7 +104,7 @@ class DistanceMatrix:
 
     order: list[int]
     values: np.ndarray
-    params: AggregationParams | None = None
+    params: AggregationParams
     _index: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -137,6 +139,7 @@ def _dijkstra(rows: Mapping[int, tuple], source: int, params: AggregationParams)
             continue
         preds[v] = pred
         for w, count, d in rows.get(v, ()):
+            # params.kept's test, inline: a call per scanned pair costs too much
             if count < alpha or d > beta:
                 continue
             cand = dist + d
@@ -147,16 +150,15 @@ def _dijkstra(rows: Mapping[int, tuple], source: int, params: AggregationParams)
     return lengths, preds
 
 
-def _checked_params(net: MultiLayeredNetwork, source: int, params) -> AggregationParams:
-    """``params`` or the defaults, once ``net`` is sealed and holds ``source``."""
+def _require_source(net: MultiLayeredNetwork, source: int) -> None:
+    """Raise unless ``net`` is sealed and holds ``source``."""
     net.require_sealed()
     if not net.has_node(source):
         raise UnknownNodeError(f"unknown source node {source!r}")
-    return AggregationParams() if params is None else params
 
 
-def _all_pairs_frame(net: MultiLayeredNetwork, params, max_nodes: int):
-    """(params, node order, node -> index, all-inf matrix) for an APSP run."""
+def _all_pairs_frame(net: MultiLayeredNetwork, max_nodes: int):
+    """(node order, node -> index, all-inf matrix) for an APSP run."""
     net.require_sealed()
     n = net.num_nodes
     if n > max_nodes:
@@ -167,7 +169,7 @@ def _all_pairs_frame(net: MultiLayeredNetwork, params, max_nodes: int):
     order = sorted(net.nodes)
     index = {v: i for i, v in enumerate(order)}
     values = np.full((n, n), np.inf, dtype=np.float64)
-    return AggregationParams() if params is None else params, order, index, values
+    return order, index, values
 
 
 def aggregated_sssp(graph: AggregatedGraph, source: int) -> ShortestPathResult:
@@ -177,14 +179,15 @@ def aggregated_sssp(graph: AggregatedGraph, source: int) -> ShortestPathResult:
     """
     if source not in graph.nodes:
         raise UnknownNodeError(f"unknown source node {source!r}")
-    lengths, preds = _dijkstra(graph.priced_pairs, source, graph.params)
-    return ShortestPathResult(source, lengths, preds, graph.nodes, graph.params)
+    rows = graph.priced_pairs
+    lengths, preds = _dijkstra(rows, source, graph.params)
+    return ShortestPathResult(source, lengths, preds, graph.nodes, graph.params, rows)
 
 
 def dap_sssp(
     net: MultiLayeredNetwork,
     source: int,
-    params: AggregationParams | None = None,
+    params: AggregationParams = AggregationParams(),
 ) -> ShortestPathResult:
     """Preprocessing strategy: aggregate every qualifying pair, then search.
 
@@ -192,14 +195,14 @@ def dap_sssp(
     the same thresholds, call ``aggregate_graph`` once and reuse it with
     ``aggregated_sssp``.
     """
-    params = _checked_params(net, source, params)
+    _require_source(net, source)
     return aggregated_sssp(aggregate_graph(net, params), source)
 
 
 def mda_sssp(
     net: MultiLayeredNetwork,
     source: int,
-    params: AggregationParams | None = None,
+    params: AggregationParams = AggregationParams(),
 ) -> ShortestPathResult:
     """On-the-fly strategy: threshold the priced pairs during the search.
 
@@ -209,14 +212,15 @@ def mda_sssp(
     the searched edge relation is exactly the one it would materialize. No
     aggregated graph is built.
     """
-    params = _checked_params(net, source, params)
-    lengths, preds = _dijkstra(net.priced_pairs, source, params)
-    return ShortestPathResult(source, lengths, preds, net.nodes, params)
+    _require_source(net, source)
+    rows = net.priced_pairs
+    lengths, preds = _dijkstra(rows, source, params)
+    return ShortestPathResult(source, lengths, preds, net.nodes, params, rows)
 
 
 def ml_floyd_warshall(
     net: MultiLayeredNetwork,
-    params: AggregationParams | None = None,
+    params: AggregationParams = AggregationParams(),
     *,
     max_nodes: int = DEFAULT_APSP_NODE_CAP,
 ) -> DistanceMatrix:
@@ -237,7 +241,7 @@ def ml_floyd_warshall(
     for k = 0..n-1, in order, with the same operands, and the matrix is bit
     for bit the one the whole-matrix loop gives.
     """
-    params, order, index, values = _all_pairs_frame(net, params, max_nodes)
+    order, index, values = _all_pairs_frame(net, max_nodes)
     np.fill_diagonal(values, 0.0)
     for src, dst, dist, _ in aggregate_graph(net, params).edges():
         values[index[src], index[dst]] = dist
@@ -265,7 +269,7 @@ def _fw_block_height(n: int) -> int:
 
 def apsp_repeated_dijkstra(
     net: MultiLayeredNetwork,
-    params: AggregationParams | None = None,
+    params: AggregationParams = AggregationParams(),
     *,
     max_nodes: int = DEFAULT_APSP_NODE_CAP,
 ) -> DistanceMatrix:
@@ -274,7 +278,7 @@ def apsp_repeated_dijkstra(
     Aggregates once, then searches from each source in ascending order. Must
     agree with ``ml_floyd_warshall`` on every entry.
     """
-    params, order, index, values = _all_pairs_frame(net, params, max_nodes)
+    order, index, values = _all_pairs_frame(net, max_nodes)
     graph = aggregate_graph(net, params)
     for row, source in zip(values, order):
         for v, length in aggregated_sssp(graph, source).lengths.items():

@@ -86,6 +86,8 @@ class TestParams:
     def test_validation(self):
         with pytest.raises(InvalidAlphaError):
             AggregationParams(alpha=0)
+        with pytest.raises(InvalidAlphaError):
+            AggregationParams(alpha=True)
         with pytest.raises(InvalidBetaError):
             AggregationParams(beta=1.5)
         with pytest.raises(InvalidBetaError):

@@ -1,6 +1,7 @@
 """Command line behavior: emissions, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -55,11 +56,15 @@ class TestGenerate:
         assert code == 0
         assert out.splitlines()[0] == "src,dst,layer,weight"
 
-    def test_bad_density_is_a_usage_error(self, capsys):
-        code, _, err = run(capsys, "generate", "--nodes", 4, "--layers", 1,
-                           "--density", 2.0)
-        assert code == 2
-        assert "density" in err
+    def test_bad_density_is_a_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "net.csv"
+        # 0.001 rounds to no edges, and a header alone would not load
+        for nodes, density in ((4, 2.0), (10, 0.001)):
+            code, out, err = run(capsys, "generate", "--nodes", nodes, "--layers", 1,
+                                 "--density", density, "-o", out_path)
+            assert code == 2
+            assert "density" in err
+            assert out == "" and not out_path.exists()
 
 
 class TestLoadSummary:
@@ -445,3 +450,45 @@ class TestErrorExits:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+def fixed_net_csv(path):
+    """A 40-node, 3-layer edge list from integer arithmetic alone.
+
+    Every node has three out-edges per layer; weights are two-digit decimals.
+    No ``random``: its sampling is not guaranteed to repeat across Python
+    versions, and these bytes must.
+    """
+    lines = ["src,dst,layer,weight"]
+    for li, layer in enumerate(("a", "b", "c")):
+        for i in range(40):
+            for step in (1, 3 + li, 7 + 2 * li):
+                j = (i + step) % 40
+                lines.append(f"{i},{j},{layer},0.{(i * 37 + j * 11 + li * 53) % 100:02d}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestOutputBytes:
+    """Output bytes pinned by sha256, so a run on any Python version checks
+    that distances, lengths and averages add up to the same last bits."""
+
+    SSSP = ("sssp", "--source", "0,5,17", "--alphas", "1,2", "--betas", "1.0,0.6", "--paths")
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (SSSP,
+             "0c87e3f3004b8f6d63a9f09c7e2dcf9b9d86f8635ec9a15407b67a1874c09a41"),
+            (SSSP + ("--strategy", "mda", "--format", "json"),
+             "907645b4486c55112ee543c08b268843b1187c32b4c4f3784e4ac81e6c87f2ba"),
+            (("sweep", "--alphas", "1,2,3", "--betas", "0.5,0.75,1.0", "--source", "0,9,33"),
+             "c3225f007a90711f1f82c0af8528bae54dd8a581a9a4c1a331a67a46e65a900a"),
+        ],
+        ids=["sssp-csv", "sssp-json", "sweep-csv"],
+    )
+    def test_stdout_sha256(self, tmp_path, capsys, argv, digest):
+        path = fixed_net_csv(tmp_path / "fixed.csv")
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -98,6 +98,11 @@ class TestNodes:
             net.add_node("zero")
         with pytest.raises(TypeError):
             net.add_node(1.0)
+        with pytest.raises(TypeError):
+            net.add_node(True)
+        with pytest.raises(TypeError):
+            net.add_edge(True, 2, "a", 0.5)
+        assert net.nodes == frozenset()
 
 
 class TestEdges:
