@@ -49,6 +49,8 @@ def _coerce_alpha(alpha) -> int:
 
 def _coerce_beta(beta) -> float:
     try:
+        if isinstance(beta, bool):  # float() would take True as beta 1.0
+            raise TypeError
         beta = float(beta)
     except (TypeError, ValueError):
         raise InvalidBetaError(f"beta must be a real number, got {beta!r}") from None

@@ -297,25 +297,26 @@ def cmd_bench(args) -> int:
 
 def cmd_aggregate_export(args) -> int:
     net = _load(args)
-    graph = aggregate_graph(net, AggregationParams(args.alpha, args.beta))
-    edges = sorted(graph.edges(), key=lambda e: (e.src, e.dst))
+    rows = aggregate_graph(net, AggregationParams(args.alpha, args.beta)).priced_pairs
+    # by (src, dst), source by source: dst is unique within a row, so the
+    # row's (dst, count, distance) tuples sort by dst
+    edges = (
+        (src, dst, dist, count)
+        for src in sorted(rows)
+        for dst, count, dist in sorted(rows[src])
+    )
     with _out_stream(args.output) as out:
         if args.format == "json":
             payload = [
-                {
-                    "src": e.src,
-                    "dst": e.dst,
-                    "distance": e.distance,
-                    "layer_count": e.layer_count,
-                }
-                for e in edges
+                {"src": src, "dst": dst, "distance": dist, "layer_count": count}
+                for src, dst, dist, count in edges
             ]
             json.dump(payload, out, indent=2)
             out.write("\n")
         else:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(("src", "dst", "distance", "layer_count"))
-            writer.writerows(edges)  # AggregatedEdge fields are the header's columns
+            writer.writerows(edges)
     return 0
 
 

@@ -118,6 +118,8 @@ def _weight_sum(per_layer: dict[int, float]) -> float:
 
 def _coerce_weight(weight) -> float:
     try:
+        if isinstance(weight, bool):  # float() would take True as weight 1.0
+            raise TypeError
         weight = float(weight)
     except (TypeError, ValueError):
         raise WeightOutOfRangeError(f"weight must be a real number, got {weight!r}") from None
@@ -181,41 +183,67 @@ class MultiLayeredNetwork:
     def add_edge(
         self, src: int, dst: int, layer, weight: float, *, on_duplicate: str = ON_DUPLICATE_ERROR
     ) -> None:
-        """Add one directed edge on one layer.
+        """Add one directed edge on one layer: ``add_edges`` with a single row."""
+        self.add_edges(((src, dst, layer, weight),), on_duplicate=on_duplicate)
 
-        Endpoints are auto-registered. Raises ``UnknownLayerError`` for
-        unregistered layers, ``WeightOutOfRangeError`` for weights outside
-        [0, 1] and ``LoopEdgeError`` for src == dst. When the (src, dst, layer)
-        triple already exists, ``on_duplicate="error"`` raises
-        ``DuplicateEdgeError`` and ``"keep-max"`` keeps the larger weight in
-        the triple's first position, so the pair's weight sum still adds its
-        layers in first-appearance order.
+    def add_edges(self, rows, *, on_duplicate: str = ON_DUPLICATE_ERROR) -> None:
+        """Add directed edges from ``(src, dst, layer, weight)`` rows, in order.
+
+        Endpoints are auto-registered. Each row is checked in this order:
+        node ids, then ``UnknownLayerError`` for unregistered layers, then
+        ``WeightOutOfRangeError`` for weights outside [0, 1], then
+        ``LoopEdgeError`` for src == dst. When the (src, dst, layer) triple
+        already exists, ``on_duplicate="error"`` raises ``DuplicateEdgeError``
+        and ``"keep-max"`` keeps the larger weight in the triple's first
+        position, so the pair's weight sum still adds its layers in
+        first-appearance order. The first bad row stops the call; the rows
+        before it stay added. ``rows`` may be a generator, and it may register
+        layers on this network while it is consumed.
         """
         self._check_mutable()
         if on_duplicate not in _DUPLICATE_POLICIES:
             raise ParameterError(
                 f"on_duplicate must be one of {_DUPLICATE_POLICIES}, got {on_duplicate!r}"
             )
-        src = _coerce_node(src)
-        dst = _coerce_node(dst)
-        lid = self.layer(layer)
-        weight = _coerce_weight(weight)
-        if src == dst:
-            raise LoopEdgeError(f"loop edge {src} -> {dst} is not allowed")
+        keep_max = on_duplicate == ON_DUPLICATE_KEEP_MAX
+        adj = self._adj
+        add_node = self._nodes.add
+        label_index = self._label_index
+        layer_edge_counts = self._layer_edge_counts
+        resolve = self.layer
+        added = 0
+        try:
+            for src, dst, layer, weight in rows:
+                # exact non-negative ints, known labels and in-range floats
+                # skip the coercion calls; anything else takes them
+                if type(src) is not int or src < 0:
+                    src = _coerce_node(src)
+                if type(dst) is not int or dst < 0:
+                    dst = _coerce_node(dst)
+                lidx = label_index.get(layer) if type(layer) is str else None
+                if lidx is None:
+                    lidx = resolve(layer).index
+                if type(weight) is not float or not 0.0 <= weight <= 1.0:
+                    weight = _coerce_weight(weight)
+                if src == dst:
+                    raise LoopEdgeError(f"loop edge {src} -> {dst} is not allowed")
 
-        per_layer = self._adj.setdefault(src, {}).setdefault(dst, {})
-        if lid.index in per_layer:
-            if on_duplicate == ON_DUPLICATE_ERROR:
-                raise DuplicateEdgeError(
-                    f"duplicate edge {src} -> {dst} on layer {lid.label!r}"
-                )
-            weight = max(per_layer[lid.index], weight)
-        else:
-            self._nodes.add(src)
-            self._nodes.add(dst)
-            self._layer_edge_counts[lid.index] += 1
-            self._num_edges += 1
-        per_layer[lid.index] = weight
+                per_layer = adj.setdefault(src, {}).setdefault(dst, {})
+                held = per_layer.get(lidx)
+                if held is None:
+                    per_layer[lidx] = weight
+                    add_node(src)
+                    add_node(dst)
+                    layer_edge_counts[lidx] += 1
+                    added += 1
+                elif not keep_max:
+                    raise DuplicateEdgeError(
+                        f"duplicate edge {src} -> {dst} on layer {self._labels[lidx]!r}"
+                    )
+                elif weight > held:  # max(held, weight): ties keep the held weight
+                    per_layer[lidx] = weight
+        finally:
+            self._num_edges += added
 
     def seal(self) -> "MultiLayeredNetwork":
         """Freeze the network and price every connected pair once.
@@ -296,6 +324,8 @@ class MultiLayeredNetwork:
                 raise UnknownLayerError(f"unknown layer label {ref!r}")
             return LayerId(index, ref)
         try:
+            if isinstance(ref, bool):  # operator.index would take True as layer 1
+                raise TypeError
             index = operator.index(ref)
         except TypeError:
             raise UnknownLayerError(f"cannot resolve layer {ref!r}") from None

@@ -8,12 +8,12 @@ weights are floats in [0, 1] written in ASCII without ``_`` separators, and
 dumps write them with ``repr`` so a dump/load round trip reproduces the same
 values bit for bit.
 
-Loading streams: each row goes straight into ``MultiLayeredNetwork.add_edge``
-and no row is kept. The loader checks only the text (header, field count,
-node ids, weights, labels, the csv module's field size limit) and raises
-``ParseError``; the network enforces the graph rules (loops, out-of-range
-weights, duplicate triples) and the loader re-raises its error with the
-location prepended.
+Loading streams: a generator checks each row's text and streams the row
+into ``MultiLayeredNetwork.add_edges``, and no row is kept. The generator
+checks only the text (header, field count, node ids, weights, labels, the
+csv module's field size limit) and raises ``ParseError``; the network
+enforces the graph rules (loops, out-of-range weights, duplicate triples) and
+the loader re-raises its error with the location prepended.
 Locations are ``file:line`` with the physical line on which the offending
 row ends, so quoted fields that span lines do not shift later positions.
 Duplicate (src, dst, layer) triples can alternatively be merged by keeping
@@ -29,7 +29,6 @@ from .core import (  # the policy names stay importable from here too
     ON_DUPLICATE_ERROR,
     ON_DUPLICATE_KEEP_MAX,
     POSITIVE,
-    LayerId,
     MultiLayeredNetwork,
     parse_natural,
     parse_real,
@@ -47,56 +46,81 @@ def load_edge_list(
 ) -> MultiLayeredNetwork:
     """Read a CSV edge list and return the sealed network it describes.
 
-    ``on_duplicate`` is passed to ``MultiLayeredNetwork.add_edge``: ``"error"``
+    ``on_duplicate`` is passed to ``MultiLayeredNetwork.add_edges``: ``"error"``
     raises at the second occurrence of a (src, dst, layer) triple,
     ``"keep-max"`` keeps the largest weight seen. Every error message carries
     the file name and the physical 1-based line number of the offending row.
     """
     display = os.fspath(path)
     net = MultiLayeredNetwork(polarity=polarity)
-    layer_ids: dict[str, LayerId] = {}
     # bytes that are not UTF-8 become lone surrogates, caught on their row by
     # the ASCII checks of ids and weights and the UTF-8 check of labels
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader, None)
-            if header is not None and tuple(h.strip() for h in header) != HEADER:
-                raise ParseError(
-                    f"expected header {','.join(HEADER)!r}, got {','.join(header)!r}"
-                )
-            for row in reader:
-                if not row:
-                    continue  # tolerate blank lines, e.g. a trailing newline
-                if len(row) != 4:
-                    raise ParseError(f"expected 4 fields, got {len(row)}")
-                try:
-                    src = parse_natural(row[0].strip())
-                    dst = parse_natural(row[1].strip())
-                    label = row[2].strip()
-                    if not label:
-                        raise ParseError("empty layer label")
-                    weight = parse_real(row[3].strip())
-                except ValueError as exc:  # id or weight text
-                    raise ParseError(str(exc)) from None
-                lid = layer_ids.get(label)
-                if lid is None:
-                    try:
-                        label.encode("utf-8")
-                    except UnicodeEncodeError:
-                        raise ParseError(f"layer label {label!r} is not valid UTF-8") from None
-                    lid = layer_ids[label] = net.add_layer(label)
-                net.add_edge(src, dst, lid, weight, on_duplicate=on_duplicate)
+            # the network raises on the row the reader has just read, so
+            # reader.line_num is still that row's line
+            net.add_edges(_edge_rows(reader, net), on_duplicate=on_duplicate)
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
             raise ParseError(f"{display}:{reader.line_num}: {exc}") from None
         except (ParseError, GraphError) as exc:
             raise type(exc)(f"{display}:{reader.line_num}: {exc}") from None
 
-    if header is None:
+    if reader.line_num == 0:  # not even a header line
         raise EmptyFileError(f"{display}: file is empty")
     if not net.num_edges:
         raise EmptyFileError(f"{display}: no edge rows after the header")
     return net.seal()
+
+
+def _edge_rows(reader, net: MultiLayeredNetwork):
+    """Check the header, then yield ``(src, dst, label, weight)`` per data row.
+
+    Only the text is checked here. Each distinct id text is parsed once and
+    each distinct label text resolved once, registering its layer on ``net``
+    the first time.
+    """
+    header = next(reader, None)
+    if header is None:
+        return
+    if tuple(h.strip() for h in header) != HEADER:
+        raise ParseError(f"expected header {','.join(HEADER)!r}, got {','.join(header)!r}")
+    ids: dict[str, int] = {}  # id text -> node id
+    # label text -> registered label; a label is its own stripped text, so
+    # it is a key itself once registered
+    labels: dict[str, str] = {}
+    for row in reader:
+        if not row:
+            continue  # tolerate blank lines, e.g. a trailing newline
+        if len(row) != 4:
+            raise ParseError(f"expected 4 fields, got {len(row)}")
+        src_text, dst_text, label_text, weight_text = row
+        try:
+            src = ids.get(src_text)
+            if src is None:
+                src = ids[src_text] = parse_natural(src_text.strip())
+            dst = ids.get(dst_text)
+            if dst is None:
+                dst = ids[dst_text] = parse_natural(dst_text.strip())
+            label = labels.get(label_text)
+            fresh = label is None
+            if fresh:
+                label = label_text.strip()
+                if not label:
+                    raise ParseError("empty layer label")
+            weight = parse_real(weight_text.strip())
+        except ValueError as exc:  # id or weight text
+            raise ParseError(str(exc)) from None
+        if fresh:
+            try:
+                label.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(f"layer label {label!r} is not valid UTF-8") from None
+            if label not in labels:
+                net.add_layer(label)
+                labels[label] = label
+            labels[label_text] = label
+        yield src, dst, label, weight
 
 
 def write_edge_csv(net: MultiLayeredNetwork, stream) -> int:

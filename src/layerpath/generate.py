@@ -34,18 +34,20 @@ def random_network(
 
     rng = random.Random(seed)
     net = MultiLayeredNetwork(polarity=polarity)
-    for _ in range(num_layers):
-        net.add_layer()
+    labels = [net.add_layer().label for _ in range(num_layers)]
     for node in range(num_nodes):
         net.add_node(node)
+    net.add_edges(_random_rows(rng, num_nodes, labels, density))
+    return net.seal()
 
+
+def _random_rows(rng: random.Random, num_nodes: int, labels: list[str], density: float):
+    """``(src, dst, label, weight)`` rows, layer by layer, pairs in ascending order."""
     # Pairs are indexed 0 .. n(n-1)-1 and decoded on demand, so dense node
     # counts never materialize the full pair list.
     num_pairs = num_nodes * (num_nodes - 1)
     edges_per_layer = round(density * num_pairs)
-    for lid in net.layers:
+    for label in labels:
         for pair in sorted(rng.sample(range(num_pairs), edges_per_layer)):
             src, rem = divmod(pair, num_nodes - 1)
-            dst = rem if rem < src else rem + 1
-            net.add_edge(src, dst, lid, rng.random())
-    return net.seal()
+            yield src, (rem if rem < src else rem + 1), label, rng.random()

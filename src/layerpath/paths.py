@@ -33,13 +33,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from math import inf
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .aggregate import AggregatedGraph, AggregationParams, aggregate_graph
 from .core import MultiLayeredNetwork
 from .errors import SizeGuardExceededError, UnknownNodeError
+
+if TYPE_CHECKING:  # numpy is imported only where the all-pairs routines run
+    import numpy as np
 
 DEFAULT_APSP_NODE_CAP = 2_000
 # One Floyd-Warshall block of float64 rows, and as much again for its
@@ -166,6 +167,8 @@ def _all_pairs_frame(net: MultiLayeredNetwork, max_nodes: int):
             f"{n} nodes exceed the all-pairs cap of {max_nodes}; "
             "raise max_nodes to override"
         )
+    import numpy as np
+
     order = sorted(net.nodes)
     index = {v: i for i, v in enumerate(order)}
     values = np.full((n, n), np.inf, dtype=np.float64)
@@ -241,6 +244,8 @@ def ml_floyd_warshall(
     for k = 0..n-1, in order, with the same operands, and the matrix is bit
     for bit the one the whole-matrix loop gives.
     """
+    import numpy as np
+
     order, index, values = _all_pairs_frame(net, max_nodes)
     np.fill_diagonal(values, 0.0)
     for src, dst, dist, _ in aggregate_graph(net, params).edges():

@@ -92,6 +92,8 @@ class TestParams:
             AggregationParams(beta=1.5)
         with pytest.raises(InvalidBetaError):
             AggregationParams(beta=float("nan"))
+        with pytest.raises(InvalidBetaError):
+            AggregationParams(beta=True)
 
 
 def aggregated_edge(net, x, y, alpha=1, beta=1.0):

@@ -192,6 +192,41 @@ class TestSssp:
         assert err == b""
 
 
+class TestImports:
+    def test_numpy_is_loaded_only_by_apsp(self, tmp_path):
+        # a fresh interpreter: this one has numpy loaded already
+        net = tmp_path / "net.csv"
+        out = tmp_path / "out"
+        cold = [
+            ["generate", "--nodes", "30", "--layers", "2", "--density", "0.1",
+             "--seed", "3", "-o", net],
+            ["load-summary", net, "-o", out],
+            ["sssp", net, "--source", "0,1", "--paths", "-o", out],
+            ["sssp", net, "--source", "0,1", "--strategy", "mda", "-o", out],
+            ["sweep", net, "--alphas", "1,2", "--betas", "0.5,1.0", "--source", "0", "-o", out],
+            ["aggregate-export", net, "--format", "json", "-o", out],
+            ["bench", net, "--default-sources", "2", "-o", out],
+        ]
+        script = (
+            "import json, sys\n"
+            "from layerpath.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "    assert 'numpy' not in sys.modules, argv\n"
+            "assert main(['apsp', sys.argv[2], '-o', sys.argv[3]]) == 0\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        argvs = json.dumps([[str(a) for a in argv] for argv in cold])
+        src = str(Path(layerpath.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run(
+            [sys.executable, "-c", script, argvs, str(net), str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert out.read_text().startswith("src,0,")
+
+
 class TestApsp:
     def test_matrix_shape_and_header(self, net_csv, capsys):
         code, out, _ = run(capsys, "apsp", net_csv)

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from layerpath import (
     GraphError,
     LayerId,
     LayeredEdge,
+    LayerPathError,
     LoopEdgeError,
     MultiLayeredNetwork,
     ParameterError,
@@ -73,7 +75,7 @@ class TestLayers:
         assert net.layer(0) == LayerId(0, "a")
         assert net.layer("b") == LayerId(1, "b")
         assert net.layer(LayerId(1, "b")) == LayerId(1, "b")
-        for bad in (2, "c", LayerId(0, "b")):
+        for bad in (2, "c", LayerId(0, "b"), True):
             with pytest.raises(UnknownLayerError):
                 net.layer(bad)
 
@@ -102,6 +104,10 @@ class TestNodes:
             net.add_node(True)
         with pytest.raises(TypeError):
             net.add_edge(True, 2, "a", 0.5)
+        with pytest.raises(ValueError):
+            net.add_edge(-1, 2, "a", 0.5)
+        with pytest.raises(ValueError):
+            net.add_edge(2, -1, "a", 0.5)
         assert net.nodes == frozenset()
 
 
@@ -145,7 +151,7 @@ class TestEdges:
             net.add_edge(0, 1, "a", 0.5, on_duplicate="first-wins")
         assert net.num_edges == 0
 
-    @pytest.mark.parametrize("weight", [-0.1, 1.0001, float("nan"), float("inf")])
+    @pytest.mark.parametrize("weight", [-0.1, 1.0001, float("nan"), float("inf"), True])
     def test_weight_range(self, weight):
         net = MultiLayeredNetwork(layers=("a",))
         with pytest.raises(WeightOutOfRangeError):
@@ -167,6 +173,65 @@ class TestEdges:
         net.add_edge(2, 0, "b", 0.1)
         net.add_edge(0, 2, "a", 0.2)
         assert [(e.src, e.dst) for e in net.edges()] == [(2, 0), (0, 2)]
+
+
+# rows mixing the fast path (exact ints, known labels, floats in [0, 1]) with
+# every kind of input that must take the coercion calls or fail there
+_node_refs = st.one_of(
+    st.integers(-1, 3), st.booleans(), st.integers(0, 3).map(np.int64), st.just("1")
+)
+_layer_refs = st.sampled_from(
+    ["a", "b", "c", 0, 1, 2, True, np.int64(1), LayerId(0, "a"), LayerId(1, "a"), 1.0]
+)
+_weights = st.one_of(
+    st.floats(-0.25, 1.25, allow_nan=False),
+    st.sampled_from(
+        [float("nan"), -0.0, 1.0, True, False, 1, np.int64(0), np.float64(0.5), "0.5", "x", None]
+    ),
+)
+
+
+def _snapshot(net):
+    return (
+        [(e.src, e.dst, e.layer, e.weight.hex()) for e in net.edges()],
+        net.layer_edge_counts(),
+        net.num_edges,
+        net.nodes,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_node_refs, _node_refs, _layer_refs, _weights), max_size=12),
+    on_duplicate=st.sampled_from(["error", "keep-max"]),
+)
+def test_add_edges_matches_add_edge_row_by_row(rows, on_duplicate):
+    """One ``add_edges`` call and ``add_edge`` per row: same edges, counts and error."""
+    bulk = MultiLayeredNetwork(layers=("a", "b"))
+    read = []
+
+    def counted():
+        for row in rows:
+            read.append(row)
+            yield row
+
+    try:
+        bulk.add_edges(counted(), on_duplicate=on_duplicate)
+        bulk_error = None
+    except (LayerPathError, TypeError, ValueError) as exc:
+        bulk_error = (type(exc), str(exc), len(read) - 1)
+
+    single = MultiLayeredNetwork(layers=("a", "b"))
+    single_error = None
+    for at, row in enumerate(rows):
+        try:
+            single.add_edge(*row, on_duplicate=on_duplicate)
+        except (LayerPathError, TypeError, ValueError) as exc:
+            single_error = (type(exc), str(exc), at)
+            break
+
+    assert bulk_error == single_error
+    assert _snapshot(bulk) == _snapshot(single)
 
 
 class TestSealing:

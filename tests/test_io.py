@@ -63,6 +63,17 @@ class TestLoader:
         net = load_edge_list(write(tmp_path, HEADER + rows))
         assert [e.weight for e in net.edges()] == weights
 
+    def test_padded_fields_are_stripped(self, tmp_path):
+        # " a" and "a " are the label "a": one layer, and one triple with 0 -> 1
+        rows = " 0 , 1 , a , 0.5 \n1,2,a,0.25\n2,3, a,0.125\n"
+        net = load_edge_list(write(tmp_path, HEADER + rows))
+        assert [l.label for l in net.layers] == ["a"]
+        assert [(e.src, e.dst, e.weight) for e in net.edges()] == [
+            (0, 1, 0.5), (1, 2, 0.25), (2, 3, 0.125)
+        ]
+        with pytest.raises(DuplicateEdgeError, match=":5:"):
+            load_edge_list(write(tmp_path, HEADER + rows + "0, 1 ,a  ,0.75\n"))
+
     def test_numeric_layer_labels_stay_labels(self, tmp_path):
         path = write(tmp_path, HEADER + "0,1,2,0.5\n")
         net = load_edge_list(path)
@@ -184,6 +195,12 @@ class TestLoaderErrors:
         path = write(tmp_path, HEADER + "0,1,a,0.5\n")
         with pytest.raises(ParameterError):
             load_edge_list(path, on_duplicate="first-wins")
+
+    @pytest.mark.parametrize("text", ["", HEADER], ids=["empty", "header-only"])
+    def test_unknown_duplicate_policy_without_rows(self, tmp_path, text):
+        # the policy is checked before any line is read
+        with pytest.raises(ParameterError):
+            load_edge_list(write(tmp_path, text), on_duplicate="first-wins")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
