@@ -157,11 +157,13 @@ def edge_count_sweep(
     beta_grid = tuple(AggregationParams(beta=beta).beta for beta in betas)
 
     rows = net.priced_pairs.values()
+
+    def count(params: AggregationParams) -> int:
+        kept = params.kept
+        return sum(len(kept(row)) for row in rows)
+
     counts = tuple(
-        tuple(
-            sum(len(AggregationParams(alpha, beta).kept(row)) for row in rows)
-            for beta in beta_grid
-        )
+        tuple(count(AggregationParams(alpha, beta)) for beta in beta_grid)
         for alpha in alpha_grid
     )
     return SweepReport(alphas=alpha_grid, betas=beta_grid, counts=counts)

@@ -8,7 +8,8 @@ flags: rows are keyed by ascending node id, grids keep the order they were
 given in.
 
 Exit codes: 0 success; 1 stdout closed before the output was written (e.g.
-piped into ``head``), with no message; 2 usage errors (bad flags, unknown
+piped into ``head``), with no message, or a worker process of ``sssp`` or
+``sweep`` died, with a traceback; 2 usage errors (bad flags, unknown
 source node, invalid thresholds); 3 input errors (unreadable, malformed, or
 rule-breaking edge lists); 4 size-guard refusals.
 """
@@ -24,7 +25,7 @@ import sys
 from contextlib import contextmanager
 
 from .aggregate import AggregationParams, aggregate_graph
-from .analytics import STATS_COLUMNS, edge_count_sweep, path_stats, stats_table
+from .analytics import STATS_COLUMNS, edge_count_sweep
 from .bench import benchmark, format_bench_report
 from .core import NEGATIVE, POSITIVE, MultiLayeredNetwork, parse_natural, parse_real
 from .edgelist import (
@@ -42,13 +43,7 @@ from .errors import (
     UnknownNodeError,
 )
 from .generate import random_network
-from .paths import (
-    DEFAULT_APSP_NODE_CAP,
-    aggregated_sssp,
-    apsp_repeated_dijkstra,
-    mda_sssp,
-    ml_floyd_warshall,
-)
+from .paths import DEFAULT_APSP_NODE_CAP, apsp_repeated_dijkstra, ml_floyd_warshall
 
 FLOYD_WARSHALL = "floyd-warshall"
 REPEATED_DIJKSTRA = "repeated-dijkstra"
@@ -103,10 +98,6 @@ def _sources_from(args, net: MultiLayeredNetwork) -> list[int]:
     return sources
 
 
-def _path_text(path: list[int]) -> str:
-    return "->".join(str(v) for v in path)
-
-
 # -- commands ---------------------------------------------------------------
 
 
@@ -135,31 +126,6 @@ def cmd_load_summary(args) -> int:
     return 0
 
 
-def _cell_rows(net, params, sources, strategy, targets):
-    """(stats row, path rows to ``targets``) per source under one threshold cell.
-
-    dap aggregates once for all sources. A result holds the rows it searched,
-    so no result outlives the call: the next cell's graph is built only after
-    this one is freed.
-    """
-    if strategy == "mda":
-        results = (mda_sssp(net, source, params) for source in sources)
-    else:
-        graph = aggregate_graph(net, params)
-        results = (aggregated_sssp(graph, source) for source in sources)
-    rows = []
-    for result in results:
-        source = result.source
-        path_rows = [
-            (source, params.alpha, params.beta, target,
-             result.length(target), result.path_to(target))
-            for target in targets
-            if target != source
-        ]
-        rows.append((path_stats(result).as_row(), path_rows))
-    return rows
-
-
 def cmd_sssp(args) -> int:
     net = _load(args)
     sources = _sources_from(args, net)
@@ -172,31 +138,29 @@ def cmd_sssp(args) -> int:
     cells = [AggregationParams(alpha, beta) for alpha in alphas for beta in betas]
     targets = sorted(net.nodes) if args.paths else []
 
+    from .cells import run_cells  # loaded by the grid searches alone
+
     # computed cell by cell, read out source-major
-    per_cell = [_cell_rows(net, params, sources, args.strategy, targets) for params in cells]
-    per_source = list(zip(*per_cell))
-    stats_rows = [stats for slots in per_source for stats, _ in slots]
-    path_rows = [row for slots in per_source for _, rows in slots for row in rows]
+    per_cell = run_cells(net, cells, sources, args.strategy, targets, args.format)
+    per_source = [slot for slots in zip(*per_cell) for slot in slots]
+    stats_rows = [stats for stats, _ in per_source]
 
     with _out_stream(args.output) as out:
         if args.format == "json":
-            payload: dict = {
-                "stats": [dict(zip(STATS_COLUMNS, row)) for row in stats_rows]
-            }
+            stats = json.dumps(
+                {"stats": [dict(zip(STATS_COLUMNS, row)) for row in stats_rows]}, indent=2
+            )
             if args.paths:
-                payload["paths"] = [
-                    {
-                        "source": src,
-                        "alpha": alpha,
-                        "beta": beta,
-                        "target": target,
-                        "length": _json_length(length),
-                        "path": path,
-                    }
-                    for src, alpha, beta, target, length, path in path_rows
-                ]
-            json.dump(payload, out, indent=2)
-            out.write("\n")
+                # go on as json.dump would, with "paths" after "stats"; no
+                # text is empty, since a loaded net has two nodes at least
+                out.write(stats[: -len("\n}")] + ',\n  "paths": [\n')
+                for i, (_, paths) in enumerate(per_source):
+                    if i:
+                        out.write(",\n")
+                    out.write(paths)
+                out.write("\n  ]\n}\n")
+            else:
+                out.write(stats + "\n")
         else:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(STATS_COLUMNS)
@@ -204,8 +168,7 @@ def cmd_sssp(args) -> int:
             if args.paths:
                 out.write("\n")
                 writer.writerow(("source", "alpha", "beta", "target", "length", "path"))
-                for src, alpha, beta, target, length, path in path_rows:
-                    writer.writerow((src, alpha, beta, target, length, _path_text(path)))
+                out.writelines(paths for _, paths in per_source)
     return 0
 
 
@@ -245,11 +208,12 @@ def cmd_sweep(args) -> int:
     report = edge_count_sweep(net, args.alphas, args.betas)
 
     stats_rows = []
-    if sources:
-        for alpha in report.alphas:
-            for beta in report.betas:
-                table = stats_table(net, AggregationParams(alpha, beta), sources)
-                stats_rows.extend(row.as_row() for row in table)
+    if sources:  # cell-major, unlike sssp
+        from .cells import run_cells
+
+        cells = [AggregationParams(a, b) for a in report.alphas for b in report.betas]
+        for slots in run_cells(net, cells, sources, "dap"):
+            stats_rows.extend(stats for stats, _ in slots)
 
     with _out_stream(args.output) as out:
         if args.format == "json":

@@ -16,7 +16,9 @@ import layerpath
 from layerpath import (
     STATS_COLUMNS,
     AggregationParams,
+    MultiLayeredNetwork,
     apsp_repeated_dijkstra,
+    cells,
     cli,
     load_edge_list,
     ml_floyd_warshall,
@@ -42,6 +44,47 @@ def net_csv(tmp_path, capsys):
 
 def parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+# head of a fresh-interpreter script: `cli` imported, and force_pool() sends
+# sssp and sweep through two forked workers however small the net
+FORCE_POOL_IF_ASKED = (
+    "import json, sys\n"
+    "from layerpath import cli\n"
+    "def force_pool():\n"
+    "    from layerpath import cells\n"
+    "    cells._POOL_MIN_WORK = 0\n"
+    "    cells._available_cpus = lambda: 2\n"
+)
+
+
+def fresh_python(script, *args, **popen):
+    """Run ``script`` in a new interpreter that imports this layerpath."""
+    src = str(Path(layerpath.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)  # std streams buffered, as they usually are
+    command = [sys.executable, "-c", script, *map(str, args)]
+    if popen:
+        return subprocess.Popen(command, env=env, **popen)
+    return subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+
+
+def reader_leaves_early(tmp_path, script):
+    """(exit code, stderr) of ``script`` running ``sssp --paths`` on a 600-node net.
+
+    As with `| head -c 10`: the reader leaves while the paths dump, far
+    larger than a pipe buffer, is still being written.
+    """
+    path = tmp_path / "big.csv"
+    assert main(["generate", "--nodes", "600", "--layers", "2", "--density", "0.01",
+                 "--seed", "5", "-o", str(path)]) == 0
+    child = fresh_python(script, "sssp", path, "--source", "0,1,2,3,4,5,6,7", "--paths",
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(child.stdout.read(10)) == 10
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    return child.wait(timeout=60), err
 
 
 class TestGenerate:
@@ -170,26 +213,8 @@ class TestSssp:
         assert out == ""
         assert f"argument {flags[-2]}:" in err
 
-    def test_closed_stdout_exits_1_without_a_message(self, tmp_path, capsys):
-        # as with `| head -c 10`: the reader leaves while the paths dump, far
-        # larger than a pipe buffer, is still being written
-        path = tmp_path / "big.csv"
-        assert main(["generate", "--nodes", "600", "--layers", "2", "--density", "0.01",
-                     "--seed", "5", "-o", str(path)]) == 0
-        capsys.readouterr()
-        src = str(Path(layerpath.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        child = subprocess.Popen(
-            [sys.executable, "-c", "import sys; from layerpath.cli import run; run()",
-             "sssp", str(path), "--source", "0,1,2,3,4,5,6,7", "--paths"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        assert len(child.stdout.read(10)) == 10
-        child.stdout.close()
-        err = child.stderr.read()
-        child.stderr.close()
-        assert child.wait(timeout=60) == 1
-        assert err == b""
+    def test_closed_stdout_exits_1_without_a_message(self, tmp_path):
+        assert reader_leaves_early(tmp_path, "from layerpath.cli import run; run()") == (1, b"")
 
 
 class TestImports:
@@ -225,6 +250,34 @@ class TestImports:
         )
         assert child.returncode == 0, child.stderr
         assert out.read_text().startswith("src,0,")
+
+    def test_multiprocessing_is_loaded_only_by_the_pool(self, tmp_path):
+        # only sssp and sweep load the cell runner; on a 30-node net they stay
+        # in process, and forced into the pool they load multiprocessing
+        net = tmp_path / "net.csv"
+        out = tmp_path / "out"
+        argvs = [
+            ["generate", "--nodes", "30", "--layers", "2", "--density", "0.1",
+             "--seed", "3", "-o", net],
+            ["load-summary", net, "-o", out],
+            ["apsp", net, "-o", out],
+            ["aggregate-export", net, "-o", out],
+            ["bench", net, "--default-sources", "2", "-o", out],
+            ["sssp", net, "--source", "0,1", "--paths", "-o", out],
+            ["sweep", net, "--alphas", "1,2", "--betas", "1.0", "--source", "0", "-o", out],
+        ]
+        script = FORCE_POOL_IF_ASKED + (
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    assert 'multiprocessing' not in sys.modules, argv\n"
+            "    if argv[0] not in ('sssp', 'sweep'):\n"
+            "        assert 'layerpath.cells' not in sys.modules, argv\n"
+            "force_pool()\n"
+            "assert cli.main(json.loads(sys.argv[1])[-1]) == 0\n"
+            "assert 'multiprocessing' in sys.modules\n"
+        )
+        child = fresh_python(script, json.dumps([[str(a) for a in argv] for argv in argvs]))
+        assert child.returncode == 0, child.stderr
 
 
 class TestApsp:
@@ -527,3 +580,124 @@ class TestOutputBytes:
         code, out, err = run(capsys, argv[0], path, *argv[1:])
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.fixture
+def pool_calls(monkeypatch):
+    """Pools started by sssp and sweep; one CPU until ``force_pool`` is called."""
+    calls = []
+    pool_map = cells._pool_map
+
+    def counted(*args):
+        calls.append(args)
+        return pool_map(*args)
+
+    monkeypatch.setattr(cells, "_pool_map", counted)
+    monkeypatch.setattr(cells, "_available_cpus", lambda: 1)
+    return calls
+
+
+def force_pool(monkeypatch):
+    monkeypatch.setattr(cells, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(cells, "_available_cpus", lambda: 2)
+
+
+class TestWorkerPool:
+    """sssp and sweep --source forked into worker processes, as on a
+    multi-CPU machine with a large net: the same bytes, exit codes and
+    streams as the in-process run."""
+
+    SSSP = ("sssp", "--source", "0,5,17", "--alphas", "1,2", "--betas", "1.0,0.6")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            SSSP,
+            SSSP + ("--paths",),
+            SSSP + ("--format", "json"),
+            SSSP + ("--paths", "--format", "json"),
+            SSSP + ("--strategy", "mda"),
+            SSSP + ("--strategy", "mda", "--paths"),
+            SSSP + ("--strategy", "mda", "--format", "json"),
+            SSSP + ("--strategy", "mda", "--paths", "--format", "json"),
+            # one cell: its three sources split over the two workers
+            ("sssp", "--source", "0,5,17", "--alpha", "2", "--beta", "0.8", "--paths"),
+            ("sweep", "--alphas", "1,2,3", "--betas", "0.5,1.0", "--source", "0,9,33"),
+            ("sweep", "--alphas", "1,2,3", "--betas", "0.5,1.0", "--source", "0,9,33",
+             "--format", "json"),
+        ],
+        ids=["dap-csv", "dap-csv-paths", "dap-json", "dap-json-paths",
+             "mda-csv", "mda-csv-paths", "mda-json", "mda-json-paths",
+             "one-cell-paths", "sweep-csv", "sweep-json"],
+    )
+    def test_pool_writes_the_in_process_bytes(self, tmp_path, capsys, monkeypatch,
+                                              pool_calls, argv):
+        path = fixed_net_csv(tmp_path / "fixed.csv")
+        alone = run(capsys, argv[0], path, *argv[1:])
+        assert pool_calls == []
+        force_pool(monkeypatch)
+
+        def refuse(self, protocol):
+            raise AssertionError("the network was pickled for the workers")
+
+        monkeypatch.setattr(MultiLayeredNetwork, "__reduce_ex__", refuse, raising=False)
+        pooled = run(capsys, argv[0], path, *argv[1:])
+        assert len(pool_calls) == 1
+        assert (alone[0], alone[2]) == (0, "")
+        assert pooled == alone
+
+    def test_buffered_stdout_is_written_once(self, tmp_path):
+        # each worker flushes the std streams it inherited as it exits
+        path = fixed_net_csv(tmp_path / "fixed.csv")
+        script = FORCE_POOL_IF_ASKED + (
+            "force_pool()\n"
+            "sys.stdout.write('buffered before the fork\\n')\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "assert 'multiprocessing' in sys.modules\n"
+            "sys.exit(code)\n"
+        )
+        child = fresh_python(script, "sssp", path, "--source", "0,5", "--alphas", "1,2")
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout.count("buffered before the fork") == 1
+        assert child.stdout.startswith("buffered before the fork\nsource,alpha,")
+
+    def test_closed_stdout_exits_1_without_a_message(self, tmp_path):
+        script = FORCE_POOL_IF_ASKED + "force_pool()\ncli.run()\n"
+        assert reader_leaves_early(tmp_path, script) == (1, b"")
+
+    def test_a_killed_worker_fails_the_run(self, tmp_path):
+        # as when the kernel kills a worker for memory: an error, not a hang
+        path = fixed_net_csv(tmp_path / "fixed.csv")
+        script = FORCE_POOL_IF_ASKED + (
+            "import os, signal\n"
+            "force_pool()\n"
+            "from layerpath import cells\n"
+            "cells._cell_task = lambda *task: os.kill(os.getpid(), signal.SIGKILL)\n"
+            "cli.main(sys.argv[1:])\n"
+        )
+        child = fresh_python(script, "sssp", path, "--source", "0,5", "--alphas", "1,2")
+        assert child.returncode == 1
+        assert "BrokenProcessPool" in child.stderr
+        assert child.stdout == ""
+
+    def test_workers_fork_before_any_thread_starts(self, tmp_path):
+        # Python 3.12 warns when a process with threads forks; the pool's own
+        # threads must start after its workers are forked
+        path = fixed_net_csv(tmp_path / "fixed.csv")
+        script = "import warnings\nwarnings.simplefilter('error')\n" + FORCE_POOL_IF_ASKED + (
+            "import os, threading\n"
+            "threads_at_fork = []\n"
+            "real_fork = os.fork\n"
+            "def fork():\n"
+            "    threads_at_fork.append(threading.active_count())\n"
+            "    return real_fork()\n"
+            "os.fork = fork\n"
+            "force_pool()\n"
+            "net, out = sys.argv[1:]\n"
+            "assert cli.main(['sssp', net, '--source', '0,5', '--alphas', '1,2', '-o', out]) == 0\n"
+            "assert cli.main(['sweep', net, '--alphas', '1,2', '--betas', '1.0',\n"
+            "                 '--source', '0,5', '-o', out]) == 0\n"
+            "assert threads_at_fork == [1, 1, 1, 1], threads_at_fork\n"
+        )
+        child = fresh_python(script, path, tmp_path / "out")
+        assert (child.returncode, child.stderr) == (0, "")
