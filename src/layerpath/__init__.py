@@ -21,7 +21,6 @@ from .analytics import (
     SweepReport,
     edge_count_sweep,
     path_stats,
-    stats_table,
 )
 from .bench import BenchReport, benchmark, format_bench_report
 from .core import (
@@ -118,6 +117,5 @@ __all__ = [
     "ml_floyd_warshall",
     "path_stats",
     "random_network",
-    "stats_table",
     "write_edge_csv",
 ]

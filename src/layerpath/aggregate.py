@@ -32,7 +32,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
 from .core import MultiLayeredNetwork, POSITIVE, pair_distance
-from .errors import InvalidAlphaError, InvalidBetaError, SameNodeError
+from .errors import InvalidAlphaError, InvalidBetaError, SameNodeError, UnknownNodeError
 
 
 def _coerce_alpha(alpha) -> int:
@@ -136,14 +136,20 @@ class AggregatedGraph:
 def distance(net: MultiLayeredNetwork, x: int, y: int) -> float:
     """Layer-averaged distance between two distinct nodes, in [0, 1].
 
-    A pair with no edge on any layer has distance 1 under positive polarity
-    (maximal strangeness) and 0 under negative polarity. Works on unsealed
-    networks too.
+    Reads the pair's price from the sealed network's ``priced_pairs``. A pair
+    with no edge on any layer has distance 1 under positive polarity (maximal
+    strangeness) and 0 under negative polarity.
     """
+    rows = net.priced_pairs
     if x == y:
         raise SameNodeError("distance is defined for distinct nodes only")
-    _, wsum = net.pair_summary(x, y)
-    return pair_distance(wsum, net.num_layers, net.polarity == POSITIVE)
+    for node in (x, y):
+        if not net.has_node(node):
+            raise UnknownNodeError(f"unknown node {node!r}")
+    for dst, _, dist in rows.get(x, ()):
+        if dst == y:
+            return dist
+    return pair_distance(0.0, net.num_layers, net.polarity == POSITIVE)
 
 
 def aggregate_graph(net: MultiLayeredNetwork, params: AggregationParams) -> AggregatedGraph:

@@ -5,21 +5,19 @@ aggregate figures (route counts, length spread, mean hop count, neighborhood
 size, connectivity share) from the result alone: its thresholds, node set
 and the priced rows its search read (``result.rows``). Hop counts come from
 one forward pass over the parent-first predecessors, and the neighbour count
-from ``AggregationParams.kept`` on the source's row. ``stats_table``
-aggregates once and calls ``path_stats`` for each source, and
-``edge_count_sweep`` counts how many aggregated edges survive each
-combination of thresholds, which is the usual first look at how dense the
-aggregated graph will be.
+from ``AggregationParams.kept`` on the source's row. ``edge_count_sweep``
+counts how many aggregated edges survive each combination of thresholds,
+which is the usual first look at how dense the aggregated graph will be.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aggregate import AggregationParams, aggregate_graph
+from .aggregate import AggregationParams
 from .core import MultiLayeredNetwork
 from .errors import ParameterError
-from .paths import ShortestPathResult, aggregated_sssp
+from .paths import ShortestPathResult
 
 # Column order is part of the output contract; exporters must not reorder.
 STATS_COLUMNS = (
@@ -98,22 +96,6 @@ def path_stats(result: ShortestPathResult) -> PathStats:
         num_neighbors=len(params.kept(result.rows.get(source, ()))),
         pct_connected=num_routes / (num_nodes - 1) if num_nodes > 1 else 0.0,
     )
-
-
-def stats_table(
-    net: MultiLayeredNetwork,
-    params: AggregationParams = AggregationParams(),
-    sources: list[int] | None = None,
-) -> list[PathStats]:
-    """One ``PathStats`` row per source, in ascending node order.
-
-    Aggregates the network once and reuses it across sources, so this is the
-    economical way to profile a whole network under fixed thresholds.
-    """
-    net.require_sealed()
-    graph = aggregate_graph(net, params)
-    chosen = sorted(net.nodes) if sources is None else sorted(set(sources))
-    return [path_stats(aggregated_sssp(graph, source)) for source in chosen]
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,12 @@ edges keyed by (src, dst, layer). Each ordered node pair may carry at most one
 edge per layer, so the multiplicity of any pair is bounded by the number of
 layers. Loops are rejected. Weights are relationship strengths in [0, 1].
 
-Networks are built single-writer, then sealed. All path algorithms require a
+Networks are built single-writer, then sealed. While it is built, a network
+keeps a build map, src -> dst -> {layer: weight}. Sealing empties that map
+into the one shape a sealed network keeps: one priced row per source,
+``((dst, layer count, distance), ...)``, plus two per-edge columns, the
+layer indices and the weights, that hold each pair's edges as a run of
+``layer count`` entries in the rows' order. All path algorithms require a
 sealed network; a sealed network is immutable and safe to share across
 threads.
 """
@@ -14,7 +19,9 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
@@ -25,7 +32,6 @@ from .errors import (
     ParameterError,
     SealedNetworkError,
     UnknownLayerError,
-    UnknownNodeError,
     UnsealedNetworkError,
     WeightOutOfRangeError,
 )
@@ -131,9 +137,11 @@ def _coerce_weight(weight) -> float:
 class MultiLayeredNetwork:
     """Directed multi-layer network with per-pair layer bookkeeping.
 
-    Adjacency is indexed by source node for O(out-degree) scans. Sealing
+    Edges are indexed by source node for O(out-degree) scans. Sealing
     prices every connected pair once, so the thresholds and distances that
     aggregation and search need are read, not recomputed (``priced_pairs``).
+    A sealed network keeps only those priced rows and the per-edge layer and
+    weight columns that ``edges()`` reads; the build map is gone.
 
     ``polarity`` records how raw weights are read downstream: ``"positive"``
     weights express closeness and are converted to distances, ``"negative"``
@@ -147,10 +155,15 @@ class MultiLayeredNetwork:
         self._labels: list[str] = []
         self._label_index: dict[str, int] = {}
         self._nodes: set[int] | frozenset[int] = set()  # frozen in place by seal()
-        # src -> dst -> {layer index: weight}
+        # the build map, src -> dst -> {layer index: weight}; seal() empties
+        # and deletes it
         self._adj: dict[int, dict[int, dict[int, float]]] = {}
-        # filled by seal(): src -> ((dst, layer count, distance), ...)
+        # filled by seal(): src -> ((dst, layer count, distance), ...), and
+        # each pair's layer indices and weights as a run of `layer count`
+        # entries, in row order and the pair's insertion order
         self._priced: dict[int, tuple[tuple[int, int, float], ...]] = {}
+        self._edge_layers = array("B")
+        self._edge_weights = array("d")
         self._layer_edge_counts: list[int] = []
         self._num_edges = 0
         self._sealed = False
@@ -248,6 +261,8 @@ class MultiLayeredNetwork:
     def seal(self) -> "MultiLayeredNetwork":
         """Freeze the network and price every connected pair once.
 
+        Empties the build map into the priced rows and the per-edge columns,
+        one source at a time, so the freed dicts make room for the new rows.
         Required before running any path algorithm.
         """
         if not self._sealed:
@@ -255,13 +270,25 @@ class MultiLayeredNetwork:
                 raise GraphError("cannot seal a network with no layers")
             num_layers = len(self._labels)
             positive = self._polarity == POSITIVE
-            self._priced = {
-                src: tuple(
-                    (dst, len(weights), pair_distance(_weight_sum(weights), num_layers, positive))
-                    for dst, weights in targets.items()
-                )
-                for src, targets in self._adj.items()
-            }
+            # the smallest unsigned typecode that holds every layer index
+            layer_code = next(
+                code for code in "BHIL" if num_layers <= 1 << 8 * array(code).itemsize
+            )
+            edge_layers = array(layer_code)
+            edge_weights = array("d")
+            priced = self._priced
+            adj = self._adj
+            for src in list(adj):
+                row = []
+                for dst, weights in adj.pop(src).items():
+                    edge_layers.extend(weights)
+                    edge_weights.extend(weights.values())
+                    wsum = _weight_sum(weights)
+                    row.append((dst, len(weights), pair_distance(wsum, num_layers, positive)))
+                priced[src] = tuple(row)
+            del self._adj  # a reader left on the build map fails instead of reading nothing
+            self._edge_layers = edge_layers
+            self._edge_weights = edge_weights
             self._sealed = True
             self._nodes = frozenset(self._nodes)
         return self
@@ -335,33 +362,20 @@ class MultiLayeredNetwork:
             )
         return LayerId(index, self._labels[index])
 
-    def _check_node(self, node: int) -> int:
-        if node not in self._nodes:
-            raise UnknownNodeError(f"unknown node {node!r}")
-        return node
-
     def edges(self) -> Iterator[LayeredEdge]:
-        """All edges in insertion order."""
+        """All edges by source, then by pair, each in insertion order."""
         layers = self.layers
-        for src, targets in self._adj.items():
-            for dst, per_layer in targets.items():
-                for lidx, weight in per_layer.items():
+        if not self._sealed:
+            for src, targets in self._adj.items():
+                for dst, per_layer in targets.items():
+                    for lidx, weight in per_layer.items():
+                        yield LayeredEdge(src, dst, layers[lidx], weight)
+            return
+        columns = zip(self._edge_layers, self._edge_weights)
+        for src, row in self._priced.items():
+            for dst, count, _ in row:
+                for lidx, weight in islice(columns, count):
                     yield LayeredEdge(src, dst, layers[lidx], weight)
-
-    def layer_weights(self, x: int, y: int) -> dict[LayerId, float]:
-        """Per-layer weights of the ordered pair (x, y); empty if unconnected."""
-        self._check_node(x)
-        self._check_node(y)
-        per_layer = self._adj.get(x, {}).get(y, {})
-        layers = self.layers
-        return {layers[lidx]: w for lidx, w in per_layer.items()}
-
-    def pair_summary(self, x: int, y: int) -> tuple[int, float]:
-        """(layer count, weight sum) for the ordered pair (x, y)."""
-        self._check_node(x)
-        self._check_node(y)
-        per_layer = self._adj.get(x, {}).get(y, {})
-        return len(per_layer), _weight_sum(per_layer)
 
     @property
     def priced_pairs(self) -> Mapping[int, tuple[tuple[int, int, float], ...]]:
@@ -372,18 +386,6 @@ class MultiLayeredNetwork:
         """
         self.require_sealed()
         return MappingProxyType(self._priced)
-
-    # -- neighborhood queries ----------------------------------------------
-
-    def out_neighbors(self, x: int, layer) -> set[int]:
-        """Targets of edges leaving x on one layer."""
-        self._check_node(x)
-        lidx = self.layer(layer).index
-        return {
-            dst
-            for dst, per_layer in self._adj.get(x, {}).items()
-            if lidx in per_layer
-        }
 
     # -- comparison ---------------------------------------------------------
 

@@ -20,6 +20,7 @@ from layerpath import (
     distance,
 )
 from netgen import build_net, layered_networks
+from oracles import recount_pairs
 
 PARAM_GRID = [
     AggregationParams(alpha, beta)
@@ -70,12 +71,16 @@ class TestDistance:
         net = three_layer_pair(0.5)
         with pytest.raises(UnknownNodeError):
             distance(net, 0, 9)
+        with pytest.raises(UnknownNodeError):
+            distance(net, 9, 0)
 
-    def test_point_queries_work_before_sealing(self):
-        # only whole-graph operations demand a sealed network
+    def test_distance_requires_seal(self):
+        # distances are read from the prices seal() writes
         net = MultiLayeredNetwork(layers=("a",))
         net.add_edge(0, 1, "a", 0.5)
-        assert distance(net, 0, 1) == 0.5
+        with pytest.raises(UnsealedNetworkError):
+            distance(net, 0, 1)
+        assert distance(net.seal(), 0, 1) == 0.5
 
 
 class TestParams:
@@ -223,11 +228,11 @@ class TestAggregateGraph:
 @given(layered_networks(polarities=(POSITIVE, NEGATIVE)), st.sampled_from(PARAM_GRID))
 def test_aggregated_edges_satisfy_both_thresholds(net, params):
     g = aggregate_graph(net, params)
+    counts = {pair: count for pair, (count, _) in recount_pairs(net).items()}
     seen = set()
     for src, dst, dist, layer_count in g.edges():
         seen.add((src, dst))
-        count, _ = net.pair_summary(src, dst)
-        assert layer_count == count >= params.alpha
+        assert layer_count == counts[src, dst] >= params.alpha
         assert dist == distance(net, src, dst)
         assert dist <= params.beta
     # completeness: every connected pair meeting both thresholds is present
@@ -235,8 +240,7 @@ def test_aggregated_edges_satisfy_both_thresholds(net, params):
         for y in net.nodes:
             if x == y or (x, y) in seen:
                 continue
-            count, _ = net.pair_summary(x, y)
-            assert count < params.alpha or distance(net, x, y) > params.beta
+            assert counts.get((x, y), 0) < params.alpha or distance(net, x, y) > params.beta
 
 
 @settings(max_examples=40)

@@ -13,11 +13,11 @@ from layerpath import (
     PathStats,
     STATS_COLUMNS,
     aggregate_graph,
+    aggregated_sssp,
     dap_sssp,
     edge_count_sweep,
     mda_sssp,
     path_stats,
-    stats_table,
 )
 from netgen import build_net, layered_networks
 
@@ -105,29 +105,6 @@ class TestPathStats:
         assert row[0] == stats.source
 
 
-class TestStatsTable:
-    def test_one_row_per_source_ascending(self):
-        net = chain_net()
-        table = stats_table(net)
-        assert [row.source for row in table] == [0, 1, 2]
-
-    def test_source_subset_is_deduplicated_and_sorted(self):
-        net = chain_net()
-        table = stats_table(net, sources=[2, 0, 2])
-        assert [row.source for row in table] == [0, 2]
-
-    def test_rows_match_single_source_pipeline(self):
-        net = build_net(
-            ("a", "b"),
-            [(0, 1, "a", 0.9), (1, 2, "b", 0.8), (2, 0, "a", 0.7), (1, 0, "b", 0.6)],
-        )
-        params = AggregationParams(1, 0.75)
-        table = stats_table(net, params)
-        for row in table:
-            expected = path_stats(dap_sssp(net, row.source, params))
-            assert row == expected
-
-
 class TestSweep:
     def test_counts_match_individual_aggregations(self):
         net = build_net(
@@ -192,19 +169,18 @@ def test_stats_figures_are_internally_consistent(net, alpha, beta):
 
 @settings(max_examples=50, deadline=None)
 @given(layered_networks(polarities=(POSITIVE, NEGATIVE)), st.integers(1, 3), st.data())
-def test_stats_table_agrees_with_path_stats_on_both_strategies(net, alpha, data):
-    # stats_table runs path_stats on searches of one shared aggregation, so
-    # there is one neighbour count; rows from fresh dap and mda searches must
-    # match it. A beta equal to a priced distance puts pairs right on the
-    # threshold.
+def test_path_stats_agree_on_one_aggregation_and_both_strategies(net, alpha, data):
+    # searches of one shared aggregation give one neighbour count per source;
+    # rows from fresh dap and mda searches must match it. A beta equal to a
+    # priced distance puts pairs right on the threshold.
     distances = {dist for row in net.priced_pairs.values() for _, _, dist in row}
     beta = data.draw(st.sampled_from(sorted(distances | {1.0})))
     params = AggregationParams(alpha, beta)
-    table = stats_table(net, params)
-    assert [row.source for row in table] == sorted(net.nodes)
-    for row in table:
-        assert row == path_stats(dap_sssp(net, row.source, params))
-        assert row == path_stats(mda_sssp(net, row.source, params))
+    graph = aggregate_graph(net, params)
+    for source in sorted(net.nodes):
+        row = path_stats(aggregated_sssp(graph, source))
+        assert row == path_stats(dap_sssp(net, source, params))
+        assert row == path_stats(mda_sssp(net, source, params))
 
 
 @settings(max_examples=40, deadline=None)

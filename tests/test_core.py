@@ -22,7 +22,6 @@ from layerpath import (
     ParameterError,
     SealedNetworkError,
     UnknownLayerError,
-    UnknownNodeError,
     UnsealedNetworkError,
     WeightOutOfRangeError,
 )
@@ -138,12 +137,15 @@ class TestEdges:
         net.add_edge(0, 1, "a", 0.5)
         net.add_edge(0, 1, "b", 0.25)
         net.add_edge(0, 1, "a", 0.75, on_duplicate="keep-max")
-        assert net.layer_weights(0, 1)[net.layer("a")] == 0.75
+        assert [(e.layer.label, e.weight) for e in net.edges()] == [("a", 0.75), ("b", 0.25)]
         net.add_edge(0, 1, "a", 0.125, on_duplicate="keep-max")
         assert [(e.layer.label, e.weight) for e in net.edges()] == [("a", 0.75), ("b", 0.25)]
         assert net.num_edges == 2
         with pytest.raises(WeightOutOfRangeError):
             net.add_edge(0, 1, "a", 1.5, on_duplicate="keep-max")
+        net.seal()
+        assert [(e.layer.label, e.weight) for e in net.edges()] == [("a", 0.75), ("b", 0.25)]
+        assert dict(net.priced_pairs) == {0: ((1, 2, 1 - (0.75 + 0.25) / 2),)}
 
     def test_unknown_duplicate_policy(self):
         net = MultiLayeredNetwork(layers=("a",))
@@ -161,7 +163,9 @@ class TestEdges:
         net = MultiLayeredNetwork(layers=("a", "b"))
         net.add_edge(0, 1, "a", 0.0)
         net.add_edge(0, 1, "b", 1.0)
-        assert net.pair_summary(0, 1) == (2, 1.0)
+        net.seal()
+        assert [(e.layer.label, e.weight) for e in net.edges()] == [("a", 0.0), ("b", 1.0)]
+        assert dict(net.priced_pairs) == {0: ((1, 2, 0.5),)}
 
     def test_unknown_layer(self):
         net = MultiLayeredNetwork(layers=("a",))
@@ -270,27 +274,23 @@ class TestQueries:
         assert net.num_edges == 16
         assert net.layer_edge_counts() == [8, 4, 4]
 
-    def test_layer_weights_and_pair_summary(self):
+    def test_pair_weights_and_price(self):
         net = demo_net()
-        weights = net.layer_weights(X, Y)
-        assert {l.label: w for l, w in weights.items()} == {
-            "work": 0.5, "lunch": 0.6, "tennis": 0.7,
-        }
-        count, wsum = net.pair_summary(X, Y)
-        assert count == 3
-        assert wsum == 0.5 + 0.6 + 0.7
-        assert net.pair_summary(Y, V) == (0, 0.0)
+        weights = {e.layer.label: e.weight for e in net.edges() if (e.src, e.dst) == (X, Y)}
+        assert weights == {"work": 0.5, "lunch": 0.6, "tennis": 0.7}
+        priced = {dst: (count, dist) for dst, count, dist in net.priced_pairs[X]}
+        assert priced[Y] == (3, 1 - (0.5 + 0.6 + 0.7) / 3)
+        assert V not in {dst for dst, _, _ in net.priced_pairs[Y]}
 
-    def test_pair_summary_unknown_node(self):
+    def test_edges_per_layer(self):
         net = demo_net()
-        with pytest.raises(UnknownNodeError):
-            net.pair_summary(X, 99)
 
-    def test_out_neighbors_per_layer(self):
-        net = demo_net()
-        assert net.out_neighbors(X, "work") == {Y, Z}
-        assert net.out_neighbors(X, "lunch") == {Y, Z, U, V}
-        assert net.out_neighbors(U, "tennis") == set()
+        def targets(x, label):
+            return {e.dst for e in net.edges() if e.src == x and e.layer.label == label}
+
+        assert targets(X, "work") == {Y, Z}
+        assert targets(X, "lunch") == {Y, Z, U, V}
+        assert targets(U, "tennis") == set()
 
     def test_multi_neighborhood_thresholds(self):
         net = demo_net()
@@ -385,8 +385,8 @@ def test_neighborhood_matches_naive_recount(net, alpha):
 @given(layered_networks(polarities=(POSITIVE, NEGATIVE)))
 def test_pair_cache_matches_edge_recount(net):
     recounted = recount_pairs(net)
-    for (src, dst), (count, wsum) in recounted.items():
-        assert net.pair_summary(src, dst) == (count, wsum)
+    priced = {(src, dst): count for src, row in net.priced_pairs.items() for dst, count, _ in row}
+    assert priced == {pair: count for pair, (count, _) in recounted.items()}
     total = sum(count for count, _ in recounted.values())
     assert net.num_edges == total == len(list(net.edges()))
 

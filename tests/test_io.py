@@ -2,6 +2,7 @@
 
 import filecmp
 import gc
+import io
 import random
 import tracemalloc
 
@@ -13,6 +14,7 @@ from layerpath import (
     DuplicateEdgeError,
     EmptyFileError,
     LoopEdgeError,
+    MultiLayeredNetwork,
     ParameterError,
     ParseError,
     WeightOutOfRangeError,
@@ -20,8 +22,10 @@ from layerpath import (
     format_load_summary,
     load_edge_list,
     random_network,
+    write_edge_csv,
 )
 from netgen import build_net
+from oracles import oracle_priced_pairs
 
 HEADER = "src,dst,layer,weight\n"
 
@@ -40,7 +44,7 @@ class TestLoader:
         assert net.num_nodes == 3
         assert net.num_layers == 1
         assert net.layers[0].label == "friends"
-        assert net.pair_summary(0, 1) == (1, 0.5)
+        assert dict(net.priced_pairs) == {0: ((1, 1, 0.5),), 1: ((2, 1, 0.75),)}
 
     def test_layers_indexed_by_first_appearance(self, tmp_path):
         path = write(tmp_path, HEADER + "0,1,z,0.5\n0,1,a,0.5\n1,0,z,0.5\n")
@@ -92,25 +96,44 @@ class TestLoader:
         assert net.priced_pairs[0] == ((1, 3, expected),)
 
     def test_loading_streams_rows_into_the_network(self, tmp_path):
-        # no row buffer: the peak heap during the load stays close to what
-        # the loaded network itself keeps (a buffered load reads about 2x)
+        # no row buffer: the peak heap during the load stays close to the
+        # peak of building and sealing the same network from rows that are
+        # already in memory, whose weights become floats inside the traced
+        # window as the loader's do (a load that lists its rows first reads
+        # about 1.4x)
         rng = random.Random(3)
+        rows = [
+            (src, (src + 1 + 97 * k) % 1700, label, rng.random())
+            for src in range(1700)
+            for k in range(6)
+            for label in "abc"[: k % 3 + 1]
+        ]
         path = tmp_path / "big.csv"
         with open(path, "w", encoding="utf-8") as out:
             out.write(HEADER)
-            for src in range(1700):
-                for k in range(6):
-                    for label in "abc"[: k % 3 + 1]:
-                        out.write(f"{src},{(src + 1 + 97 * k) % 1700},{label},{rng.random()!r}\n")
-        gc.collect()
-        tracemalloc.start()
-        try:
-            net = load_edge_list(path)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            for src, dst, label, weight in rows:
+                out.write(f"{src},{dst},{label},{weight!r}\n")
+        rows = [(src, dst, label, weight.hex()) for src, dst, label, weight in rows]
+
+        def peak_of(build):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                net = build()
+                return net, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def build_in_memory():
+            net = MultiLayeredNetwork(layers=("a", "b", "c"))
+            net.add_edges((s, d, label, float.fromhex(w)) for s, d, label, w in rows)
+            return net.seal()
+
+        built, built_peak = peak_of(build_in_memory)
+        net, peak = peak_of(lambda: load_edge_list(path))
         assert net.num_edges == 1700 * 12
-        assert peak <= 1.25 * held, f"peak {peak} B vs {held} B held after the load"
+        assert net == built
+        assert peak <= 1.25 * built_peak, f"load peak {peak} B vs {built_peak} B in memory"
 
 
 class TestLoaderErrors:
@@ -172,7 +195,8 @@ class TestLoaderErrors:
     def test_duplicate_keep_max(self, tmp_path):
         path = write(tmp_path, HEADER + "0,1,a,0.5\n0,1,a,0.75\n0,1,a,0.25\n")
         net = load_edge_list(path, on_duplicate="keep-max")
-        assert net.pair_summary(0, 1) == (1, 0.75)
+        assert [e.weight for e in net.edges()] == [0.75]
+        assert dict(net.priced_pairs) == {0: ((1, 1, 0.25),)}
 
     def test_keep_max_holds_the_first_position(self, tmp_path):
         rows = "0,1,a,0.5\n0,1,b,0.25\n0,1,a,0.75\n2,3,a,0.5\n0,1,a,0.125\n"
@@ -184,6 +208,27 @@ class TestLoaderErrors:
         ]
         assert net.num_edges == 3
         assert net.layer_edge_counts() == [2, 1]
+
+    def test_keep_max_out_of_order_repeats_dump_the_same_bytes(self, tmp_path):
+        # repeats come back after other pairs and in another layer order;
+        # the sealed columns must still hold each pair's kept weights
+        rows = (
+            "2,0,b,0.5\n0,1,a,0.25\n2,0,a,0.125\n0,1,b,0.75\n1,2,c,0.1\n"
+            "0,1,a,0.5\n2,0,b,0.375\n1,2,c,0.3\n0,1,b,0.875\n2,0,a,0.0625\n"
+        )
+        net = load_edge_list(write(tmp_path, HEADER + rows), on_duplicate="keep-max")
+        assert [(e.src, e.dst, e.layer.label, e.weight) for e in net.edges()] == [
+            (2, 0, "b", 0.5),
+            (2, 0, "a", 0.125),
+            (0, 1, "a", 0.5),
+            (0, 1, "b", 0.875),
+            (1, 2, "c", 0.3),
+        ]
+        out = io.StringIO()
+        assert write_edge_csv(net, out) == 5
+        assert out.getvalue() == (
+            HEADER + "0,1,a,0.5\n0,1,b,0.875\n1,2,c,0.3\n2,0,a,0.125\n2,0,b,0.5\n"
+        )
 
     def test_locations_are_physical_lines(self, tmp_path):
         # the quoted label spans lines 3-4, so the loop row sits on line 5
@@ -242,6 +287,30 @@ class TestRoundTrip:
         out2 = tmp_path / "gen2.csv"
         dump_edge_list(again, out2)
         assert filecmp.cmp(out, out2, shallow=False)
+
+
+class TestManyLayers:
+    def test_layer_indices_past_one_byte_survive_sealing(self):
+        # 300 layers: the layer column must hold indices up to 299
+        rng = random.Random(300)
+        labels = [f"l{k}" for k in range(300)]
+        added = []
+        for src, dst in ((0, 1), (0, 2), (2, 0), (1, 0)):
+            # layers in no particular order, each pair ending on the last one
+            for label in rng.sample(labels[:-1], 40) + labels[-1:]:
+                added.append((src, dst, label, rng.random()))
+        net = build_net(labels, added)
+        assert [(e.src, e.dst, e.layer.label, e.weight) for e in net.edges()] == added
+        assert max(e.layer.index for e in net.edges()) == 299
+        out = io.StringIO()
+        write_edge_csv(net, out)
+        expected = "".join(
+            f"{src},{dst},{label},{weight!r}\n"
+            for src, dst, label, weight in sorted(added, key=lambda e: e[:3])
+        )
+        assert out.getvalue() == HEADER + expected
+        priced = {src: list(row) for src, row in net.priced_pairs.items()}
+        assert priced == oracle_priced_pairs(net)
 
 
 class TestSummary:
