@@ -391,6 +391,23 @@ def test_pair_cache_matches_edge_recount(net):
     assert net.num_edges == total == len(list(net.edges()))
 
 
+@settings(max_examples=100)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from("abc"), st.floats(0.0, 1.0)),
+        max_size=30,
+    ).map(lambda rows: [row for row in rows if row[0] != row[1]])
+)
+def test_sealing_keeps_every_edge_in_order(rows):
+    # a sealed network lists its edges from the per-edge columns; they must
+    # be the edges, weights and order the build map listed, repeats included
+    net = MultiLayeredNetwork(layers=("a", "b", "c"))
+    net.add_edges(rows, on_duplicate="keep-max")
+    before = _snapshot(net)
+    net.seal()
+    assert _snapshot(net) == before
+
+
 def _bits(rows):
     """Rows in order, each distance as its exact float bits."""
     return [(src, [(dst, count, dist.hex()) for dst, count, dist in row]) for src, row in rows.items()]

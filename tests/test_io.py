@@ -313,6 +313,21 @@ class TestManyLayers:
         assert priced == oracle_priced_pairs(net)
 
 
+    @pytest.mark.parametrize("num_layers", [256, 257])
+    def test_top_layer_index_at_the_one_byte_boundary(self, num_layers):
+        # 256 layers still fit one byte per layer index (0..255); 257 do not
+        labels = [f"l{k}" for k in range(num_layers)]
+        added = [(0, 1, labels[-1], 0.25), (0, 1, labels[0], 0.5), (1, 0, labels[-2], 0.75)]
+        net = build_net(labels, added)
+        assert [(e.src, e.dst, e.layer.index, e.weight) for e in net.edges()] == [
+            (0, 1, num_layers - 1, 0.25),
+            (0, 1, 0, 0.5),
+            (1, 0, num_layers - 2, 0.75),
+        ]
+        priced = {src: list(row) for src, row in net.priced_pairs.items()}
+        assert priced == oracle_priced_pairs(net)
+
+
 class TestSummary:
     def test_summary_lines(self):
         net = build_net(("a", "b"), [(0, 1, "a", 0.5), (1, 2, "a", 0.5), (0, 1, "b", 0.1)])
