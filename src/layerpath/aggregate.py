@@ -25,38 +25,12 @@ out-degrees behave under loose thresholds. Tests pin this behavior.
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from .core import MultiLayeredNetwork, POSITIVE, pair_distance
+from .core import MultiLayeredNetwork, POSITIVE, coerce_int, coerce_unit, pair_distance
 from .errors import InvalidAlphaError, InvalidBetaError, SameNodeError, UnknownNodeError
-
-
-def _coerce_alpha(alpha) -> int:
-    try:
-        if isinstance(alpha, bool):  # operator.index would take True as 1
-            raise TypeError
-        alpha = operator.index(alpha)
-    except TypeError:
-        raise InvalidAlphaError(f"alpha must be an integer, got {alpha!r}") from None
-    if alpha < 1:
-        raise InvalidAlphaError(f"alpha must be >= 1, got {alpha}")
-    return alpha
-
-
-def _coerce_beta(beta) -> float:
-    try:
-        if isinstance(beta, bool):  # float() would take True as beta 1.0
-            raise TypeError
-        beta = float(beta)
-    except (TypeError, ValueError):
-        raise InvalidBetaError(f"beta must be a real number, got {beta!r}") from None
-    if math.isnan(beta) or not 0.0 <= beta <= 1.0:
-        raise InvalidBetaError(f"beta must lie in [0, 1], got {beta}")
-    return beta
 
 
 @dataclass(frozen=True)
@@ -71,8 +45,10 @@ class AggregationParams:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _coerce_alpha(self.alpha))
-        object.__setattr__(self, "beta", _coerce_beta(self.beta))
+        object.__setattr__(
+            self, "alpha", coerce_int(self.alpha, "alpha", minimum=1, error=InvalidAlphaError)
+        )
+        object.__setattr__(self, "beta", coerce_unit(self.beta, "beta", InvalidBetaError))
 
     def kept(self, row: tuple) -> tuple:
         """The pairs of a priced row that meet both thresholds; the row itself if all do."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from statistics import median
 
 from .aggregate import AggregationParams, aggregate_graph
-from .core import MultiLayeredNetwork
+from .core import MultiLayeredNetwork, coerce_int
 from .errors import ParameterError, UnknownNodeError
 from .paths import aggregated_sssp, mda_sssp
 
@@ -64,8 +64,7 @@ def benchmark(
     cache effects wash out of the medians.
     """
     net.require_sealed()
-    if reps < 1:
-        raise ParameterError(f"reps must be >= 1, got {reps!r}")
+    reps = coerce_int(reps, "reps", minimum=1)
     if not sources:
         raise ParameterError("at least one source node is required")
     for source in sources:

@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from .aggregate import AggregationParams, aggregate_graph
 from .analytics import STATS_COLUMNS, edge_count_sweep
 from .bench import benchmark, format_bench_report
-from .core import NEGATIVE, POSITIVE, MultiLayeredNetwork, parse_natural, parse_real
+from .core import NEGATIVE, POSITIVE, MultiLayeredNetwork, coerce_int, parse_natural, parse_real
 from .edgelist import (
     ON_DUPLICATE_ERROR,
     ON_DUPLICATE_KEEP_MAX,
@@ -243,12 +243,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     # flags first: a bad one should not wait for a large file to load
-    if args.reps < 3:
-        raise ParameterError(f"bench requires --reps >= 3, got {args.reps}")
-    if args.default_sources < 1:
-        raise ParameterError(
-            f"bench requires --default-sources >= 1, got {args.default_sources}"
-        )
+    coerce_int(args.reps, "bench --reps", minimum=3)
+    coerce_int(args.default_sources, "bench --default-sources", minimum=1)
     net = _load(args)
     # a loaded network has at least one edge, so this is never empty
     sources = _sources_from(args, net) or sorted(net.nodes)[: args.default_sources]

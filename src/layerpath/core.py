@@ -10,7 +10,9 @@ keeps a build map, src -> dst -> {layer: weight}. Sealing empties that map
 into the one shape a sealed network keeps: one priced row per source,
 ``((dst, layer count, distance), ...)``, plus two per-edge columns, the
 layer indices and the weights, that hold each pair's edges as a run of
-``layer count`` entries in the rows' order. All path algorithms require a
+``layer count`` entries in the rows' order. Only ``add_edges`` and
+``seal`` touch the build map: every whole-network read (the edges, the
+nodes, the per-layer counts, equality) and every path algorithm requires a
 sealed network; a sealed network is immutable and safe to share across
 threads.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from types import MappingProxyType
@@ -62,16 +65,41 @@ class LayeredEdge:
     weight: float
 
 
-def _coerce_node(node) -> int:
+def coerce_int(value, what: str, *, minimum: int = 0, error=ParameterError, type_error=None) -> int:
+    """``value`` as an exact integer of at least ``minimum`` (a node id, an alpha, a count).
+
+    Bools, floats and strings are not integers here: ``operator.index`` would
+    take ``True`` as 1. A value that is no integer raises ``type_error``
+    (``error`` by default), one below ``minimum`` raises ``error``; both
+    messages start with ``what``.
+    """
     try:
-        if isinstance(node, bool):  # operator.index would take True as node 1
+        if isinstance(value, bool):
             raise TypeError
-        node = operator.index(node)
+        value = operator.index(value)
     except TypeError:
-        raise TypeError(f"node id must be an integer, got {node!r}") from None
-    if node < 0:
-        raise ValueError(f"node id must be non-negative, got {node}")
-    return node
+        raise (type_error or error)(f"{what} must be an integer, got {value!r}") from None
+    if value < minimum:
+        bound = "non-negative" if minimum == 0 else f">= {minimum}"
+        raise error(f"{what} must be {bound}, got {value}")
+    return value
+
+
+def coerce_unit(value, what: str, error=ParameterError) -> float:
+    """``value`` as a float in [0, 1] (a weight, a beta, a density), or ``error``.
+
+    Bools and strings are not reals here: ``float()`` would take ``True`` as
+    1.0 and the text ``"0.2_5"`` as 0.25, which ``parse_real`` rejects.
+    """
+    try:
+        if isinstance(value, (bool, str, bytes, bytearray)):
+            raise TypeError
+        value = float(value)
+    except (TypeError, ValueError):
+        raise error(f"{what} must be a real number, got {value!r}") from None
+    if math.isnan(value) or not 0.0 <= value <= 1.0:
+        raise error(f"{what} must lie in [0, 1], got {value}")
+    return value
 
 
 def parse_natural(text: str, what: str = "node id") -> int:
@@ -122,18 +150,6 @@ def _weight_sum(per_layer: dict[int, float]) -> float:
     return wsum
 
 
-def _coerce_weight(weight) -> float:
-    try:
-        if isinstance(weight, bool):  # float() would take True as weight 1.0
-            raise TypeError
-        weight = float(weight)
-    except (TypeError, ValueError):
-        raise WeightOutOfRangeError(f"weight must be a real number, got {weight!r}") from None
-    if math.isnan(weight) or not 0.0 <= weight <= 1.0:
-        raise WeightOutOfRangeError(f"weight must lie in [0, 1], got {weight}")
-    return weight
-
-
 class MultiLayeredNetwork:
     """Directed multi-layer network with per-pair layer bookkeeping.
 
@@ -154,7 +170,8 @@ class MultiLayeredNetwork:
         self._polarity = polarity
         self._labels: list[str] = []
         self._label_index: dict[str, int] = {}
-        self._nodes: set[int] | frozenset[int] = set()  # frozen in place by seal()
+        # nodes given to add_node; seal() adds every edge endpoint and freezes it
+        self._nodes: set[int] | frozenset[int] = set()
         # the build map, src -> dst -> {layer index: weight}; seal() empties
         # and deletes it
         self._adj: dict[int, dict[int, dict[int, float]]] = {}
@@ -164,7 +181,6 @@ class MultiLayeredNetwork:
         self._priced: dict[int, tuple[tuple[int, int, float], ...]] = {}
         self._edge_layers = array("B")
         self._edge_weights = array("d")
-        self._layer_edge_counts: list[int] = []
         self._num_edges = 0
         self._sealed = False
         for label in layers:
@@ -183,13 +199,12 @@ class MultiLayeredNetwork:
             raise ValueError(f"duplicate layer label {label!r}")
         self._labels.append(label)
         self._label_index[label] = index
-        self._layer_edge_counts.append(0)
         return LayerId(index, label)
 
     def add_node(self, node: int) -> int:
         """Register a node explicitly; isolated nodes are legal."""
         self._check_mutable()
-        node = _coerce_node(node)
+        node = coerce_int(node, "node id", error=ValueError, type_error=TypeError)
         self._nodes.add(node)
         return node
 
@@ -202,16 +217,16 @@ class MultiLayeredNetwork:
     def add_edges(self, rows, *, on_duplicate: str = ON_DUPLICATE_ERROR) -> None:
         """Add directed edges from ``(src, dst, layer, weight)`` rows, in order.
 
-        Endpoints are auto-registered. Each row is checked in this order:
-        node ids, then ``UnknownLayerError`` for unregistered layers, then
-        ``WeightOutOfRangeError`` for weights outside [0, 1], then
-        ``LoopEdgeError`` for src == dst. When the (src, dst, layer) triple
-        already exists, ``on_duplicate="error"`` raises ``DuplicateEdgeError``
-        and ``"keep-max"`` keeps the larger weight in the triple's first
-        position, so the pair's weight sum still adds its layers in
-        first-appearance order. The first bad row stops the call; the rows
-        before it stay added. ``rows`` may be a generator, and it may register
-        layers on this network while it is consumed.
+        Endpoints join the node set when the network is sealed. Each row is
+        checked in this order: node ids, then ``UnknownLayerError`` for
+        unregistered layers, then ``WeightOutOfRangeError`` for weights
+        outside [0, 1], then ``LoopEdgeError`` for src == dst. When the
+        (src, dst, layer) triple already exists, ``on_duplicate="error"``
+        raises ``DuplicateEdgeError`` and ``"keep-max"`` keeps the larger
+        weight in the triple's first position, so the pair's weight sum still
+        adds its layers in first-appearance order. The first bad row stops
+        the call; the rows before it stay added. ``rows`` may be a generator,
+        and it may register layers on this network while it is consumed.
         """
         self._check_mutable()
         if on_duplicate not in _DUPLICATE_POLICIES:
@@ -220,9 +235,7 @@ class MultiLayeredNetwork:
             )
         keep_max = on_duplicate == ON_DUPLICATE_KEEP_MAX
         adj = self._adj
-        add_node = self._nodes.add
         label_index = self._label_index
-        layer_edge_counts = self._layer_edge_counts
         resolve = self.layer
         added = 0
         try:
@@ -230,14 +243,14 @@ class MultiLayeredNetwork:
                 # exact non-negative ints, known labels and in-range floats
                 # skip the coercion calls; anything else takes them
                 if type(src) is not int or src < 0:
-                    src = _coerce_node(src)
+                    src = coerce_int(src, "node id", error=ValueError, type_error=TypeError)
                 if type(dst) is not int or dst < 0:
-                    dst = _coerce_node(dst)
+                    dst = coerce_int(dst, "node id", error=ValueError, type_error=TypeError)
                 lidx = label_index.get(layer) if type(layer) is str else None
                 if lidx is None:
                     lidx = resolve(layer).index
                 if type(weight) is not float or not 0.0 <= weight <= 1.0:
-                    weight = _coerce_weight(weight)
+                    weight = coerce_unit(weight, "weight", WeightOutOfRangeError)
                 if src == dst:
                     raise LoopEdgeError(f"loop edge {src} -> {dst} is not allowed")
 
@@ -245,9 +258,6 @@ class MultiLayeredNetwork:
                 held = per_layer.get(lidx)
                 if held is None:
                     per_layer[lidx] = weight
-                    add_node(src)
-                    add_node(dst)
-                    layer_edge_counts[lidx] += 1
                     added += 1
                 elif not keep_max:
                     raise DuplicateEdgeError(
@@ -262,7 +272,8 @@ class MultiLayeredNetwork:
         """Freeze the network and price every connected pair once.
 
         Empties the build map into the priced rows and the per-edge columns,
-        one source at a time, so the freed dicts make room for the new rows.
+        one source at a time, so the freed dicts make room for the new rows,
+        and adds each source and its targets to the node set.
         Required before running any path algorithm.
         """
         if not self._sealed:
@@ -277,10 +288,14 @@ class MultiLayeredNetwork:
             edge_layers = array(layer_code)
             edge_weights = array("d")
             priced = self._priced
+            nodes = self._nodes
             adj = self._adj
             for src in list(adj):
+                targets = adj.pop(src)
+                nodes.add(src)
+                nodes.update(targets)
                 row = []
-                for dst, weights in adj.pop(src).items():
+                for dst, weights in targets.items():
                     edge_layers.extend(weights)
                     edge_weights.extend(weights.values())
                     wsum = _weight_sum(weights)
@@ -290,7 +305,7 @@ class MultiLayeredNetwork:
             self._edge_layers = edge_layers
             self._edge_weights = edge_weights
             self._sealed = True
-            self._nodes = frozenset(self._nodes)
+            self._nodes = frozenset(nodes)
         return self
 
     def _check_mutable(self) -> None:
@@ -313,8 +328,9 @@ class MultiLayeredNetwork:
 
     @property
     def nodes(self) -> frozenset[int]:
-        # no copy once sealed: frozenset() of an exact frozenset is itself
-        return frozenset(self._nodes)
+        """Every node, isolated ones included; sealed only."""
+        self.require_sealed()
+        return self._nodes
 
     @property
     def layers(self) -> tuple[LayerId, ...]:
@@ -322,6 +338,7 @@ class MultiLayeredNetwork:
 
     @property
     def num_nodes(self) -> int:
+        self.require_sealed()
         return len(self._nodes)
 
     @property
@@ -333,10 +350,13 @@ class MultiLayeredNetwork:
         return self._num_edges
 
     def layer_edge_counts(self) -> list[int]:
-        """Edges per layer, indexed like ``layers``."""
-        return list(self._layer_edge_counts)
+        """Edges per layer, indexed like ``layers``; sealed only."""
+        self.require_sealed()
+        counts = Counter(self._edge_layers)
+        return [counts[index] for index in range(len(self._labels))]
 
     def has_node(self, node: int) -> bool:
+        self.require_sealed()
         return node in self._nodes
 
     def layer(self, ref) -> LayerId:
@@ -363,19 +383,16 @@ class MultiLayeredNetwork:
         return LayerId(index, self._labels[index])
 
     def edges(self) -> Iterator[LayeredEdge]:
-        """All edges by source, then by pair, each in insertion order."""
+        """All edges by source, then by pair, each in insertion order; sealed only."""
+        self.require_sealed()
         layers = self.layers
-        if not self._sealed:
-            for src, targets in self._adj.items():
-                for dst, per_layer in targets.items():
-                    for lidx, weight in per_layer.items():
-                        yield LayeredEdge(src, dst, layers[lidx], weight)
-            return
         columns = zip(self._edge_layers, self._edge_weights)
-        for src, row in self._priced.items():
-            for dst, count, _ in row:
-                for lidx, weight in islice(columns, count):
-                    yield LayeredEdge(src, dst, layers[lidx], weight)
+        return (
+            LayeredEdge(src, dst, layers[lidx], weight)
+            for src, row in self._priced.items()
+            for dst, count, _ in row
+            for lidx, weight in islice(columns, count)
+        )
 
     @property
     def priced_pairs(self) -> Mapping[int, tuple[tuple[int, int, float], ...]]:
@@ -390,7 +407,7 @@ class MultiLayeredNetwork:
     # -- comparison ---------------------------------------------------------
 
     def edge_set(self) -> frozenset[tuple[int, int, str, float]]:
-        """Edges as (src, dst, layer label, weight) tuples, order-free."""
+        """Edges as (src, dst, layer label, weight) tuples, order-free; sealed only."""
         return frozenset(
             (e.src, e.dst, e.layer.label, e.weight) for e in self.edges()
         )
@@ -408,8 +425,10 @@ class MultiLayeredNetwork:
     __hash__ = None  # mutable container
 
     def __repr__(self) -> str:
+        # the node set is complete only once seal() has merged the endpoints
+        nodes = f"nodes={len(self._nodes)}, " if self._sealed else ""
         state = "sealed" if self._sealed else "building"
         return (
-            f"MultiLayeredNetwork(nodes={len(self._nodes)}, layers={len(self._labels)}, "
+            f"MultiLayeredNetwork({nodes}layers={len(self._labels)}, "
             f"edges={self._num_edges}, polarity={self._polarity!r}, {state})"
         )

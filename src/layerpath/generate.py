@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .core import MultiLayeredNetwork, POSITIVE
-from .errors import ParameterError
+from .core import MultiLayeredNetwork, POSITIVE, coerce_int, coerce_unit
 
 
 def random_network(
@@ -25,12 +24,9 @@ def random_network(
     ``0 .. num_nodes - 1`` are registered even when isolated. The same seed
     reproduces the same network.
     """
-    if num_nodes < 1:
-        raise ParameterError(f"num_nodes must be >= 1, got {num_nodes!r}")
-    if num_layers < 1:
-        raise ParameterError(f"num_layers must be >= 1, got {num_layers!r}")
-    if not 0.0 <= density <= 1.0:
-        raise ParameterError(f"density must be within [0, 1], got {density!r}")
+    num_nodes = coerce_int(num_nodes, "num_nodes", minimum=1)
+    num_layers = coerce_int(num_layers, "num_layers", minimum=1)
+    density = coerce_unit(density, "density")
 
     rng = random.Random(seed)
     net = MultiLayeredNetwork(polarity=polarity)

@@ -36,7 +36,7 @@ from math import inf
 from typing import TYPE_CHECKING, Mapping
 
 from .aggregate import AggregatedGraph, AggregationParams, aggregate_graph
-from .core import MultiLayeredNetwork
+from .core import MultiLayeredNetwork, coerce_int
 from .errors import SizeGuardExceededError, UnknownNodeError
 
 if TYPE_CHECKING:  # numpy is imported only where the all-pairs routines run
@@ -161,6 +161,7 @@ def _require_source(net: MultiLayeredNetwork, source: int) -> None:
 def _all_pairs_frame(net: MultiLayeredNetwork, max_nodes: int):
     """(node order, node -> index, all-inf matrix) for an APSP run."""
     net.require_sealed()
+    max_nodes = coerce_int(max_nodes, "max_nodes")
     n = net.num_nodes
     if n > max_nodes:
         raise SizeGuardExceededError(

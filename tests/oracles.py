@@ -73,6 +73,24 @@ def oracle_priced_pairs(net):
     return rows
 
 
+def keep_max_edge_order(rows):
+    """(src, dst, layer, weight) per distinct triple of ``rows``, as a sealed network lists them.
+
+    Sources come in order of first appearance, then each source's pairs, then
+    each pair's layers, each by first appearance. A repeated triple keeps
+    its first position and the largest of its weights (the first of equal ones).
+    """
+    first = {}
+    best = {}
+    for at, (src, dst, layer, weight) in enumerate(rows):
+        for key in ((src,), (src, dst), (src, dst, layer)):
+            first.setdefault(key, at)
+        triple = (src, dst, layer)
+        best[triple] = max(best.get(triple, weight), weight)
+    ordered = sorted(best, key=lambda t: (first[t[:1]], first[t[:2]], first[t]))
+    return [(*triple, best[triple]) for triple in ordered]
+
+
 def oracle_edges(net, params):
     """(src, dst, distance) of every priced pair with >= alpha layers and distance <= beta."""
     return [
@@ -111,7 +129,7 @@ def brute_force_sp(net, source, params, *, max_nodes=DEFAULT_BRUTE_FORCE_NODE_CA
         adj.setdefault(src, []).append((dst, dist))
 
     lengths = {source: 0.0}
-    preds = {source: None}
+    parent = {source: None}
     on_path = {source}
 
     def explore(v, acc):
@@ -120,17 +138,22 @@ def brute_force_sp(net, source, params, *, max_nodes=DEFAULT_BRUTE_FORCE_NODE_CA
                 continue
             cand = acc + d
             if cand < lengths.get(w, inf):
-                # re-insert, so the order stays parent first: w's final
-                # predecessor has reached its own final length by now
                 lengths[w] = cand
-                preds.pop(w, None)
-                preds[w] = v
+                parent[w] = v
             on_path.add(w)
             explore(w, cand)
             on_path.discard(w)
 
     explore(source, 0.0)
-    return OracleResult(lengths, preds)
+    # list the final tree from the source down, so every node comes after
+    # its predecessor; the order of improvements above does not ensure that
+    children = {}
+    for w, v in parent.items():
+        children.setdefault(v, []).append(w)
+    order = [source]
+    for v in order:  # grows while it is walked
+        order += children.get(v, ())
+    return OracleResult(lengths, {v: parent[v] for v in order})
 
 
 def naive_neighborhood(net, x, alpha):

@@ -26,7 +26,7 @@ from layerpath import (
     WeightOutOfRangeError,
 )
 from netgen import build_net, layered_networks
-from oracles import naive_neighborhood, oracle_priced_pairs, recount_pairs
+from oracles import keep_max_edge_order, naive_neighborhood, oracle_priced_pairs, recount_pairs
 
 X, Y, Z, U, V = range(5)
 
@@ -84,7 +84,7 @@ class TestNodes:
         net = MultiLayeredNetwork(layers=("a",))
         net.add_node(3)
         net.add_node(3)
-        assert net.nodes == frozenset({3})
+        assert net.seal().nodes == frozenset({3})
 
     def test_isolated_nodes_are_legal(self):
         net = build_net(("a",), [(0, 1, "a", 0.5)], extra_nodes=(7,))
@@ -107,13 +107,14 @@ class TestNodes:
             net.add_edge(-1, 2, "a", 0.5)
         with pytest.raises(ValueError):
             net.add_edge(2, -1, "a", 0.5)
-        assert net.nodes == frozenset()
+        assert net.seal().nodes == frozenset()
 
 
 class TestEdges:
     def test_add_edge_stores_the_resolved_edge(self):
         net = MultiLayeredNetwork(layers=("a",))
         assert net.add_edge(0, 1, "a", 0.25) is None
+        net.seal()
         assert list(net.edges()) == [LayeredEdge(0, 1, LayerId(0, "a"), 0.25)]
         assert net.nodes == frozenset({0, 1})
 
@@ -133,19 +134,19 @@ class TestEdges:
         assert net.num_edges == 3
 
     def test_keep_max_merges_duplicates_in_place(self):
-        net = MultiLayeredNetwork(layers=("a", "b"))
-        net.add_edge(0, 1, "a", 0.5)
-        net.add_edge(0, 1, "b", 0.25)
-        net.add_edge(0, 1, "a", 0.75, on_duplicate="keep-max")
-        assert [(e.layer.label, e.weight) for e in net.edges()] == [("a", 0.75), ("b", 0.25)]
-        net.add_edge(0, 1, "a", 0.125, on_duplicate="keep-max")
-        assert [(e.layer.label, e.weight) for e in net.edges()] == [("a", 0.75), ("b", 0.25)]
-        assert net.num_edges == 2
-        with pytest.raises(WeightOutOfRangeError):
-            net.add_edge(0, 1, "a", 1.5, on_duplicate="keep-max")
-        net.seal()
-        assert [(e.layer.label, e.weight) for e in net.edges()] == [("a", 0.75), ("b", 0.25)]
-        assert dict(net.priced_pairs) == {0: ((1, 2, 1 - (0.75 + 0.25) / 2),)}
+        # a larger repeat replaces the weight, a smaller one is dropped
+        for repeats, kept in [([0.75], 0.75), ([0.125], 0.5), ([0.75, 0.125], 0.75)]:
+            net = MultiLayeredNetwork(layers=("a", "b"))
+            net.add_edge(0, 1, "a", 0.5)
+            net.add_edge(0, 1, "b", 0.25)
+            for weight in repeats:
+                net.add_edge(0, 1, "a", weight, on_duplicate="keep-max")
+            assert net.num_edges == 2
+            with pytest.raises(WeightOutOfRangeError):
+                net.add_edge(0, 1, "a", 1.5, on_duplicate="keep-max")
+            net.seal()
+            assert [(e.layer.label, e.weight) for e in net.edges()] == [("a", kept), ("b", 0.25)]
+            assert dict(net.priced_pairs) == {0: ((1, 2, 1 - (kept + 0.25) / 2),)}
 
     def test_unknown_duplicate_policy(self):
         net = MultiLayeredNetwork(layers=("a",))
@@ -176,6 +177,7 @@ class TestEdges:
         net = MultiLayeredNetwork(layers=("a", "b"))
         net.add_edge(2, 0, "b", 0.1)
         net.add_edge(0, 2, "a", 0.2)
+        net.seal()
         assert [(e.src, e.dst) for e in net.edges()] == [(2, 0), (0, 2)]
 
 
@@ -196,6 +198,7 @@ _weights = st.one_of(
 
 
 def _snapshot(net):
+    net.seal()
     return (
         [(e.src, e.dst, e.layer, e.weight.hex()) for e in net.edges()],
         net.layer_edge_counts(),
@@ -210,7 +213,7 @@ def _snapshot(net):
     on_duplicate=st.sampled_from(["error", "keep-max"]),
 )
 def test_add_edges_matches_add_edge_row_by_row(rows, on_duplicate):
-    """One ``add_edges`` call and ``add_edge`` per row: same edges, counts and error."""
+    """One ``add_edges`` call and ``add_edge`` per row: same error, then same sealed edges and counts."""
     bulk = MultiLayeredNetwork(layers=("a", "b"))
     read = []
 
@@ -246,6 +249,42 @@ class TestSealing:
             net.require_sealed()
         net.seal()
         net.require_sealed()
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda net: net.edges(),
+            lambda net: net.edge_set(),
+            lambda net: net == net,
+            lambda net: net.layer_edge_counts(),
+            lambda net: net.nodes,
+            lambda net: net.has_node(0),
+            lambda net: net.num_nodes,
+        ],
+        ids=["edges", "edge_set", "eq", "layer_edge_counts", "nodes", "has_node", "num_nodes"],
+    )
+    def test_whole_network_reads_require_seal(self, read):
+        net = MultiLayeredNetwork(layers=("a",))
+        net.add_edge(0, 1, "a", 0.5)
+        with pytest.raises(UnsealedNetworkError):
+            read(net)
+        net.seal()
+        read(net)
+
+    def test_building_network_reads_its_layers_and_edge_count(self):
+        net = MultiLayeredNetwork(layers=("a", "b"), polarity=NEGATIVE)
+        net.add_edge(0, 1, "b", 0.5)
+        assert repr(net) == (
+            "MultiLayeredNetwork(layers=2, edges=1, polarity='negative', building)"
+        )
+        assert (net.layers, net.num_layers, net.layer("b")) == (
+            (LayerId(0, "a"), LayerId(1, "b")), 2, LayerId(1, "b")
+        )
+        assert (net.polarity, net.num_edges, net.sealed) == (NEGATIVE, 1, False)
+        net.seal()
+        assert repr(net) == (
+            "MultiLayeredNetwork(nodes=2, layers=2, edges=1, polarity='negative', sealed)"
+        )
 
     def test_sealed_network_is_immutable(self):
         net = build_net(("a",), [(0, 1, "a", 0.5)])
@@ -399,13 +438,16 @@ def test_pair_cache_matches_edge_recount(net):
     ).map(lambda rows: [row for row in rows if row[0] != row[1]])
 )
 def test_sealing_keeps_every_edge_in_order(rows):
-    # a sealed network lists its edges from the per-edge columns; they must
-    # be the edges, weights and order the build map listed, repeats included
+    # a sealed network lists its edges from the per-edge columns: sources,
+    # pairs and layers by first appearance, keep-max repeats in place
     net = MultiLayeredNetwork(layers=("a", "b", "c"))
     net.add_edges(rows, on_duplicate="keep-max")
-    before = _snapshot(net)
-    net.seal()
-    assert _snapshot(net) == before
+    expected = keep_max_edge_order(rows)
+    edges, counts, num_edges, nodes = _snapshot(net)
+    assert edges == [(src, dst, net.layer(layer), weight.hex()) for src, dst, layer, weight in expected]
+    assert counts == [sum(row[2] == label for row in expected) for label in "abc"]
+    assert num_edges == len(expected)
+    assert nodes == {node for row in rows for node in row[:2]}
 
 
 def _bits(rows):

@@ -3,7 +3,8 @@
 Every ``src/layerpath/*.py`` file is parsed with ``ast``. A relative import
 of a ``_name`` fails, and so does reading ``obj._attr`` where ``obj`` is not
 ``self`` or ``cls``. Dunders such as ``__setattr__`` are public protocol and
-pass.
+pass. Inside ``core.py``, only the methods that build and seal a network
+may touch its build map, ``_adj``.
 """
 
 import ast
@@ -57,3 +58,50 @@ def test_the_check_sees_both_kinds_of_reach():
         (2, "from . import _hidden"),
         (3, "net._adj"),
     ]
+
+
+BUILD_MAP_USERS = ("__init__", "add_edges", "seal")
+
+
+def build_map_uses(source):
+    """(line, function) of each ``_adj`` use in ``source`` outside ``BUILD_MAP_USERS``.
+
+    A use inside a nested function counts as a use in the outermost one.
+    """
+    found = []
+
+    def visit(node, function):
+        if function is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Attribute) and node.attr == "_adj":
+            if function not in BUILD_MAP_USERS:
+                found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_building_and_sealing_touch_the_build_map():
+    assert build_map_uses((PACKAGE / "core.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_build_map_check_sees_a_reader():
+    source = (
+        "class Net:\n"
+        "    def __init__(self):\n"
+        "        self._adj = {}\n"
+        "    def seal(self):\n"
+        "        del self._adj\n"
+        "    def edges(self):\n"
+        "        return iter(self._adj)\n"
+        "    @property\n"
+        "    def nodes(self):\n"
+        "        return {v for targets in self._adj.values() for v in targets}\n"
+        "    def add_edges(self, rows):\n"
+        "        def helper():\n"
+        "            return self._adj\n"
+        "size = len(Net()._adj)\n"
+    )
+    assert build_map_uses(source) == [(7, "edges"), (10, "nodes"), (14, None)]

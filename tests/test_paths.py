@@ -337,6 +337,21 @@ def test_predecessor_tree_is_consistent(net, thresholds):
 @given(layered_networks(polarities=(POSITIVE, NEGATIVE)), THRESHOLDS)
 # 2 is reached straight from 0 before 1 is, but its shortest path runs via 1
 @example(build_net(("a",), [(0, 2, "a", 0.1), (0, 1, "a", 0.9), (1, 2, "a", 0.9)]), (1, 1.0))
+# the brute-force search first reaches 2 via 0-3-1 at tiny + 0.25 == 0.25,
+# then improves 1 to 0.0 through 0-1 without improving 2
+@example(
+    build_net(
+        ("l1",),
+        [
+            (0, 3, "l1", float.fromhex("0x1.d7e02a0423fe4p-377")),
+            (0, 1, "l1", 0.0),
+            (1, 2, "l1", 0.25),
+            (3, 1, "l1", 0.0),
+        ],
+        polarity=NEGATIVE,
+    ),
+    (1, 0.25),
+)
 def test_predecessors_list_every_node_after_its_predecessor(net, thresholds):
     # path_stats counts hops in one forward pass over this order
     params = AggregationParams(*thresholds)
