@@ -65,46 +65,30 @@ class AggregatedEdge(NamedTuple):
     layer_count: int
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class AggregatedGraph:
     """Simple weighted digraph: the priced rows that pass the thresholds.
 
-    ``priced_pairs`` maps src -> ((dst, layer count, distance), ...): the
-    network's own rows cut down to the pairs that meet both thresholds, in
-    priced order and as the same tuples. Sources without kept pairs are left
-    out.
+    ``priced_pairs`` is a read-only src -> ((dst, layer count, distance),
+    ...): the network's own rows cut down to the pairs that meet both
+    thresholds, in priced order and as the same tuples. Sources without kept
+    pairs are left out. ``num_edges`` counts the kept pairs. Graphs compare
+    by identity.
     """
 
-    def __init__(self, nodes: frozenset[int], params: AggregationParams, rows: dict) -> None:
-        self._nodes = nodes
-        self._params = params
-        self._rows = rows
-        self._num_edges = sum(map(len, rows.values()))
-
-    @property
-    def nodes(self) -> frozenset[int]:
-        return self._nodes
-
-    @property
-    def params(self) -> AggregationParams:
-        return self._params
-
-    @property
-    def num_edges(self) -> int:
-        return self._num_edges
-
-    @property
-    def priced_pairs(self) -> Mapping[int, tuple[tuple[int, int, float], ...]]:
-        """Read-only ``src -> ((dst, layer count, distance), ...)`` of kept pairs."""
-        return MappingProxyType(self._rows)
+    nodes: frozenset[int]
+    params: AggregationParams
+    priced_pairs: Mapping[int, tuple[tuple[int, int, float], ...]]
+    num_edges: int
 
     def edge(self, x: int, y: int) -> AggregatedEdge | None:
-        for dst, count, dist in self._rows.get(x, ()):
+        for dst, count, dist in self.priced_pairs.get(x, ()):
             if dst == y:
                 return AggregatedEdge(x, y, dist, count)
         return None
 
     def edges(self) -> Iterator[AggregatedEdge]:
-        for src, row in self._rows.items():
+        for src, row in self.priced_pairs.items():
             for dst, count, dist in row:
                 yield AggregatedEdge(src, dst, dist, count)
 
@@ -141,4 +125,5 @@ def aggregate_graph(net: MultiLayeredNetwork, params: AggregationParams) -> Aggr
         kept = params.kept(row)
         if kept:
             rows[src] = kept
-    return AggregatedGraph(net.nodes, params, rows)
+    num_edges = sum(map(len, rows.values()))
+    return AggregatedGraph(net.nodes, params, MappingProxyType(rows), num_edges)

@@ -13,30 +13,19 @@ which is the usual first look at how dense the aggregated graph will be.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .aggregate import AggregationParams
-from .core import MultiLayeredNetwork
+from .core import MultiLayeredNetwork, add_in_order
 from .errors import ParameterError
 from .paths import ShortestPathResult
 
-# Column order is part of the output contract; exporters must not reorder.
-STATS_COLUMNS = (
-    "source",
-    "alpha",
-    "beta",
-    "num_routes",
-    "avg_len",
-    "min_len",
-    "max_len",
-    "avg_handshakes",
-    "num_neighbors",
-    "pct_connected",
-)
 
-
-@dataclass(frozen=True, slots=True)
-class PathStats:
+class PathStats(NamedTuple):
     """Summary of one source's shortest paths under one threshold pair.
+
+    The tuple is the row the CLI writes: its field order, ``STATS_COLUMNS``,
+    is part of the output contract, and exporters must not reorder it.
 
     ``num_routes`` counts reachable targets other than the source itself;
     the length and handshake figures average over exactly those targets.
@@ -58,8 +47,8 @@ class PathStats:
     num_neighbors: int
     pct_connected: float
 
-    def as_row(self) -> tuple:
-        return tuple(getattr(self, name) for name in STATS_COLUMNS)
+
+STATS_COLUMNS = tuple(PathStats.__annotations__)
 
 
 def path_stats(result: ShortestPathResult) -> PathStats:
@@ -69,12 +58,7 @@ def path_stats(result: ShortestPathResult) -> PathStats:
     route_lengths = [length for v, length in result.lengths.items() if v != source]
     num_routes = len(route_lengths)
     if num_routes:
-        # plain += in discovery order; sum() compensates on Python >= 3.12
-        # and would change the last bits of some averages
-        total = 0.0
-        for length in route_lengths:
-            total += length
-        avg_len = total / num_routes
+        avg_len = add_in_order(route_lengths) / num_routes
         min_len = min(route_lengths)
         max_len = max(route_lengths)
         hops = {}  # one pass: predecessors list every node after its own
@@ -130,7 +114,6 @@ def edge_count_sweep(
     Each cell counts the priced pairs ``AggregationParams.kept`` keeps under
     its thresholds, without building an aggregated graph.
     """
-    net.require_sealed()
     if not alphas:
         raise ParameterError("at least one alpha value is required")
     if not betas:

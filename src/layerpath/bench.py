@@ -63,7 +63,6 @@ def benchmark(
     aggregated graph, and the per-source on-the-fly searches, so one-off
     cache effects wash out of the medians.
     """
-    net.require_sealed()
     reps = coerce_int(reps, "reps", minimum=1)
     if not sources:
         raise ParameterError("at least one source node is required")

@@ -93,7 +93,7 @@ def _cell_task(net, strategy, targets, fmt, params, sources) -> list[tuple[tuple
         graph = aggregate_graph(net, params)
         results = (aggregated_sssp(graph, source) for source in sources)
     return [
-        (path_stats(result).as_row(), _paths_text(result, targets, fmt))
+        (path_stats(result), _paths_text(result, targets, fmt))
         for result in results
     ]
 

@@ -141,13 +141,16 @@ def pair_distance(wsum: float, num_layers: int, positive: bool) -> float:
     return wsum / num_layers
 
 
-def _weight_sum(per_layer: dict[int, float]) -> float:
-    # plain += in insertion order; sum() compensates on Python >= 3.12 and
-    # would change the last bits of some distances
-    wsum = 0.0
-    for weight in per_layer.values():
-        wsum += weight
-    return wsum
+def add_in_order(values) -> float:
+    """``0.0 + v1 + v2 + ...``, one plain float add at a time, left to right.
+
+    ``sum()`` compensates on Python >= 3.12 and would change the last bits of
+    some distances; ``functools.reduce`` is slower on a pair's few weights.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class MultiLayeredNetwork:
@@ -298,7 +301,7 @@ class MultiLayeredNetwork:
                 for dst, weights in targets.items():
                     edge_layers.extend(weights)
                     edge_weights.extend(weights.values())
-                    wsum = _weight_sum(weights)
+                    wsum = add_in_order(weights.values())
                     row.append((dst, len(weights), pair_distance(wsum, num_layers, positive)))
                 priced[src] = tuple(row)
             del self._adj  # a reader left on the build map fails instead of reading nothing
@@ -312,7 +315,7 @@ class MultiLayeredNetwork:
         if self._sealed:
             raise SealedNetworkError("network is sealed; build a new one to modify")
 
-    def require_sealed(self) -> None:
+    def _require_sealed(self) -> None:
         if not self._sealed:
             raise UnsealedNetworkError("operation requires a sealed network; call seal()")
 
@@ -329,7 +332,7 @@ class MultiLayeredNetwork:
     @property
     def nodes(self) -> frozenset[int]:
         """Every node, isolated ones included; sealed only."""
-        self.require_sealed()
+        self._require_sealed()
         return self._nodes
 
     @property
@@ -338,7 +341,7 @@ class MultiLayeredNetwork:
 
     @property
     def num_nodes(self) -> int:
-        self.require_sealed()
+        self._require_sealed()
         return len(self._nodes)
 
     @property
@@ -351,12 +354,12 @@ class MultiLayeredNetwork:
 
     def layer_edge_counts(self) -> list[int]:
         """Edges per layer, indexed like ``layers``; sealed only."""
-        self.require_sealed()
+        self._require_sealed()
         counts = Counter(self._edge_layers)
         return [counts[index] for index in range(len(self._labels))]
 
     def has_node(self, node: int) -> bool:
-        self.require_sealed()
+        self._require_sealed()
         return node in self._nodes
 
     def layer(self, ref) -> LayerId:
@@ -384,7 +387,7 @@ class MultiLayeredNetwork:
 
     def edges(self) -> Iterator[LayeredEdge]:
         """All edges by source, then by pair, each in insertion order; sealed only."""
-        self.require_sealed()
+        self._require_sealed()
         layers = self.layers
         columns = zip(self._edge_layers, self._edge_weights)
         return (
@@ -401,7 +404,7 @@ class MultiLayeredNetwork:
         Lists every ordered pair carrying at least one layered edge, in
         insertion order. The distance is ``pair_distance`` of the pair.
         """
-        self.require_sealed()
+        self._require_sealed()
         return MappingProxyType(self._priced)
 
     # -- comparison ---------------------------------------------------------

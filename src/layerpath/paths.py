@@ -153,14 +153,12 @@ def _dijkstra(rows: Mapping[int, tuple], source: int, params: AggregationParams)
 
 def _require_source(net: MultiLayeredNetwork, source: int) -> None:
     """Raise unless ``net`` is sealed and holds ``source``."""
-    net.require_sealed()
     if not net.has_node(source):
         raise UnknownNodeError(f"unknown source node {source!r}")
 
 
 def _all_pairs_frame(net: MultiLayeredNetwork, max_nodes: int):
     """(node order, node -> index, all-inf matrix) for an APSP run."""
-    net.require_sealed()
     max_nodes = coerce_int(max_nodes, "max_nodes")
     n = net.num_nodes
     if n > max_nodes:

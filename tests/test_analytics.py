@@ -99,10 +99,12 @@ class TestPathStats:
     def test_row_column_order(self):
         net = chain_net()
         stats = path_stats(dap_sssp(net, 0))
-        row = stats.as_row()
+        row = tuple(stats)
         assert len(row) == len(STATS_COLUMNS)
         assert row[STATS_COLUMNS.index("num_routes")] == stats.num_routes
         assert row[0] == stats.source
+        assert STATS_COLUMNS == PathStats._fields
+        assert row == tuple(getattr(stats, name) for name in STATS_COLUMNS)
 
 
 class TestSweep:

@@ -25,6 +25,7 @@ from layerpath import (
     UnsealedNetworkError,
     WeightOutOfRangeError,
 )
+from layerpath.core import add_in_order
 from netgen import build_net, layered_networks
 from oracles import keep_max_edge_order, naive_neighborhood, oracle_priced_pairs, recount_pairs
 
@@ -242,14 +243,6 @@ def test_add_edges_matches_add_edge_row_by_row(rows, on_duplicate):
 
 
 class TestSealing:
-    def test_queries_require_seal(self):
-        net = MultiLayeredNetwork(layers=("a",))
-        net.add_edge(0, 1, "a", 0.5)
-        with pytest.raises(UnsealedNetworkError):
-            net.require_sealed()
-        net.seal()
-        net.require_sealed()
-
     @pytest.mark.parametrize(
         "read",
         [
@@ -355,6 +348,7 @@ class TestPricedPairs:
         ((dst, count, dist),) = net.priced_pairs[0]
         assert (dst, count) == (1, 3)
         assert dist.hex() == expected.hex()
+        assert add_in_order([0.1, 0.2, 0.3]).hex() == ((0.1 + 0.2) + 0.3).hex()
 
     def test_sealed_only_and_read_only(self):
         net = build_net(("a",), [(0, 1, "a", 0.5)], sealed=False)

@@ -13,13 +13,16 @@ from layerpath import (
     POSITIVE,
     AggregationParams,
     MultiLayeredNetwork,
+    ParameterError,
     SizeGuardExceededError,
     UnknownNodeError,
     UnsealedNetworkError,
     aggregate_graph,
     aggregated_sssp,
     apsp_repeated_dijkstra,
+    benchmark,
     dap_sssp,
+    edge_count_sweep,
     mda_sssp,
     ml_floyd_warshall,
     random_network,
@@ -160,11 +163,32 @@ class TestResultShape:
     def test_requires_seal(self):
         net = MultiLayeredNetwork(layers=("a",))
         net.add_edge(0, 1, "a", 0.5)
-        for op in (dap_sssp, mda_sssp):
+        calls = (
+            lambda: dap_sssp(net, 0),
+            lambda: mda_sssp(net, 0),
+            lambda: ml_floyd_warshall(net),
+            lambda: apsp_repeated_dijkstra(net),
+            lambda: edge_count_sweep(net, [1], [1.0]),
+            lambda: benchmark(net, [0]),
+        )
+        for call in calls:
             with pytest.raises(UnsealedNetworkError):
-                op(net, 0)
-        with pytest.raises(UnsealedNetworkError):
-            ml_floyd_warshall(net)
+                call()
+        net.seal()
+        for call in calls:
+            call()
+
+    def test_bad_arguments_raise_before_the_seal_check(self):
+        net = MultiLayeredNetwork(layers=("a",))
+        net.add_edge(0, 1, "a", 0.5)
+        for call in (
+            lambda: ml_floyd_warshall(net, max_nodes=-1),
+            lambda: apsp_repeated_dijkstra(net, max_nodes=-1),
+            lambda: edge_count_sweep(net, [], [1.0]),
+            lambda: benchmark(net, [0], reps=0),
+        ):
+            with pytest.raises(ParameterError):
+                call()
 
 
 class TestAllPairs:
