@@ -24,7 +24,7 @@ import sys
 
 from .aggregate import aggregate_graph
 from .analytics import path_stats
-from .paths import aggregated_sssp, mda_sssp
+from .paths import aggregated_sssp, available_cpus, mda_sssp
 
 # Below this much work, in edge scans, the searches run in process. On a
 # 2-CPU x86 VM a pool of two forked workers cost 45-75 ms of wall time:
@@ -39,13 +39,6 @@ _POOL_MIN_WORK = 1_500_000
 # One `--paths` row (the length, the walk up the predecessors and the text)
 # took 11-28 us on the 10k net: at least 100 edge scans at 0.1 us.
 _TARGET_WORK = 100
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
 
 
 def _paths_text(result, targets, fmt: str) -> str:
@@ -143,7 +136,7 @@ def run_cells(net, cells, sources, strategy, targets=(), fmt="csv") -> list[list
     unless there is one worker or one task, the platform cannot fork, or
     the searches are too small to pay for the pool (``_POOL_MIN_WORK``).
     """
-    cpus = _available_cpus()
+    cpus = available_cpus()
     blocks = min(len(sources), math.ceil(cpus / len(cells)))
     size = math.ceil(len(sources) / blocks)
     tasks = [

@@ -8,10 +8,10 @@ flags: rows are keyed by ascending node id, grids keep the order they were
 given in.
 
 Exit codes: 0 success; 1 stdout closed before the output was written (e.g.
-piped into ``head``), with no message, or a worker process of ``sssp`` or
-``sweep`` died, with a traceback; 2 usage errors (bad flags, unknown
-source node, invalid thresholds); 3 input errors (unreadable, malformed, or
-rule-breaking edge lists); 4 size-guard refusals.
+piped into ``head``), with no message, or a worker process of ``sssp``,
+``sweep`` or ``apsp`` died, with a traceback; 2 usage errors (bad flags,
+unknown source node, invalid thresholds); 3 input errors (unreadable,
+malformed, or rule-breaking edge lists); 4 size-guard refusals.
 """
 
 from __future__ import annotations
@@ -75,10 +75,6 @@ def _out_stream(path: str | None):
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             yield handle
-
-
-def _json_length(value: float):
-    return value if math.isfinite(value) else None
 
 
 def _load(args) -> MultiLayeredNetwork:
@@ -182,16 +178,18 @@ def cmd_apsp(args) -> int:
 
     with _out_stream(args.output) as out:
         if args.format == "json":
-            payload = {
-                "alpha": params.alpha,
-                "beta": params.beta,
-                "order": matrix.order,
-                "matrix": [
-                    [_json_length(v) for v in row.tolist()] for row in matrix.values
-                ],
-            }
-            json.dump(payload, out, indent=2)
-            out.write("\n")
+            # as json.dump(payload, indent=2) writes it, with "matrix" last, but
+            # a row at a time; no row is empty, since a loaded net has two
+            # nodes at least
+            head = json.dumps({"alpha": params.alpha, "beta": params.beta,
+                               "order": matrix.order, "matrix": []}, indent=2)
+            out.write(head[: -len("]\n}")])
+            for i, row in enumerate(matrix.values):
+                cells = ",\n      ".join(
+                    repr(v) if math.isfinite(v) else "null" for v in row.tolist()
+                )
+                out.write(f"{',' if i else ''}\n    [\n      {cells}\n    ]")
+            out.write("\n  ]\n}\n")
         else:
             # one string per row: float reprs and node ids never need CSV
             # quoting, so this is what csv.writer would write; a row at a

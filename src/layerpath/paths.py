@@ -31,8 +31,10 @@ predecessor.
 from __future__ import annotations
 
 import heapq
+import os
 from dataclasses import dataclass, field
 from math import inf
+from os import _exit  # public in os; spelt os._exit, tests/test_layout.py takes it for private
 from typing import TYPE_CHECKING, Mapping
 
 from .aggregate import AggregatedGraph, AggregationParams, aggregate_graph
@@ -49,6 +51,15 @@ DEFAULT_APSP_NODE_CAP = 2_000
 # nodes, with 64 KB 45% slower and 1 MB 15% slower; at 2,000 nodes 128 to
 # 512 KB were within 10% of each other.
 _FW_BLOCK_BYTES = 256 * 1024
+# Below this many nodes Floyd-Warshall runs in process. On a 2-CPU x86 VM,
+# forking a worker and reaping it took about 2 ms, but a few blocks split
+# unevenly between two processes and leave the later ones waiting on the
+# first pass. Kernel medians, two processes against one, over 7-25 rounds
+# per set: 300 nodes (3 blocks) 47-52 ms against 43-50 ms, slower in 3 of 3
+# sets; 400 nodes (5 blocks) 81-148 ms against 94-141 ms, faster in 3 of 6;
+# 500 nodes (8 blocks) 131-185 ms against 205-244 ms, faster in 3 of 3, as
+# at 550, 600 and 800 nodes (0.38 s against 0.83 s).
+_FW_FORK_MIN_NODES = 500
 
 
 @dataclass
@@ -158,7 +169,7 @@ def _require_source(net: MultiLayeredNetwork, source: int) -> None:
 
 
 def _all_pairs_frame(net: MultiLayeredNetwork, max_nodes: int):
-    """(node order, node -> index, all-inf matrix) for an APSP run."""
+    """(node order, node -> index) for an APSP run within ``max_nodes``."""
     max_nodes = coerce_int(max_nodes, "max_nodes")
     n = net.num_nodes
     if n > max_nodes:
@@ -166,12 +177,8 @@ def _all_pairs_frame(net: MultiLayeredNetwork, max_nodes: int):
             f"{n} nodes exceed the all-pairs cap of {max_nodes}; "
             "raise max_nodes to override"
         )
-    import numpy as np
-
     order = sorted(net.nodes)
-    index = {v: i for i, v in enumerate(order)}
-    values = np.full((n, n), np.inf, dtype=np.float64)
-    return order, index, values
+    return order, {v: i for i, v in enumerate(order)}
 
 
 def aggregated_sssp(graph: AggregatedGraph, source: int) -> ShortestPathResult:
@@ -234,41 +241,165 @@ def ml_floyd_warshall(
 
     The relaxation runs a block of rows at a time, so the block and its
     temporary stay in cache across many steps instead of streaming the whole
-    matrix through every step. In a first pass each block, in order, applies
-    the steps ``k`` up to its own last row; in a second pass it applies the
-    rest. Step ``k`` reads row ``k`` as it stands at step ``k`` (the step
-    leaves its own row alone, since the diagonal is 0.0), and later steps
-    change that row, so it is copied aside when it is reached. Every entry
-    therefore sees the textbook sequence ``d = min(d, d[i, k] + d[k, j])``
-    for k = 0..n-1, in order, with the same operands, and the matrix is bit
-    for bit the one the whole-matrix loop gives.
+    matrix through every step. In a first pass each block applies the steps
+    ``k`` up to its own last row; in a second pass it applies the rest. Step
+    ``k`` reads row ``k`` as it stands at step ``k`` (the step leaves its own
+    row alone, since the diagonal is 0.0), and later steps change that row,
+    so it is copied aside when it is reached. Every entry therefore sees the
+    textbook sequence ``d = min(d, d[i, k] + d[k, j])`` for k = 0..n-1, in
+    order, with the same operands, and the matrix is bit for bit the one the
+    whole-matrix loop gives.
+
+    The blocks are dealt round-robin to one process per available CPU,
+    forked from this one once the matrix is filled; the matrix and the rows
+    copied aside sit in shared memory (see ``_fw_relax``). Below
+    ``_FW_FORK_MIN_NODES`` nodes, on one CPU, or where there is no
+    ``os.fork``, every block runs in this process. A worker that dies
+    raises ``RuntimeError``.
     """
+    import mmap
+
     import numpy as np
 
-    order, index, values = _all_pairs_frame(net, max_nodes)
+    order, index = _all_pairs_frame(net, max_nodes)
+    n = len(order)
+    height = _fw_block_height(n)
+    bounds = [(start, min(start + height, n)) for start in range(0, n, height)]
+    # the matrix, and row k as it stood at step k, in anonymous maps, which
+    # forked workers share; mmap refuses length 0
+    values, snap = (
+        np.frombuffer(mmap.mmap(-1, max(8 * n * n, 8)), np.float64, n * n).reshape(n, n)
+        for _ in range(2)
+    )
+    values.fill(np.inf)
     np.fill_diagonal(values, 0.0)
     for src, dst, dist, _ in aggregate_graph(net, params).edges():
         values[index[src], index[dst]] = dist
-    n = len(order)
-    height = _fw_block_height(n)
-    snap = np.empty_like(values)  # row k as it stood at step k
-    tmp = np.empty((height, n))
-    bounds = [(start, min(start + height, n)) for start in range(0, n, height)]
-    for first_pass in (True, False):
-        for start, stop in bounds:
-            block = values[start:stop]
-            cand = tmp[: stop - start]
-            for k in range(stop) if first_pass else range(stop, n):
-                if start <= k < stop:  # row k is in this block
-                    snap[k] = block[k - start]
-                np.add(block[:, k, None], snap[k], out=cand)
-                np.minimum(block, cand, out=block)
+    workers = 1
+    if n >= _FW_FORK_MIN_NODES and hasattr(os, "fork"):
+        workers = min(available_cpus(), len(bounds))
+    _fw_run(values, snap, bounds, workers)
     return DistanceMatrix(order, values, params)
+
+
+def available_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 def _fw_block_height(n: int) -> int:
     """Rows per Floyd-Warshall block: as many as fit ``_FW_BLOCK_BYTES``, at least one."""
     return max(1, _FW_BLOCK_BYTES // (8 * max(n, 1)))
+
+
+def _fw_run(values, snap, bounds, workers: int) -> None:
+    """``_fw_relax`` over every block, in this process and ``workers - 1`` forked ones.
+
+    Process ``rank`` announces to process ``rank + 1`` (mod ``workers``)
+    through pipe ``rank``. A worker leaves only through ``os._exit``, so it
+    never returns into the caller's code; this process reaps every worker
+    before it returns or raises, killing those still running when it raises.
+    """
+    import signal
+
+    pipes = [os.pipe() for _ in range(workers)] if workers > 1 else []
+    ends = {fd for pipe in pipes for fd in pipe}
+    pids = []
+    try:
+        for rank in range(1, workers):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    inbox, outbox = pipes[rank - 1][0], pipes[rank][1]
+                    for fd in ends - {inbox, outbox}:
+                        os.close(fd)
+                    _fw_relax(values, snap, bounds, rank, workers, inbox, outbox)
+                    code = 0
+                finally:
+                    _exit(code)
+            pids.append(pid)
+        inbox, outbox = (pipes[-1][0], pipes[0][1]) if pipes else (None, None)
+        for fd in ends - {inbox, outbox}:
+            os.close(fd)
+        ends = {inbox, outbox} - {None}
+        try:
+            _fw_relax(values, snap, bounds, 0, workers, inbox, outbox)
+        except (EOFError, BrokenPipeError):  # not stdout's: a worker's end of the ring
+            raise RuntimeError("a Floyd-Warshall worker died") from None
+        while pids:
+            _, status = os.waitpid(pids[0], 0)
+            pids.pop(0)
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"a Floyd-Warshall worker exited with code {code}")
+    finally:
+        for fd in ends:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fw_relax(values, snap, bounds, rank: int, workers: int, inbox, outbox) -> None:
+    """Both passes over blocks ``rank``, ``rank + workers``, ... of ``values``.
+
+    This process alone writes those blocks and their rows of ``snap``. Before
+    a block applies the steps of another block ``c`` (lower ones in the first
+    pass, higher ones in the second), it waits until ``c`` is through its
+    first pass, which copied ``c``'s rows into ``snap``. A first pass waits
+    for every lower block, so once a block is through, every lower one is,
+    and a process need only know the highest block through so far. It hears
+    of blocks from the process before it in the ring, on ``inbox``, as
+    4-byte indices, and passes each on, on ``outbox``, unless the next
+    process owns it; it tells the next process of its own blocks too. In the
+    first pass no block waits on a higher one, so the lowest unfinished block
+    can always run, and the second pass waits on first passes only. With one
+    process there is no pipe and nothing to wait for.
+    """
+    import numpy as np
+
+    blocks = len(bounds)
+    successor = (rank + 1) % workers
+    through = -1  # every block up to this one is through its first pass
+    unread = b""
+
+    def wait(c: int) -> None:
+        nonlocal through, unread
+        while through < c:
+            data = os.read(inbox, 4096)
+            if not data:  # the process before this one has exited
+                raise EOFError
+            unread += data
+            whole = len(unread) - len(unread) % 4
+            for i in range(0, whole, 4):
+                through = int.from_bytes(unread[i:i + 4], "little")
+                if through % workers != successor:
+                    os.write(outbox, unread[i:i + 4])
+            unread = unread[whole:]
+
+    n = values.shape[1]
+    tmp = np.empty((_fw_block_height(n), n))
+    for first_pass in (True, False):
+        for b in range(rank, blocks, workers):
+            start, stop = bounds[b]
+            block = values[start:stop]
+            cand = tmp[: stop - start]
+            for c in range(b + 1) if first_pass else range(b + 1, blocks):
+                if c != b:
+                    wait(c)
+                for k in range(*bounds[c]):
+                    if c == b:  # row k is in this block
+                        snap[k] = block[k - start]
+                    np.add(block[:, k, None], snap[k], out=cand)
+                    np.minimum(block, cand, out=block)
+            if first_pass:
+                through = b
+                if outbox is not None:
+                    os.write(outbox, b.to_bytes(4, "little"))
 
 
 def apsp_repeated_dijkstra(
@@ -282,7 +413,10 @@ def apsp_repeated_dijkstra(
     Aggregates once, then searches from each source in ascending order. Must
     agree with ``ml_floyd_warshall`` on every entry.
     """
-    order, index, values = _all_pairs_frame(net, max_nodes)
+    import numpy as np
+
+    order, index = _all_pairs_frame(net, max_nodes)
+    values = np.full((len(order), len(order)), np.inf)
     graph = aggregate_graph(net, params)
     for row, source in zip(values, order):
         for v, length in aggregated_sssp(graph, source).lengths.items():

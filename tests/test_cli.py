@@ -22,6 +22,7 @@ from layerpath import (
     cli,
     load_edge_list,
     ml_floyd_warshall,
+    paths,
 )
 from layerpath.cli import main
 
@@ -46,15 +47,21 @@ def parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
 
 
-# head of a fresh-interpreter script: `cli` imported, and force_pool() sends
-# sssp and sweep through two forked workers however small the net
+# head of a fresh-interpreter script: `cli` imported, force_pool() sends
+# sssp and sweep through two forked workers however small the net, and
+# force_fw_workers() does the same for apsp's Floyd-Warshall, four rows a block
 FORCE_POOL_IF_ASKED = (
     "import json, sys\n"
     "from layerpath import cli\n"
     "def force_pool():\n"
     "    from layerpath import cells\n"
     "    cells._POOL_MIN_WORK = 0\n"
-    "    cells._available_cpus = lambda: 2\n"
+    "    cells.available_cpus = lambda: 2\n"
+    "def force_fw_workers():\n"
+    "    from layerpath import paths\n"
+    "    paths._FW_FORK_MIN_NODES = 0\n"
+    "    paths._FW_BLOCK_BYTES = 8 * 40 * 4\n"
+    "    paths.available_cpus = lambda: 2\n"
 )
 
 
@@ -238,8 +245,9 @@ class TestImports:
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert main(argv) == 0, argv\n"
             "    assert 'numpy' not in sys.modules, argv\n"
+            "    assert 'mmap' not in sys.modules, argv\n"
             "assert main(['apsp', sys.argv[2], '-o', sys.argv[3]]) == 0\n"
-            "assert 'numpy' in sys.modules\n"
+            "assert 'numpy' in sys.modules and 'mmap' in sys.modules\n"
         )
         argvs = json.dumps([[str(a) for a in argv] for argv in cold])
         src = str(Path(layerpath.__file__).resolve().parents[1])
@@ -323,8 +331,8 @@ class TestApsp:
     @pytest.mark.parametrize("flags", [(), ("--polarity", "negative", "--alpha", "2",
                                             "--beta", "0.75")])
     def test_bytes_match_the_cell_by_cell_emitters(self, tmp_path, capsys, strategy, flags):
-        # the matrix as csv.writer with repr(float(v)) per cell, and JSON
-        # with _json_length(float(v)) per cell, used to write it
+        # the matrix as csv.writer with repr(float(v)) per cell used to write
+        # it, and as json.dump of the whole payload, inf as null
         path = tmp_path / "net.csv"
         assert main(["generate", "--nodes", "30", "--layers", "3", "--density", "0.03",
                      "--seed", "4", "-o", str(path)]) == 0
@@ -345,7 +353,8 @@ class TestApsp:
             "alpha": params.alpha,
             "beta": params.beta,
             "order": matrix.order,
-            "matrix": [[cli._json_length(float(v)) for v in row] for row in matrix.values],
+            "matrix": [[float(v) if math.isfinite(v) else None for v in row]
+                       for row in matrix.values],
         }, want_json, indent=2)
         want_json.write("\n")
 
@@ -358,6 +367,26 @@ class TestApsp:
                                   "--format", fmt, *flags)
             assert code == 0 and stdout == want.getvalue()
         assert "inf" in want_csv.getvalue() and "null" in want_json.getvalue()
+
+    def test_a_killed_worker_fails_the_run(self, tmp_path):
+        # as TestWorkerPool's: an error, not a hang
+        path = fixed_net_csv(tmp_path / "fixed.csv")
+        script = FORCE_POOL_IF_ASKED + (
+            "import os, signal\n"
+            "from layerpath import paths\n"
+            "force_fw_workers()\n"
+            "relax = paths._fw_relax\n"
+            "def dies(values, snap, bounds, rank, *ring):\n"
+            "    if rank == 1:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    relax(values, snap, bounds, rank, *ring)\n"
+            "paths._fw_relax = dies\n"
+            "cli.main(sys.argv[1:])\n"
+        )
+        child = fresh_python(script, "apsp", path)
+        assert child.returncode == 1
+        assert "RuntimeError: a Floyd-Warshall worker" in child.stderr
+        assert child.stdout == ""
 
 
 class TestCountFlags:
@@ -572,14 +601,24 @@ class TestOutputBytes:
              "907645b4486c55112ee543c08b268843b1187c32b4c4f3784e4ac81e6c87f2ba"),
             (("sweep", "--alphas", "1,2,3", "--betas", "0.5,0.75,1.0", "--source", "0,9,33"),
              "c3225f007a90711f1f82c0af8528bae54dd8a581a9a4c1a331a67a46e65a900a"),
+            (("apsp",),
+             "94f4c1026469a44a7a1e81eb96e28cb9461001a04fd29e834c496c2d60d98687"),
+            # with unreachable pairs, written as null
+            (("apsp", "--alpha", "2", "--beta", "0.6", "--format", "json"),
+             "428d086d3f6bdcbcdc0b2434c89cbc32e84289215b81692f88879950b6914de8"),
         ],
-        ids=["sssp-csv", "sssp-json", "sweep-csv"],
+        ids=["sssp-csv", "sssp-json", "sweep-csv", "apsp-csv", "apsp-json"],
     )
-    def test_stdout_sha256(self, tmp_path, capsys, argv, digest):
+    def test_stdout_sha256(self, tmp_path, capsys, monkeypatch, force_fw_workers, argv, digest):
         path = fixed_net_csv(tmp_path / "fixed.csv")
         code, out, err = run(capsys, argv[0], path, *argv[1:])
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if argv[0] == "apsp":  # and again on three forked workers, four rows a block
+            monkeypatch.setattr(paths, "_FW_BLOCK_BYTES", 8 * 40 * 4)
+            forks = force_fw_workers(3)
+            assert run(capsys, argv[0], path, *argv[1:]) == (code, out, err)
+            assert len(forks) == 2
 
 
 @pytest.fixture
@@ -593,13 +632,13 @@ def pool_calls(monkeypatch):
         return pool_map(*args)
 
     monkeypatch.setattr(cells, "_pool_map", counted)
-    monkeypatch.setattr(cells, "_available_cpus", lambda: 1)
+    monkeypatch.setattr(cells, "available_cpus", lambda: 1)
     return calls
 
 
 def force_pool(monkeypatch):
     monkeypatch.setattr(cells, "_POOL_MIN_WORK", 0)
-    monkeypatch.setattr(cells, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(cells, "available_cpus", lambda: 2)
 
 
 class TestWorkerPool:
@@ -682,7 +721,8 @@ class TestWorkerPool:
 
     def test_workers_fork_before_any_thread_starts(self, tmp_path):
         # Python 3.12 warns when a process with threads forks; the pool's own
-        # threads must start after its workers are forked
+        # threads must start after its workers are forked, and apsp's workers
+        # fork with numpy loaded
         path = fixed_net_csv(tmp_path / "fixed.csv")
         script = "import warnings\nwarnings.simplefilter('error')\n" + FORCE_POOL_IF_ASKED + (
             "import os, threading\n"
@@ -697,7 +737,9 @@ class TestWorkerPool:
             "assert cli.main(['sssp', net, '--source', '0,5', '--alphas', '1,2', '-o', out]) == 0\n"
             "assert cli.main(['sweep', net, '--alphas', '1,2', '--betas', '1.0',\n"
             "                 '--source', '0,5', '-o', out]) == 0\n"
-            "assert threads_at_fork == [1, 1, 1, 1], threads_at_fork\n"
+            "force_fw_workers()\n"
+            "assert cli.main(['apsp', net, '-o', out]) == 0\n"
+            "assert threads_at_fork == [1, 1, 1, 1, 1], threads_at_fork\n"
         )
         child = fresh_python(script, path, tmp_path / "out")
         assert (child.returncode, child.stderr) == (0, "")

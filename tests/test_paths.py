@@ -1,6 +1,8 @@
 """Shortest-path strategies: agreement, reconstruction, guards."""
 
+import os
 import random
+import signal
 from math import inf
 
 import numpy as np
@@ -27,6 +29,7 @@ from layerpath import (
     ml_floyd_warshall,
     random_network,
 )
+from layerpath import paths
 from layerpath.paths import _fw_block_height
 from netgen import build_net, layered_networks
 from oracles import brute_force_sp, textbook_floyd_warshall
@@ -283,20 +286,26 @@ def start_matrix(net, params):
 
 
 class TestBlockedFloydWarshall:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("params", [AggregationParams(1, 1.0), AggregationParams(2, 0.75)])
     @pytest.mark.parametrize("polarity", [POSITIVE, NEGATIVE])
     @pytest.mark.parametrize("n", [300, 40, 1])
-    def test_bit_identical_to_the_textbook_loop(self, n, polarity, params):
+    def test_bit_identical_to_the_textbook_loop(self, n, polarity, params, workers,
+                                                force_fw_workers):
+        forks = force_fw_workers(workers)
         height = _fw_block_height(n)
+        blocks = -(-n // height)
         if n == 300:  # three or more blocks, the last one short
-            assert -(-n // height) >= 3 and n % height != 0
+            assert blocks >= 3 and n % height != 0
         else:  # one block, so only the first pass does any work
             assert height >= n
         net = zero_distance_net(n, polarity, seed=n)
         want = textbook_floyd_warshall(start_matrix(net, params))
         got = ml_floyd_warshall(net, params).values
+        assert len(forks) == min(workers, blocks) - 1
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()
+        assert got.flags.writeable and got.flags.c_contiguous
         if n > 1:  # the cases the test is for are really there
             off = ~np.eye(n, dtype=bool)
             assert np.isinf(got[off]).any()
@@ -309,6 +318,41 @@ class TestBlockedFloydWarshall:
             for params in (AggregationParams(1, 1.0), AggregationParams(2, 0.75)):
                 want = textbook_floyd_warshall(start_matrix(net, params))
                 assert ml_floyd_warshall(net, params).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_more_blocks_than_a_byte_can_count(self, monkeypatch, force_fw_workers, workers):
+        # one row a block: 300 blocks, as 2,900 nodes would have at the default size
+        monkeypatch.setattr(paths, "_FW_BLOCK_BYTES", 8 * 300)
+        forks = force_fw_workers(workers)
+        assert _fw_block_height(300) == 1
+        net = zero_distance_net(300, NEGATIVE, seed=5)
+        want = textbook_floyd_warshall(start_matrix(net, DEFAULTS))
+        assert ml_floyd_warshall(net).values.tobytes() == want.tobytes()
+        assert len(forks) == workers - 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("killed", [False, True], ids=["finished", "killed"])
+    def test_no_process_or_fd_is_left_behind(self, monkeypatch, force_fw_workers, killed):
+        fds = len(os.listdir("/proc/self/fd"))
+        relax = paths._fw_relax
+
+        def dies(values, snap, bounds, rank, *ring):
+            if killed and rank == 2:  # worker 1 then waits on it until killed
+                os.kill(os.getpid(), signal.SIGKILL)
+            relax(values, snap, bounds, rank, *ring)
+
+        monkeypatch.setattr(paths, "_fw_relax", dies)
+        forks = force_fw_workers(3)
+        net = zero_distance_net(300, POSITIVE, seed=300)
+        if killed:
+            with pytest.raises(RuntimeError, match="Floyd-Warshall worker"):
+                ml_floyd_warshall(net)
+        else:
+            ml_floyd_warshall(net)
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):  # every worker is reaped
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == fds
 
 
 class TestBruteForceGuard:
