@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .core import MultiLayeredNetwork, POSITIVE, coerce_int, coerce_unit, pair_distance
 from .errors import InvalidAlphaError, InvalidBetaError, SameNodeError, UnknownNodeError
@@ -86,11 +86,6 @@ class AggregatedGraph:
             if dst == y:
                 return AggregatedEdge(x, y, dist, count)
         return None
-
-    def edges(self) -> Iterator[AggregatedEdge]:
-        for src, row in self.priced_pairs.items():
-            for dst, count, dist in row:
-                yield AggregatedEdge(src, dst, dist, count)
 
 
 def distance(net: MultiLayeredNetwork, x: int, y: int) -> float:

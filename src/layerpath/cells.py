@@ -4,13 +4,14 @@
 beta) cell of a grid, and each (cell, source) search is independent of the
 others. ``run_cells`` cuts the work into (cell, block of sources) tasks.
 On a machine with more than one CPU, and when the work pays for it, the
-tasks run in worker processes forked from the command after the load: the
-sealed network reaches them by fork inheritance and is never pickled. Each
-task returns, per source, its statistics row and its ``--paths`` rows
-already rendered as text, so the command only writes them out.
+tasks run in worker processes forked from the command after the load
+(``workers.deal``): the sealed network reaches them by fork inheritance and
+is never pickled, and each worker is sent its next task when it returns
+its last. Each task returns, per source, its statistics row and its
+``--paths`` rows already rendered as text, so the command only writes them
+out.
 
-Only the commands that search grids import this module, and only the pool
-imports ``multiprocessing``.
+Only the commands that search grids import this module.
 """
 
 from __future__ import annotations
@@ -18,24 +19,28 @@ from __future__ import annotations
 import csv
 import io
 import json
+import marshal
 import math
 import os
-import sys
 
 from .aggregate import aggregate_graph
-from .analytics import path_stats
-from .paths import aggregated_sssp, available_cpus, mda_sssp
+from .analytics import PathStats, path_stats
+from .paths import aggregated_sssp, mda_sssp
+from .workers import available_cpus, deal
 
 # Below this much work, in edge scans, the searches run in process. On a
-# 2-CPU x86 VM a pool of two forked workers cost 45-75 ms of wall time:
-# importing the pool, forking, handing out and collecting the tasks, joining
-# and exiting. A search scans each layered edge at most once. That took
-# 0.28 us an edge on the 10k-node perfbench net, where most searches reach
-# most nodes, but only 0.1 us on a 3,000-node `generate` net, where searches
-# at alpha >= 2 reach almost nothing. There 1.3 million edge scans ran in
-# 0.14 s in process, and 30-45 ms slower in two workers. So the pool starts
-# only at 1.5 million edge scans: 0.15 s even at 0.1 us a scan.
-_POOL_MIN_WORK = 1_500_000
+# 2-CPU x86 VM, forking two ranks, dealing them six empty tasks and reaping
+# them took 3.4-4.1 ms. A rank's first pass over the network also pays a
+# copy-on-write fault per page whose objects it touches: two aggregations
+# of the 10k-node perfbench net took 26 ms in process, and 30 ms at one per
+# rank. A search scans each layered edge at most once. Medians of 9 rounds,
+# two ranks against in process, two sets: on the 10k net at 0.41 million
+# edge scans (1 source, 6 cells) 87-161 ms against 108-122 ms, faster in
+# 2/9 and 8/9; at 0.82 million 121-137 ms against 170-260 ms, faster in 9/9
+# twice. On a 3,000-node `generate` net, where one cell holds most of the
+# work, 0.65 to 2.6 million scans were within 30 ms either way. So the
+# ranks start at 0.8 million edge scans.
+_POOL_MIN_WORK = 800_000
 # One `--paths` row (the length, the walk up the predecessors and the text)
 # took 11-28 us on the 10k net: at least 100 edge scans at 0.1 us.
 _TARGET_WORK = 100
@@ -91,39 +96,23 @@ def _cell_task(net, strategy, targets, fmt, params, sources) -> list[tuple[tuple
     ]
 
 
-_worker_job: tuple = ()  # set in each pool worker only: (net, strategy, targets, fmt)
-
-
-def _init_worker(*job) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _worker_task(task: tuple) -> list[tuple[tuple, str]]:
-    return _cell_task(*_worker_job, *task)
-
-
 def _pool_map(job: tuple, tasks: list[tuple], workers: int) -> list:
     """``_cell_task(*job, *task)`` for every task, in ``workers`` forked processes.
 
-    The job, and the network in it, reaches the workers by fork inheritance
-    and is never pickled; only the tasks' thresholds and sources go out and
-    their rows and texts come back. The workers fork before the pool starts
-    its threads. A worker that dies (say, killed for memory) raises
-    ``BrokenProcessPool`` here; ``multiprocessing.Pool`` would wait forever
-    for its task.
+    The job, and the network in it, reaches the workers by fork inheritance;
+    only task indices go out, and the rows and texts come back marshalled
+    (``marshal`` takes plain tuples, not ``PathStats``). This process only
+    deals and collects: a search here would add its memory to the load's,
+    which sets the command's peak.
     """
-    # only the pool pays for these imports
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    def run(task: int) -> bytes:
+        done = _cell_task(*job, *tasks[task])
+        return marshal.dumps([(tuple(stats), text) for stats, text in done])
 
-    # a worker flushes the std streams as it exits, so bytes still buffered
-    # here would be written once more by each worker; multiprocessing's fork
-    # launcher flushes them too, but only as a detail of its internals
-    sys.stdout.flush()
-    sys.stderr.flush()
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _init_worker, job) as pool:
-        return list(pool.map(_worker_task, tasks))
+    return [
+        [(PathStats(*stats), text) for stats, text in marshal.loads(done)]
+        for done in deal(workers, len(tasks), run)
+    ]
 
 
 def run_cells(net, cells, sources, strategy, targets=(), fmt="csv") -> list[list]:
@@ -134,7 +123,7 @@ def run_cells(net, cells, sources, strategy, targets=(), fmt="csv") -> list[list
     are cut into as many blocks as it takes to give every available CPU a
     task. The tasks run in forked worker processes, one per CPU at most,
     unless there is one worker or one task, the platform cannot fork, or
-    the searches are too small to pay for the pool (``_POOL_MIN_WORK``).
+    the searches are too small to pay for the forks (``_POOL_MIN_WORK``).
     """
     cpus = available_cpus()
     blocks = min(len(sources), math.ceil(cpus / len(cells)))

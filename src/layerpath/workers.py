@@ -1,0 +1,237 @@
+"""Forked worker processes: how a command puts its work on every CPU.
+
+Only the paths that start workers import this module: the grid searches of
+``sssp`` and ``sweep --source`` (``cells``), Floyd-Warshall (``paths``) and
+``apsp``'s emitter (``write_matrix``). ``forked`` forks ranks 1..N-1 of a
+job from the calling process, rank 0, once it holds its data: each rank
+inherits the sealed network or the filled matrix, and nothing is pickled.
+The ranks talk through pipes, one per (writer, reader) link, and send their
+results back as length-prefixed byte messages (``send``, ``recv``). A rank
+leaves only through ``os._exit``, so it never returns into the caller's
+code nor flushes the std streams it inherited. The calling process reaps
+every rank before it returns or raises, kills the ranks still running when
+it raises, and turns a rank that dies into ``RuntimeError``, so a command
+ends with a traceback and exit code 1 instead of waiting forever.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import select
+import signal
+from contextlib import contextmanager
+from os import _exit  # public in os; spelt os._exit, tests/test_layout.py takes it for private
+
+# Matrix cells per block of ``apsp``'s output: 32 rows at 800 nodes, about
+# 0.5 MB of CSV, which is what this process holds while it writes a block.
+# On a 2-CPU x86 VM, two ranks wrote the 800-node matrix in 0.367-0.390 s
+# (medians of 11 rounds, two sets) with 8-, 16-, 32- or 64-row blocks.
+_EMIT_BLOCK_CELLS = 32 * 800
+# Below this many matrix cells ``apsp``'s output is rendered in process. On
+# a 2-CPU x86 VM forking a rank, one message and reaping it took about 2 ms,
+# and rendering 0.5-1.1 us a cell. Medians of 15 rounds, two ranks against
+# one, in three sets: 160 nodes (one block, so no fork) equal; 200 nodes
+# (40,000 cells, two blocks) 21-36 ms against 32-51 ms, faster in 14/15 in
+# two sets, and 52 against 47 ms, faster in 1/15, in a set where the
+# second CPU was busy; 250 to 400 nodes the same way, up to 102 against
+# 183 ms. At 800 nodes: 0.38 s against 0.50 s.
+_EMIT_FORK_MIN_CELLS = 40_000
+
+
+def available_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def forked(count: int, links, main):
+    """Ranks 1..``count - 1`` of a job, forked from this process, its rank 0.
+
+    ``links`` lists (writer rank, reader rank) pairs, one pipe each. Each
+    forked rank runs ``main(rank, pipes)``, the pipes as ``(read end, write
+    end)`` in the order of ``links``, and the block gets the same list. Every
+    process closes the ends that are not its own at once, so a reader sees
+    end of file once its writer has exited. Leaving the block reaps every
+    rank, and a rank that exited with a nonzero code raises ``RuntimeError``;
+    if the block raises, the ranks still running are killed first.
+    """
+    pipes = []
+    ends = set()  # this process's open pipe ends
+    pids = []
+    try:
+        for _ in links:
+            pipes.append(os.pipe())
+            ends.update(pipes[-1])
+        for rank in range(1, count):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in ends - _own(rank, links, pipes):
+                        os.close(fd)
+                    main(rank, pipes)
+                    code = 0
+                finally:
+                    _exit(code)
+            pids.append(pid)
+        for fd in ends - _own(0, links, pipes):
+            os.close(fd)
+            ends.discard(fd)
+        yield pipes
+        while pids:
+            _, status = os.waitpid(pids[0], 0)
+            pids.pop(0)
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"a worker process exited with code {code}")
+    finally:
+        for fd in ends:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _own(rank: int, links, pipes) -> set[int]:
+    """The pipe ends ``rank`` keeps: the write end of its links out, the read end of its links in."""
+    return {
+        end
+        for (writer, reader), (read, write) in zip(links, pipes)
+        for end, owner in ((read, reader), (write, writer))
+        if owner == rank
+    }
+
+
+def send(fd: int, data: bytes) -> None:
+    """Write ``data`` to pipe end ``fd`` as one message: its length, then its bytes."""
+    os.write(fd, len(data).to_bytes(8, "little"))
+    with memoryview(data) as view:
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def recv(fd: int) -> bytearray:
+    """The next message on pipe end ``fd``."""
+    return _read(fd, int.from_bytes(_read(fd, 8), "little"))
+
+
+def _read(fd: int, size: int) -> bytearray:
+    """``size`` bytes from ``fd``; ``RuntimeError`` if the writer exits first."""
+    data = bytearray(size)
+    with memoryview(data) as view:
+        done = 0
+        while done < size:
+            got = os.readv(fd, [view[done:]])
+            if not got:
+                raise RuntimeError("a worker process died")
+            done += got
+    return data
+
+
+def deal(count: int, tasks: int, run) -> list[bytearray]:
+    """``run(task)``, which returns bytes, for every task index below ``tasks``.
+
+    The tasks run on ``count`` forked ranks; this process only deals and
+    collects. A rank is sent its next index when its last result arrives,
+    so ranks that drew cheap tasks draw more, and no pipe ever holds more
+    than one index. Results come back in task order.
+    """
+    links = [(0, rank) for rank in range(1, count + 1)]
+    links += [(rank, 0) for rank in range(1, count + 1)]
+
+    def work(rank, pipes):
+        inbox, outbox = pipes[rank - 1][0], pipes[count + rank - 1][1]
+        while (task := int.from_bytes(_read(inbox, 4), "little")) < tasks:
+            send(outbox, run(task))
+
+    results: list = [None] * tasks
+    todo = iter(range(tasks))
+    doing = {}  # a busy rank's result end -> its task
+    poll = select.poll()
+    with forked(count + 1, links, work) as pipes:
+        outbox = {pipes[count + i][0]: pipes[i][1] for i in range(count)}
+
+        def give(inbox) -> None:
+            task = next(todo, tasks)  # tasks itself: none left, the rank exits
+            try:
+                os.write(outbox[inbox], task.to_bytes(4, "little"))
+            except BrokenPipeError:
+                raise RuntimeError("a worker process died") from None
+            if task < tasks:
+                doing[inbox] = task
+            else:
+                poll.unregister(inbox)
+
+        for inbox in outbox:
+            poll.register(inbox, select.POLLIN)
+            give(inbox)
+        while doing:
+            for inbox, _ in poll.poll():
+                results[doing.pop(inbox)] = recv(inbox)
+                give(inbox)
+    return results
+
+
+def stream(out, count: int, blocks: int, render) -> None:
+    """Write ``render(b)`` to ``out`` for every block index below ``blocks``, in order.
+
+    Blocks are dealt round-robin to ``count`` ranks, this process rank 0. A
+    forked rank sends each of its blocks as soon as it is rendered, and
+    waits while its pipe is full, so this process holds one block at a time.
+    """
+    links = [(rank, 0) for rank in range(1, count)]
+
+    def work(rank, pipes):
+        for b in range(rank, blocks, count):
+            send(pipes[rank - 1][1], render(b).encode())
+
+    with forked(count, links, work) as pipes:
+        for b in range(blocks):
+            rank = b % count
+            out.write(render(b) if rank == 0 else recv(pipes[rank - 1][0]).decode())
+
+
+def write_matrix(out, matrix, fmt: str) -> None:
+    """``apsp``'s output for a ``DistanceMatrix``, in CSV or JSON, a block of rows at a time.
+
+    CSV: a ``src`` header of node ids, then one row per node, each cell
+    ``repr`` of its float (``inf`` where unreachable); float reprs and node
+    ids never need quoting, so this is what ``csv.writer`` would write. JSON:
+    the payload as ``json.dump(payload, indent=2)`` writes it, with
+    ``matrix`` last and ``null`` where unreachable. The row blocks are
+    rendered on every available CPU once the matrix has
+    ``_EMIT_FORK_MIN_CELLS`` cells and the platform can fork.
+    """
+    order = matrix.order
+    values = matrix.values
+    n = len(order)  # at least two: a loaded net has an edge
+    if fmt == "json":
+        head = json.dumps({"alpha": matrix.params.alpha, "beta": matrix.params.beta,
+                           "order": order, "matrix": []}, indent=2)
+        out.write(head[: -len("]\n}")])
+
+        def row(i: int) -> str:
+            cells = ",\n      ".join(
+                repr(v) if math.isfinite(v) else "null" for v in values[i].tolist()
+            )
+            return f"{',' if i else ''}\n    [\n      {cells}\n    ]"
+    else:
+        out.write(f"src,{','.join(map(str, order))}\n")
+
+        def row(i: int) -> str:
+            return f"{order[i]},{','.join(map(repr, values[i].tolist()))}\n"
+
+    height = max(1, _EMIT_BLOCK_CELLS // n)
+    blocks = -(-n // height)
+    ranks = 1
+    if n * n >= _EMIT_FORK_MIN_CELLS and hasattr(os, "fork"):
+        ranks = min(available_cpus(), blocks)
+    stream(out, ranks, blocks,
+           lambda b: "".join(map(row, range(b * height, min(b * height + height, n)))))
+    if fmt == "json":
+        out.write("\n  ]\n}\n")

@@ -17,12 +17,12 @@ if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
 
 @pytest.fixture
 def force_fw_workers(monkeypatch):
-    """``force(workers)``: Floyd-Warshall forks however small the net, as on
-    a machine with ``workers`` CPUs. Returns the list that gathers the pid of
+    """``force(count)``: Floyd-Warshall forks however small the net, as on
+    a machine with ``count`` CPUs. Returns the list that gathers the pid of
     every process forked from then on."""
-    from layerpath import paths
+    from layerpath import paths, workers
 
-    def force(workers):
+    def force(count):
         forks = []
         real_fork = os.fork
 
@@ -33,7 +33,7 @@ def force_fw_workers(monkeypatch):
             return pid
 
         monkeypatch.setattr(paths, "_FW_FORK_MIN_NODES", 0)
-        monkeypatch.setattr(paths, "available_cpus", lambda: workers)
+        monkeypatch.setattr(workers, "available_cpus", lambda: count)
         monkeypatch.setattr(os, "fork", fork)
         return forks
 

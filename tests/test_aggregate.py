@@ -101,6 +101,11 @@ class TestParams:
             AggregationParams(beta=True)
 
 
+def kept_pairs(graph):
+    """The (src, dst) pairs of ``graph``'s aggregated edges."""
+    return {(src, dst) for src, row in graph.priced_pairs.items() for dst, _, _ in row}
+
+
 def aggregated_edge(net, x, y, alpha=1, beta=1.0):
     """The aggregated edge (x, y) under one threshold pair, or None."""
     return aggregate_graph(net, AggregationParams(alpha, beta)).edge(x, y)
@@ -184,7 +189,7 @@ class TestAggregateGraph:
         net = build_net(("a",), [(0, 1, "a", 0.3)], extra_nodes=(2, 3))
         g = aggregate_graph(net, AggregationParams(1, 1.0))
         assert g.num_edges == 1
-        assert list(g.edges())[0][:2] == (0, 1)
+        assert kept_pairs(g) == {(0, 1)}
 
     def test_thresholds_filter(self):
         net = build_net(
@@ -209,9 +214,9 @@ class TestAggregateGraph:
             [(0, 1, "a", 0.1), (1, 2, "a", 0.9), (1, 2, "b", 0.9)],
         )
         layers_only = aggregate_graph(net, AggregationParams(2, 1.0))
-        assert {(e.src, e.dst) for e in layers_only.edges()} == {(1, 2)}
+        assert kept_pairs(layers_only) == {(1, 2)}
         distance_only = aggregate_graph(net, AggregationParams(1, 0.2))
-        assert {(e.src, e.dst) for e in distance_only.edges()} == {(1, 2)}
+        assert kept_pairs(distance_only) == {(1, 2)}
 
     def test_requires_seal(self):
         net = MultiLayeredNetwork(layers=("a",))
@@ -230,11 +235,12 @@ def test_aggregated_edges_satisfy_both_thresholds(net, params):
     g = aggregate_graph(net, params)
     counts = {pair: count for pair, (count, _) in recount_pairs(net).items()}
     seen = set()
-    for src, dst, dist, layer_count in g.edges():
-        seen.add((src, dst))
-        assert layer_count == counts[src, dst] >= params.alpha
-        assert dist == distance(net, src, dst)
-        assert dist <= params.beta
+    for src, row in g.priced_pairs.items():
+        for dst, layer_count, dist in row:
+            seen.add((src, dst))
+            assert layer_count == counts[src, dst] >= params.alpha
+            assert dist == distance(net, src, dst)
+            assert dist <= params.beta
     # completeness: every connected pair meeting both thresholds is present
     for x in net.nodes:
         for y in net.nodes:
@@ -247,8 +253,7 @@ def test_aggregated_edges_satisfy_both_thresholds(net, params):
 @given(layered_networks(polarities=(POSITIVE, NEGATIVE)))
 def test_stricter_thresholds_shrink_the_edge_set(net):
     def edge_pairs(alpha, beta):
-        g = aggregate_graph(net, AggregationParams(alpha, beta))
-        return {(e.src, e.dst) for e in g.edges()}
+        return kept_pairs(aggregate_graph(net, AggregationParams(alpha, beta)))
 
     for beta in (1.0, 0.5):
         assert edge_pairs(3, beta) <= edge_pairs(2, beta) <= edge_pairs(1, beta)

@@ -23,6 +23,7 @@ from layerpath import (
     load_edge_list,
     ml_floyd_warshall,
     paths,
+    workers,
 )
 from layerpath.cli import main
 
@@ -48,8 +49,9 @@ def parse_csv(text):
 
 
 # head of a fresh-interpreter script: `cli` imported, force_pool() sends
-# sssp and sweep through two forked workers however small the net, and
-# force_fw_workers() does the same for apsp's Floyd-Warshall, four rows a block
+# sssp and sweep through two forked workers however small the net,
+# force_fw_workers() does the same for apsp's Floyd-Warshall, four rows a
+# block, and force_emitter() for apsp's output, four rows of 40 a block
 FORCE_POOL_IF_ASKED = (
     "import json, sys\n"
     "from layerpath import cli\n"
@@ -58,10 +60,26 @@ FORCE_POOL_IF_ASKED = (
     "    cells._POOL_MIN_WORK = 0\n"
     "    cells.available_cpus = lambda: 2\n"
     "def force_fw_workers():\n"
-    "    from layerpath import paths\n"
+    "    from layerpath import paths, workers\n"
     "    paths._FW_FORK_MIN_NODES = 0\n"
     "    paths._FW_BLOCK_BYTES = 8 * 40 * 4\n"
-    "    paths.available_cpus = lambda: 2\n"
+    "    workers.available_cpus = lambda: 2\n"
+    "def force_emitter():\n"
+    "    from layerpath import workers\n"
+    "    workers._EMIT_FORK_MIN_CELLS = 0\n"
+    "    workers._EMIT_BLOCK_CELLS = 40 * 4\n"
+    "    workers.available_cpus = lambda: 2\n"
+)
+
+# appended to a script head: `forks` gets an entry per os.fork call
+COUNT_FORKS = (
+    "import os\n"
+    "forks = []\n"
+    "real_fork = os.fork\n"
+    "def fork():\n"
+    "    forks.append(None)\n"
+    "    return real_fork()\n"
+    "os.fork = fork\n"
 )
 
 
@@ -76,16 +94,20 @@ def fresh_python(script, *args, **popen):
     return subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
 
 
-def reader_leaves_early(tmp_path, script):
-    """(exit code, stderr) of ``script`` running ``sssp --paths`` on a 600-node net.
+SSSP_PATHS = ("sssp", "--source", "0,1,2,3,4,5,6,7", "--paths")
 
-    As with `| head -c 10`: the reader leaves while the paths dump, far
-    larger than a pipe buffer, is still being written.
+
+def reader_leaves_early(tmp_path, script, argv=SSSP_PATHS):
+    """(exit code, stderr) of ``script`` running ``argv`` on a 600-node net.
+
+    As with `| head -c 10`: the reader leaves while the output (by default
+    the paths dump of ``sssp --paths``), far larger than a pipe buffer, is
+    still being written.
     """
     path = tmp_path / "big.csv"
     assert main(["generate", "--nodes", "600", "--layers", "2", "--density", "0.01",
                  "--seed", "5", "-o", str(path)]) == 0
-    child = fresh_python(script, "sssp", path, "--source", "0,1,2,3,4,5,6,7", "--paths",
+    child = fresh_python(script, argv[0], path, *argv[1:],
                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert len(child.stdout.read(10)) == 10
     child.stdout.close()
@@ -259,30 +281,41 @@ class TestImports:
         assert child.returncode == 0, child.stderr
         assert out.read_text().startswith("src,0,")
 
-    def test_multiprocessing_is_loaded_only_by_the_pool(self, tmp_path):
-        # only sssp and sweep load the cell runner; on a 30-node net they stay
-        # in process, and forced into the pool they load multiprocessing
+    def test_no_command_loads_multiprocessing(self, tmp_path):
+        # workers are bare forks: no command loads multiprocessing or
+        # concurrent.futures, in process or on forced workers; only sssp and
+        # sweep load the cell runner, and only they and apsp the fork module
         net = tmp_path / "net.csv"
         out = tmp_path / "out"
         argvs = [
             ["generate", "--nodes", "30", "--layers", "2", "--density", "0.1",
              "--seed", "3", "-o", net],
             ["load-summary", net, "-o", out],
-            ["apsp", net, "-o", out],
             ["aggregate-export", net, "-o", out],
             ["bench", net, "--default-sources", "2", "-o", out],
+            ["apsp", net, "-o", out],
             ["sssp", net, "--source", "0,1", "--paths", "-o", out],
             ["sweep", net, "--alphas", "1,2", "--betas", "1.0", "--source", "0", "-o", out],
         ]
-        script = FORCE_POOL_IF_ASKED + (
-            "for argv in json.loads(sys.argv[1]):\n"
+        script = FORCE_POOL_IF_ASKED + COUNT_FORKS + (
+            "def check(argv):\n"
             "    assert cli.main(argv) == 0, argv\n"
             "    assert 'multiprocessing' not in sys.modules, argv\n"
+            "    assert 'concurrent.futures' not in sys.modules, argv\n"
+            "argvs = json.loads(sys.argv[1])\n"
+            "for argv in argvs:\n"
+            "    check(argv)\n"
             "    if argv[0] not in ('sssp', 'sweep'):\n"
             "        assert 'layerpath.cells' not in sys.modules, argv\n"
+            "    if argv[0] not in ('sssp', 'sweep', 'apsp'):\n"
+            "        assert 'layerpath.workers' not in sys.modules, argv\n"
+            "assert forks == []\n"
             "force_pool()\n"
-            "assert cli.main(json.loads(sys.argv[1])[-1]) == 0\n"
-            "assert 'multiprocessing' in sys.modules\n"
+            "force_fw_workers()\n"
+            "force_emitter()\n"
+            "for argv in argvs[-3:]:\n"
+            "    check(argv)\n"
+            "assert len(forks) == 6, forks\n"
         )
         child = fresh_python(script, json.dumps([[str(a) for a in argv] for argv in argvs]))
         assert child.returncode == 0, child.stderr
@@ -387,6 +420,38 @@ class TestApsp:
         assert child.returncode == 1
         assert "RuntimeError: a Floyd-Warshall worker" in child.stderr
         assert child.stdout == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_killed_emitter_rank_fails_the_run(self, tmp_path, capsys, fmt):
+        # the blocks before the dead rank's are written, then the run fails
+        path = fixed_net_csv(tmp_path / "fixed.csv")
+        _, good, _ = run(capsys, "apsp", path, "--format", fmt)
+        script = FORCE_POOL_IF_ASKED + (
+            "import os, signal\n"
+            "from layerpath import workers\n"
+            "force_emitter()\n"
+            "parent = os.getpid()\n"
+            "sent = []\n"
+            "real_send = workers.send\n"
+            "def send(fd, data):\n"
+            "    sent.append(data)\n"
+            "    if os.getpid() != parent and len(sent) == 2:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    real_send(fd, data)\n"
+            "workers.send = send\n"
+            "cli.main(sys.argv[1:])\n"
+        )
+        child = fresh_python(script, "apsp", path, "--format", fmt)
+        assert child.returncode == 1
+        assert "Traceback" in child.stderr
+        assert "RuntimeError: a worker process died" in child.stderr
+        # rank 1 sent blocks 1 and died before block 3: blocks 0 to 2 are out
+        assert good.startswith(child.stdout)
+        assert child.stdout.count("\n") > 12 and len(child.stdout) < len(good)
+
+    def test_closed_stdout_on_emitter_ranks_exits_1_without_a_message(self, tmp_path):
+        script = FORCE_POOL_IF_ASKED + "force_emitter()\ncli.run()\n"
+        assert reader_leaves_early(tmp_path, script, ("apsp",)) == (1, b"")
 
 
 class TestCountFlags:
@@ -619,6 +684,11 @@ class TestOutputBytes:
             forks = force_fw_workers(3)
             assert run(capsys, argv[0], path, *argv[1:]) == (code, out, err)
             assert len(forks) == 2
+            # and with the output rendered on three ranks, three rows a block
+            monkeypatch.setattr(workers, "_EMIT_FORK_MIN_CELLS", 0)
+            monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", 40 * 3)
+            assert run(capsys, argv[0], path, *argv[1:]) == (code, out, err)
+            assert len(forks) == 6
 
 
 @pytest.fixture
@@ -686,13 +756,13 @@ class TestWorkerPool:
         assert pooled == alone
 
     def test_buffered_stdout_is_written_once(self, tmp_path):
-        # each worker flushes the std streams it inherited as it exits
+        # a worker must not flush the std streams it inherited as it exits
         path = fixed_net_csv(tmp_path / "fixed.csv")
-        script = FORCE_POOL_IF_ASKED + (
+        script = FORCE_POOL_IF_ASKED + COUNT_FORKS + (
             "force_pool()\n"
             "sys.stdout.write('buffered before the fork\\n')\n"
             "code = cli.main(sys.argv[1:])\n"
-            "assert 'multiprocessing' in sys.modules\n"
+            "assert len(forks) == 2\n"
             "sys.exit(code)\n"
         )
         child = fresh_python(script, "sssp", path, "--source", "0,5", "--alphas", "1,2")
@@ -716,13 +786,13 @@ class TestWorkerPool:
         )
         child = fresh_python(script, "sssp", path, "--source", "0,5", "--alphas", "1,2")
         assert child.returncode == 1
-        assert "BrokenProcessPool" in child.stderr
+        assert "Traceback" in child.stderr
+        assert "RuntimeError: a worker process died" in child.stderr
         assert child.stdout == ""
 
     def test_workers_fork_before_any_thread_starts(self, tmp_path):
-        # Python 3.12 warns when a process with threads forks; the pool's own
-        # threads must start after its workers are forked, and apsp's workers
-        # fork with numpy loaded
+        # Python 3.12 warns when a process with threads forks; apsp's workers
+        # (Floyd-Warshall's and the emitter's) fork with numpy loaded
         path = fixed_net_csv(tmp_path / "fixed.csv")
         script = "import warnings\nwarnings.simplefilter('error')\n" + FORCE_POOL_IF_ASKED + (
             "import os, threading\n"
@@ -738,8 +808,9 @@ class TestWorkerPool:
             "assert cli.main(['sweep', net, '--alphas', '1,2', '--betas', '1.0',\n"
             "                 '--source', '0,5', '-o', out]) == 0\n"
             "force_fw_workers()\n"
+            "force_emitter()\n"
             "assert cli.main(['apsp', net, '-o', out]) == 0\n"
-            "assert threads_at_fork == [1, 1, 1, 1, 1], threads_at_fork\n"
+            "assert threads_at_fork == [1, 1, 1, 1, 1, 1], threads_at_fork\n"
         )
         child = fresh_python(script, path, tmp_path / "out")
         assert (child.returncode, child.stderr) == (0, "")

@@ -280,8 +280,9 @@ def start_matrix(net, params):
     n = net.num_nodes
     start = np.full((n, n), inf)
     np.fill_diagonal(start, 0.0)
-    for e in aggregate_graph(net, params).edges():
-        start[e.src, e.dst] = e.distance
+    for src, row in aggregate_graph(net, params).priced_pairs.items():
+        for dst, _, dist in row:
+            start[src, dst] = dist
     return start
 
 

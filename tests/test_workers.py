@@ -1,0 +1,148 @@
+"""The fork primitive: task dealing, ordered streams, and no leftovers on any path."""
+
+import io
+import os
+import signal
+import time
+
+import pytest
+
+from layerpath import AggregationParams, cells, ml_floyd_warshall, workers
+from layerpath.generate import random_network
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes forked from this one from now on."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def dies_in_a_rank(fn):
+    """``fn``, except that in a process forked from this one it kills that process."""
+    parent = os.getpid()
+
+    def wrapped(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fn(*args)
+
+    return wrapped
+
+
+class TestDeal:
+    def test_more_tasks_than_a_pipe_buffer_holds_indices(self, forks):
+        # 4-byte indices: 16,384 fill a 64 KB pipe; a dealer that wrote them
+        # all before the ranks read any would block
+        tasks = 20_000
+        done = workers.deal(2, tasks, lambda task: task.to_bytes(4, "little"))
+        assert [int.from_bytes(d, "little") for d in done] == list(range(tasks))
+        assert len(forks) == 2
+
+    def test_a_slow_task_does_not_hold_up_the_rest(self, forks):
+        def run(task):
+            if task == 0:
+                time.sleep(0.5)
+            return str(os.getpid()).encode()
+
+        done = [int(d) for d in workers.deal(2, 20, run)]
+        assert set(done) == set(forks)
+        # the rank that drew the slow task drew nothing else, or next to nothing
+        assert done.count(done[0]) < 5
+
+    def test_large_results_come_back_whole(self):
+        done = workers.deal(3, 5, lambda task: bytes([task]) * (300_000 + task))
+        assert [len(d) for d in done] == [300_000 + task for task in range(5)]
+        assert all(d == bytes([task]) * len(d) for task, d in enumerate(done))
+
+    def test_a_rank_that_raises_fails_the_deal(self):
+        def run(task):
+            if task == 3:
+                raise ValueError
+            return b""
+
+        with pytest.raises(RuntimeError, match="a worker process"):
+            workers.deal(2, 8, run)
+
+
+class TestStream:
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_blocks_are_written_in_order(self, forks, count):
+        out = io.StringIO()
+        workers.stream(out, count, 10, lambda b: f"{b}:" + "x" * (100_000 * (b % 3)) + "\n")
+        assert out.getvalue() == "".join(
+            f"{b}:" + "x" * (100_000 * (b % 3)) + "\n" for b in range(10)
+        )
+        assert len(forks) == count - 1
+
+
+class ClosesAfter:
+    """A stdout whose reader leaves after ``writes`` writes."""
+
+    def __init__(self, writes):
+        self.writes = writes
+
+    def write(self, text):
+        self.writes -= 1
+        if self.writes < 0:
+            raise BrokenPipeError
+
+
+def cells_run(monkeypatch, outcome):
+    monkeypatch.setattr(cells, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(cells, "available_cpus", lambda: 3)
+    if outcome == "killed":
+        monkeypatch.setattr(cells, "_cell_task", dies_in_a_rank(cells._cell_task))
+    net = random_network(60, 3, 0.05, seed=2)
+    grid = [AggregationParams(a, b) for a in (1, 2) for b in (0.5, 1.0)]
+    cells.run_cells(net, grid, [0, 1, 2], "dap", targets=sorted(net.nodes))
+
+
+def emitter_run(monkeypatch, outcome):
+    net = random_network(60, 3, 0.05, seed=2)
+    matrix = ml_floyd_warshall(net)
+    monkeypatch.setattr(workers, "_EMIT_FORK_MIN_CELLS", 0)
+    monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", 60 * 4)
+    monkeypatch.setattr(workers, "available_cpus", lambda: 3)
+    if outcome == "killed":
+        monkeypatch.setattr(workers, "send", dies_in_a_rank(workers.send))
+    out = ClosesAfter(3) if outcome == "closed" else io.StringIO()
+    workers.write_matrix(out, matrix, "csv")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize(
+    "run, outcome, raises",
+    [
+        (cells_run, "finished", None),
+        (cells_run, "killed", RuntimeError),
+        (emitter_run, "finished", None),
+        (emitter_run, "killed", RuntimeError),
+        (emitter_run, "closed", BrokenPipeError),
+    ],
+    ids=["cells-finished", "cells-killed", "emitter-finished", "emitter-killed",
+         "emitter-closed"],
+)
+def test_no_process_or_fd_is_left_behind(monkeypatch, forks, run, outcome, raises):
+    # Floyd-Warshall's ranks are checked the same way in test_paths.py; on
+    # three CPUs the cells fork three ranks, and the emitter two besides this
+    # process
+    fds = len(os.listdir("/proc/self/fd"))
+    if raises:
+        with pytest.raises(raises):
+            run(monkeypatch, outcome)
+    else:
+        run(monkeypatch, outcome)
+    assert len(forks) == (3 if run is cells_run else 2)
+    with pytest.raises(ChildProcessError):  # every rank is reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
