@@ -25,7 +25,6 @@ out-degrees behave under loose thresholds. Tests pin this behavior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -33,22 +32,33 @@ from .core import MultiLayeredNetwork, POSITIVE, coerce_int, coerce_unit, pair_d
 from .errors import InvalidAlphaError, InvalidBetaError, SameNodeError, UnknownNodeError
 
 
-@dataclass(frozen=True)
-class AggregationParams:
+class _Thresholds(NamedTuple):
+    alpha: int
+    beta: float
+
+
+class AggregationParams(_Thresholds):
     """Thresholds selecting which pairs survive aggregation.
 
     A pair needs at least ``alpha`` layers and a distance of at most
-    ``beta``. The defaults admit every connected pair.
+    ``beta``. The defaults admit every connected pair. Both are coerced on
+    construction, ``_replace`` included: a bad alpha raises
+    ``InvalidAlphaError`` and a bad beta ``InvalidBetaError``.
     """
 
-    alpha: int = 1
-    beta: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "alpha", coerce_int(self.alpha, "alpha", minimum=1, error=InvalidAlphaError)
+    def __new__(cls, alpha: int = 1, beta: float = 1.0):
+        return super().__new__(
+            cls,
+            coerce_int(alpha, "alpha", minimum=1, error=InvalidAlphaError),
+            coerce_unit(beta, "beta", InvalidBetaError),
         )
-        object.__setattr__(self, "beta", coerce_unit(self.beta, "beta", InvalidBetaError))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, and the inherited one skips ``__new__``
+        return cls(*iterable)
 
     def kept(self, row: tuple) -> tuple:
         """The pairs of a priced row that meet both thresholds; the row itself if all do."""
@@ -65,21 +75,25 @@ class AggregatedEdge(NamedTuple):
     layer_count: int
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class AggregatedGraph:
+class AggregatedGraph(NamedTuple):
     """Simple weighted digraph: the priced rows that pass the thresholds.
 
     ``priced_pairs`` is a read-only src -> ((dst, layer count, distance),
     ...): the network's own rows cut down to the pairs that meet both
     thresholds, in priced order and as the same tuples. Sources without kept
-    pairs are left out. ``num_edges`` counts the kept pairs. Graphs compare
-    by identity.
+    pairs are left out. ``num_edges`` counts the kept pairs. Graphs compare,
+    hash and print by identity, as objects do.
     """
 
     nodes: frozenset[int]
     params: AggregationParams
     priced_pairs: Mapping[int, tuple[tuple[int, int, float], ...]]
     num_edges: int
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+    __repr__ = object.__repr__
 
     def edge(self, x: int, y: int) -> AggregatedEdge | None:
         for dst, count, dist in self.priced_pairs.get(x, ()):

@@ -12,7 +12,6 @@ which is the usual first look at how dense the aggregated graph will be.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .aggregate import AggregationParams
@@ -82,8 +81,7 @@ def path_stats(result: ShortestPathResult) -> PathStats:
     )
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Aggregated edge counts for each (alpha, beta) pair of a sweep grid.
 
     ``counts[i][j]`` is the edge count for ``alphas[i]`` and ``betas[j]``.

@@ -11,8 +11,7 @@ it over many sources is the whole argument for preprocessing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from statistics import median
+from typing import NamedTuple
 
 from .aggregate import AggregationParams, aggregate_graph
 from .core import MultiLayeredNetwork, coerce_int
@@ -20,8 +19,7 @@ from .errors import ParameterError, UnknownNodeError
 from .paths import aggregated_sssp, mda_sssp
 
 
-@dataclass(frozen=True)
-class BenchReport:
+class BenchReport(NamedTuple):
     """Median wall-clock seconds per phase across ``reps`` repetitions."""
 
     num_nodes: int
@@ -48,6 +46,17 @@ class BenchReport:
         if self.dap_total_seconds == 0.0:
             return float("inf") if self.mda_seconds else 0.0
         return (self.mda_seconds / self.dap_total_seconds - 1.0) * 100.0
+
+
+def _median(data: list[float]) -> float:
+    """``statistics.median`` bit for bit, without importing ``statistics``.
+
+    That module loads ``decimal``, ``fractions`` and ``numbers`` for this
+    one function. An even count averages its two middle values.
+    """
+    data = sorted(data)
+    i = len(data) // 2
+    return data[i] if len(data) % 2 else (data[i - 1] + data[i]) / 2
 
 
 def benchmark(
@@ -97,9 +106,9 @@ def benchmark(
         num_sources=len(sources),
         params=params,
         reps=reps,
-        aggregate_seconds=median(agg_times),
-        dap_search_seconds=median(search_times),
-        mda_seconds=median(mda_times),
+        aggregate_seconds=_median(agg_times),
+        dap_search_seconds=_median(search_times),
+        mda_seconds=_median(mda_times),
     )
 
 

@@ -23,9 +23,10 @@ import os
 import sys
 from contextlib import contextmanager
 
+# the four layer modules load here for every command, as perfbench/traced.py
+# expects; a module only one command runs loads inside that command
 from .aggregate import AggregationParams, aggregate_graph
 from .analytics import STATS_COLUMNS, edge_count_sweep
-from .bench import benchmark, format_bench_report
 from .core import NEGATIVE, POSITIVE, MultiLayeredNetwork, coerce_int, parse_natural, parse_real
 from .edgelist import (
     ON_DUPLICATE_ERROR,
@@ -41,7 +42,6 @@ from .errors import (
     SizeGuardExceededError,
     UnknownNodeError,
 )
-from .generate import random_network
 from .paths import DEFAULT_APSP_NODE_CAP, apsp_repeated_dijkstra, ml_floyd_warshall
 
 FLOYD_WARSHALL = "floyd-warshall"
@@ -97,6 +97,8 @@ def _sources_from(args, net: MultiLayeredNetwork) -> list[int]:
 
 
 def cmd_generate(args) -> int:
+    from .generate import random_network
+
     net = random_network(
         args.nodes,
         args.layers,
@@ -224,6 +226,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import benchmark, format_bench_report
+
     # flags first: a bad one should not wait for a large file to load
     coerce_int(args.reps, "bench --reps", minimum=3)
     coerce_int(args.default_sources, "bench --default-sources", minimum=1)

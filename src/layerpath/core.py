@@ -23,7 +23,6 @@ import math
 import operator
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from itertools import islice
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
@@ -55,8 +54,7 @@ class LayerId(NamedTuple):
     label: str
 
 
-@dataclass(frozen=True, slots=True)
-class LayeredEdge:
+class LayeredEdge(NamedTuple):
     """One directed edge on one layer."""
 
     src: int

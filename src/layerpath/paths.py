@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import heapq
 import os
-from dataclasses import dataclass, field
 from math import inf
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .aggregate import AggregatedGraph, AggregationParams, aggregate_graph
 from .core import MultiLayeredNetwork, coerce_int
@@ -63,8 +62,7 @@ _FW_BLOCK_BYTES = 256 * 1024
 _FW_FORK_MIN_NODES = 500
 
 
-@dataclass
-class ShortestPathResult:
+class ShortestPathResult(NamedTuple):
     """Single-source shortest path lengths and predecessor tree.
 
     ``lengths`` maps every reachable node (the source included, at 0.0) to its
@@ -111,17 +109,14 @@ class ShortestPathResult:
         return path
 
 
-@dataclass
 class DistanceMatrix:
     """All-pairs shortest lengths; rows and columns follow ``order``."""
 
-    order: list[int]
-    values: np.ndarray
-    params: AggregationParams
-    _index: dict[int, int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._index = {v: i for i, v in enumerate(self.order)}
+    def __init__(self, order: list[int], values: np.ndarray, params: AggregationParams) -> None:
+        self.order = order
+        self.values = values
+        self.params = params
+        self._index = {v: i for i, v in enumerate(order)}
 
     def entry(self, x: int, y: int) -> float:
         try:

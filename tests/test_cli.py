@@ -320,6 +320,63 @@ class TestImports:
         child = fresh_python(script, json.dumps([[str(a) for a in argv] for argv in argvs]))
         assert child.returncode == 0, child.stderr
 
+    def test_each_command_loads_only_what_it_runs(self, tmp_path):
+        # no command loads dataclasses, inspect or statistics, in process or
+        # on forced workers (apsp's numpy may load them itself); bench and
+        # generate load their own modules and no other command does
+        net = tmp_path / "net.csv"
+        out = tmp_path / "out"
+        assert main(["generate", "--nodes", "30", "--layers", "2", "--density", "0.1",
+                     "--seed", "3", "-o", str(net)]) == 0
+        argvs = [
+            ["load-summary", net, "-o", out],
+            ["aggregate-export", net, "-o", out],
+            ["sssp", net, "--source", "0,1", "--paths", "-o", out],
+            ["sweep", net, "--alphas", "1,2", "--betas", "1.0", "--source", "0", "-o", out],
+            ["bench", net, "--default-sources", "2", "-o", out],
+            ["generate", "--nodes", "30", "--layers", "2", "--density", "0.1", "-o", out],
+            ["apsp", net, "-o", out],
+        ]
+        script = FORCE_POOL_IF_ASKED + (
+            "ran = set()\n"
+            "by_numpy = set()\n"
+            "def check(argv=None):\n"
+            "    if argv:\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "        ran.add(argv[0])\n"
+            "    for name in ('dataclasses', 'inspect', 'statistics'):\n"
+            "        assert name not in sys.modules or name in by_numpy, (argv, name)\n"
+            "    for command in ('bench', 'generate'):\n"
+            "        assert (f'layerpath.{command}' in sys.modules) == (command in ran), argv\n"
+            "check()\n"
+            "argvs = json.loads(sys.argv[1])\n"
+            "for argv in argvs[:-1]:\n"
+            "    check(argv)\n"
+            "before = set(sys.modules)\n"
+            "import numpy\n"
+            "by_numpy = set(sys.modules) - before\n"
+            "check(argvs[-1])\n"
+            "force_pool()\n"
+            "force_fw_workers()\n"
+            "force_emitter()\n"
+            "for argv in argvs[2:4] + argvs[-1:]:\n"
+            "    check(argv)\n"
+        )
+        child = fresh_python(script, json.dumps([[str(a) for a in argv] for argv in argvs]))
+        assert child.returncode == 0, child.stderr
+
+    def test_a_bare_import_loads_no_submodule(self):
+        script = (
+            "import sys\n"
+            "import layerpath\n"
+            "assert [m for m in sys.modules if m.startswith('layerpath')] == ['layerpath']\n"
+            "layerpath.GraphError\n"
+            "assert [m for m in sys.modules if m.startswith('layerpath')] == "
+            "['layerpath', 'layerpath.errors']\n"
+        )
+        child = fresh_python(script)
+        assert child.returncode == 0, child.stderr
+
 
 class TestApsp:
     def test_matrix_shape_and_header(self, net_csv, capsys):
