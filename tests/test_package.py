@@ -106,15 +106,12 @@ class TestRecords:
             AggregationParams()._replace(**kwargs)
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
-
 # sums that round, an odd count, and a sum past the largest float (inf)
 @pytest.mark.parametrize("data", [[0.1, 0.2], [0.3, 0.1, 0.2], [1.0, 0.1, 0.7, 0.2], [1e308, 1.5e308]])
 def test_bench_median_rounds_as_statistics_does(data):
     assert bench._median(data).hex() == statistics.median(data).hex()
 
 
-@given(st.lists(FINITE, min_size=1, max_size=9))
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=9))
 def test_bench_median_is_statistics_median(data):
     assert bench._median(data).hex() == statistics.median(data).hex()
