@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 # the module that defines each public name
 _HOMES = {
     "aggregate": (
-        "AggregatedEdge",
         "AggregatedGraph",
         "AggregationParams",
         "aggregate_graph",

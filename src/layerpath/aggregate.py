@@ -68,13 +68,6 @@ class AggregationParams(_Thresholds):
         return row if len(kept) == len(row) else tuple(kept)
 
 
-class AggregatedEdge(NamedTuple):
-    src: int
-    dst: int
-    distance: float
-    layer_count: int
-
-
 class AggregatedGraph(NamedTuple):
     """Simple weighted digraph: the priced rows that pass the thresholds.
 
@@ -94,12 +87,6 @@ class AggregatedGraph(NamedTuple):
     __ne__ = object.__ne__
     __hash__ = object.__hash__
     __repr__ = object.__repr__
-
-    def edge(self, x: int, y: int) -> AggregatedEdge | None:
-        for dst, count, dist in self.priced_pairs.get(x, ()):
-            if dst == y:
-                return AggregatedEdge(x, y, dist, count)
-        return None
 
 
 def distance(net: MultiLayeredNetwork, x: int, y: int) -> float:

@@ -21,7 +21,6 @@ import io
 import json
 import marshal
 import math
-import os
 
 from .aggregate import aggregate_graph
 from .analytics import PathStats, path_stats
@@ -122,8 +121,9 @@ def run_cells(net, cells, sources, strategy, targets=(), fmt="csv") -> list[list
     ``targets`` in ``fmt`` (``"csv"`` or ``"json"``). Each cell's sources
     are cut into as many blocks as it takes to give every available CPU a
     task. The tasks run in forked worker processes, one per CPU at most,
-    unless there is one worker or one task, the platform cannot fork, or
-    the searches are too small to pay for the forks (``_POOL_MIN_WORK``).
+    unless there is one worker or one task (one CPU, or a platform that
+    cannot fork, counts as one), or the searches are too small to pay for
+    the forks (``_POOL_MIN_WORK``).
     """
     cpus = available_cpus()
     blocks = min(len(sources), math.ceil(cpus / len(cells)))
@@ -136,7 +136,7 @@ def run_cells(net, cells, sources, strategy, targets=(), fmt="csv") -> list[list
     job = (net, strategy, targets, fmt)
     workers = min(cpus, len(tasks))
     work = len(cells) * len(sources) * (net.num_edges + _TARGET_WORK * len(targets))
-    if workers < 2 or not hasattr(os, "fork") or work < _POOL_MIN_WORK:
+    if workers < 2 or work < _POOL_MIN_WORK:
         done = [_cell_task(*job, *task) for task in tasks]
     else:
         done = _pool_map(job, tasks, workers)

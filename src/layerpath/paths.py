@@ -31,7 +31,6 @@ predecessor.
 from __future__ import annotations
 
 import heapq
-import os
 from math import inf
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
@@ -251,9 +250,9 @@ def ml_floyd_warshall(
     copied aside sit in shared memory, and process ``rank`` tells process
     ``rank + 1`` (mod the count) through pipe ``rank`` which blocks are
     through their first pass (see ``_fw_relax``). Below
-    ``_FW_FORK_MIN_NODES`` nodes, on one CPU, or where there is no
-    ``os.fork``, every block runs in this process. A worker that dies
-    raises ``RuntimeError``.
+    ``_FW_FORK_MIN_NODES`` nodes, or where ``workers.available_cpus`` is 1,
+    every block runs in this process. A worker that dies raises
+    ``RuntimeError``.
     """
     import mmap
 
@@ -276,7 +275,7 @@ def ml_floyd_warshall(
     for src, row in aggregate_graph(net, params).priced_pairs.items():
         values[index[src], [index[dst] for dst, _, _ in row]] = [dist for _, _, dist in row]
     workers = 1
-    if n >= _FW_FORK_MIN_NODES and hasattr(os, "fork"):
+    if n >= _FW_FORK_MIN_NODES:
         workers = min(available_cpus(), len(bounds))
     ring = [(rank, (rank + 1) % workers) for rank in range(workers)] if workers > 1 else []
 
@@ -286,7 +285,7 @@ def ml_floyd_warshall(
     with forked(workers, ring, relax) as pipes:
         try:
             relax(0, pipes)
-        except (EOFError, BrokenPipeError):  # not stdout's: a worker's end of the ring
+        except (RuntimeError, BrokenPipeError):  # not stdout's: a worker's end of the ring
             raise RuntimeError("a Floyd-Warshall worker died") from None
     return DistanceMatrix(order, values, params)
 
@@ -316,26 +315,21 @@ def _fw_relax(values, snap, bounds, rank: int, pipes) -> None:
     """
     import numpy as np
 
+    from .workers import recv, send
+
     workers = len(pipes) or 1
     inbox, outbox = (pipes[rank - 1][0], pipes[rank][1]) if pipes else (None, None)
     blocks = len(bounds)
     successor = (rank + 1) % workers
     through = -1  # every block up to this one is through its first pass
-    unread = b""
 
     def wait(c: int) -> None:
-        nonlocal through, unread
+        nonlocal through
         while through < c:
-            data = os.read(inbox, 4096)
-            if not data:  # the process before this one has exited
-                raise EOFError
-            unread += data
-            whole = len(unread) - len(unread) % 4
-            for i in range(0, whole, 4):
-                through = int.from_bytes(unread[i:i + 4], "little")
-                if through % workers != successor:
-                    os.write(outbox, unread[i:i + 4])
-            unread = unread[whole:]
+            notice = recv(inbox)
+            through = int.from_bytes(notice, "little")
+            if through % workers != successor:
+                send(outbox, notice)
 
     n = values.shape[1]
     tmp = np.empty((_fw_block_height(n), n))
@@ -355,7 +349,7 @@ def _fw_relax(values, snap, bounds, rank: int, pipes) -> None:
             if first_pass:
                 through = b
                 if outbox is not None:
-                    os.write(outbox, b.to_bytes(4, "little"))
+                    send(outbox, b.to_bytes(4, "little"))
 
 
 def apsp_repeated_dijkstra(

@@ -11,7 +11,10 @@ leaves only through ``os._exit``, so it never returns into the caller's
 code nor flushes the std streams it inherited. The calling process reaps
 every rank before it returns or raises, kills the ranks still running when
 it raises, and turns a rank that dies into ``RuntimeError``, so a command
-ends with a traceback and exit code 1 instead of waiting forever.
+ends with a traceback and exit code 1 instead of waiting forever. Jobs
+that hand results back go through ``deal``; Floyd-Warshall's ring uses
+``forked`` directly. No other module forks, and where the platform cannot,
+``available_cpus`` is 1.
 """
 
 from __future__ import annotations
@@ -21,27 +24,26 @@ import math
 import os
 import select
 import signal
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from os import _exit  # public in os; spelt os._exit, tests/test_layout.py takes it for private
 
 # Matrix cells per block of ``apsp``'s output: 32 rows at 800 nodes, about
-# 0.5 MB of CSV, which is what this process holds while it writes a block.
-# On a 2-CPU x86 VM, two ranks wrote the 800-node matrix in 0.367-0.390 s
-# (medians of 11 rounds, two sets) with 8-, 16-, 32- or 64-row blocks.
+# 0.5 MB of CSV. On a 2-CPU x86 VM, two ranks wrote the 800-node matrix in
+# 0.367-0.390 s (medians of 11 rounds, two sets) with 8-, 16-, 32- or 64-row
+# blocks. A matrix of one block (up to 160 nodes) is rendered in process;
+# from two blocks on, the blocks are dealt to forked ranks (``deal``), and
+# this process holds the block it is writing plus any that arrived ahead of
+# a lower one. There, forking two ranks, dealing them two 0.3 MB results
+# and reaping them took about 6 ms; at 180 nodes (two blocks) two ranks
+# took 27.5-38.5 ms against 26.0-33.7 ms in process, faster in 4-6 of 21
+# rounds (medians, four sets), and at 800 nodes 0.33 s against 0.68 s.
 _EMIT_BLOCK_CELLS = 32 * 800
-# Below this many matrix cells ``apsp``'s output is rendered in process. On
-# a 2-CPU x86 VM forking a rank, one message and reaping it took about 2 ms,
-# and rendering 0.5-1.1 us a cell. Medians of 15 rounds, two ranks against
-# one, in three sets: 160 nodes (one block, so no fork) equal; 200 nodes
-# (40,000 cells, two blocks) 21-36 ms against 32-51 ms, faster in 14/15 in
-# two sets, and 52 against 47 ms, faster in 1/15, in a set where the
-# second CPU was busy; 250 to 400 nodes the same way, up to 102 against
-# 183 ms. At 800 nodes: 0.38 s against 0.50 s.
-_EMIT_FORK_MIN_CELLS = 40_000
 
 
 def available_cpus() -> int:
-    """How many CPUs this process may run on."""
+    """How many CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
@@ -133,13 +135,15 @@ def _read(fd: int, size: int) -> bytearray:
     return data
 
 
-def deal(count: int, tasks: int, run) -> list[bytearray]:
+def deal(count: int, tasks: int, run):
     """``run(task)``, which returns bytes, for every task index below ``tasks``.
 
-    The tasks run on ``count`` forked ranks; this process only deals and
-    collects. A rank is sent its next index when its last result arrives,
-    so ranks that drew cheap tasks draw more, and no pipe ever holds more
-    than one index. Results come back in task order.
+    A generator: the tasks run on ``count`` forked ranks, and this process
+    only deals and collects. A rank is sent its next index when its last
+    result arrives, so ranks that drew cheap tasks draw more, and no pipe
+    ever holds more than one index. Results are yielded in task order, each
+    as soon as every lower one is out; one that arrives early waits here.
+    Closing the generator early kills and reaps the ranks.
     """
     links = [(0, rank) for rank in range(1, count + 1)]
     links += [(rank, 0) for rank in range(1, count + 1)]
@@ -149,9 +153,10 @@ def deal(count: int, tasks: int, run) -> list[bytearray]:
         while (task := int.from_bytes(_read(inbox, 4), "little")) < tasks:
             send(outbox, run(task))
 
-    results: list = [None] * tasks
     todo = iter(range(tasks))
     doing = {}  # a busy rank's result end -> its task
+    ready = {}  # task -> its result, until every lower one is out
+    out = 0  # the next task to yield
     poll = select.poll()
     with forked(count + 1, links, work) as pipes:
         outbox = {pipes[count + i][0]: pipes[i][1] for i in range(count)}
@@ -172,28 +177,11 @@ def deal(count: int, tasks: int, run) -> list[bytearray]:
             give(inbox)
         while doing:
             for inbox, _ in poll.poll():
-                results[doing.pop(inbox)] = recv(inbox)
+                ready[doing.pop(inbox)] = recv(inbox)
                 give(inbox)
-    return results
-
-
-def stream(out, count: int, blocks: int, render) -> None:
-    """Write ``render(b)`` to ``out`` for every block index below ``blocks``, in order.
-
-    Blocks are dealt round-robin to ``count`` ranks, this process rank 0. A
-    forked rank sends each of its blocks as soon as it is rendered, and
-    waits while its pipe is full, so this process holds one block at a time.
-    """
-    links = [(rank, 0) for rank in range(1, count)]
-
-    def work(rank, pipes):
-        for b in range(rank, blocks, count):
-            send(pipes[rank - 1][1], render(b).encode())
-
-    with forked(count, links, work) as pipes:
-        for b in range(blocks):
-            rank = b % count
-            out.write(render(b) if rank == 0 else recv(pipes[rank - 1][0]).decode())
+            while out in ready:
+                yield ready.pop(out)
+                out += 1
 
 
 def write_matrix(out, matrix, fmt: str) -> None:
@@ -203,9 +191,8 @@ def write_matrix(out, matrix, fmt: str) -> None:
     ``repr`` of its float (``inf`` where unreachable); float reprs and node
     ids never need quoting, so this is what ``csv.writer`` would write. JSON:
     the payload as ``json.dump(payload, indent=2)`` writes it, with
-    ``matrix`` last and ``null`` where unreachable. The row blocks are
-    rendered on every available CPU once the matrix has
-    ``_EMIT_FORK_MIN_CELLS`` cells and the platform can fork.
+    ``matrix`` last and ``null`` where unreachable. A matrix of two
+    blocks or more is rendered on every available CPU (``deal``).
     """
     order = matrix.order
     values = matrix.values
@@ -228,10 +215,17 @@ def write_matrix(out, matrix, fmt: str) -> None:
 
     height = max(1, _EMIT_BLOCK_CELLS // n)
     blocks = -(-n // height)
-    ranks = 1
-    if n * n >= _EMIT_FORK_MIN_CELLS and hasattr(os, "fork"):
-        ranks = min(available_cpus(), blocks)
-    stream(out, ranks, blocks,
-           lambda b: "".join(map(row, range(b * height, min(b * height + height, n)))))
+
+    def block(b: int) -> str:
+        return "".join(map(row, range(b * height, min(b * height + height, n))))
+
+    ranks = min(available_cpus(), blocks)
+    if ranks < 2:
+        for b in range(blocks):
+            out.write(block(b))
+    else:
+        with closing(deal(ranks, blocks, lambda b: block(b).encode())) as done:
+            for text in done:
+                out.write(text.decode())
     if fmt == "json":
         out.write("\n  ]\n}\n")

@@ -107,14 +107,15 @@ def kept_pairs(graph):
 
 
 def aggregated_edge(net, x, y, alpha=1, beta=1.0):
-    """The aggregated edge (x, y) under one threshold pair, or None."""
-    return aggregate_graph(net, AggregationParams(alpha, beta)).edge(x, y)
+    """The kept (y, layer count, distance) of pair (x, y) under one threshold pair, or None."""
+    row = aggregate_graph(net, AggregationParams(alpha, beta)).priced_pairs.get(x, ())
+    return next((pair for pair in row if pair[0] == y), None)
 
 
 class TestSingleEdgeQueries:
     def test_layer_count_threshold(self):
         net = three_layer_pair(0.8, 0.5, None)
-        assert aggregated_edge(net, 0, 1, alpha=2).layer_count == 2
+        assert aggregated_edge(net, 0, 1, alpha=2)[1] == 2
         assert aggregated_edge(net, 0, 1, alpha=3) is None
         assert aggregated_edge(net, 1, 0, alpha=1) is None
 
@@ -124,7 +125,7 @@ class TestSingleEdgeQueries:
         d = distance(net, 0, 1)
         assert d == 0.75
         kept = aggregated_edge(net, 0, 1, beta=0.75)
-        assert kept is not None and kept.distance == 0.75
+        assert kept is not None and kept[2] == 0.75
         assert aggregated_edge(net, 0, 1, beta=0.7499999999) is None
 
     def test_unconnected_pair_never_aggregates(self):
@@ -140,9 +141,9 @@ class TestSingleEdgeQueries:
 
     def test_edge_weight_is_the_distance(self):
         net = three_layer_pair(0.8, 0.5, None)
-        kept = aggregated_edge(net, 0, 1)
-        assert kept.distance == distance(net, 0, 1)
-        assert kept.src == 0 and kept.dst == 1
+        dst, _, dist = aggregated_edge(net, 0, 1)
+        assert dist == distance(net, 0, 1)
+        assert dst == 1
 
 
 class TestAggregateGraph:
@@ -156,9 +157,7 @@ class TestAggregateGraph:
         )
         g = aggregate_graph(net, AggregationParams(1, 1.0))
         assert g.num_edges == 2
-        assert g.edge(0, 1).distance == 0.5
-        assert g.edge(1, 2).layer_count == 1
-        assert g.edge(2, 1) is None
+        assert [pair[:2] for pair in g.priced_pairs[1]] == [(2, 1)]
         assert g.priced_pairs[0] == ((1, 2, 0.5),)
         assert 2 not in g.priced_pairs
 

@@ -66,7 +66,6 @@ FORCE_POOL_IF_ASKED = (
     "    workers.available_cpus = lambda: 2\n"
     "def force_emitter():\n"
     "    from layerpath import workers\n"
-    "    workers._EMIT_FORK_MIN_CELLS = 0\n"
     "    workers._EMIT_BLOCK_CELLS = 40 * 4\n"
     "    workers.available_cpus = lambda: 2\n"
 )
@@ -315,7 +314,7 @@ class TestImports:
             "force_emitter()\n"
             "for argv in argvs[-3:]:\n"
             "    check(argv)\n"
-            "assert len(forks) == 6, forks\n"
+            "assert len(forks) == 7, forks\n"
         )
         child = fresh_python(script, json.dumps([[str(a) for a in argv] for argv in argvs]))
         assert child.returncode == 0, child.stderr
@@ -480,31 +479,34 @@ class TestApsp:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_a_killed_emitter_rank_fails_the_run(self, tmp_path, capsys, fmt):
-        # the blocks before the dead rank's are written, then the run fails
+        # some of the blocks before the dead rank's are written, then the run fails
         path = fixed_net_csv(tmp_path / "fixed.csv")
         _, good, _ = run(capsys, "apsp", path, "--format", fmt)
         script = FORCE_POOL_IF_ASKED + (
             "import os, signal\n"
             "from layerpath import workers\n"
             "force_emitter()\n"
-            "parent = os.getpid()\n"
-            "sent = []\n"
-            "real_send = workers.send\n"
-            "def send(fd, data):\n"
-            "    sent.append(data)\n"
-            "    if os.getpid() != parent and len(sent) == 2:\n"
-            "        os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    real_send(fd, data)\n"
-            "workers.send = send\n"
+            "real_deal = workers.deal\n"
+            "def deal(count, tasks, run):\n"
+            "    def dies(task):\n"
+            "        if task == 3:\n"
+            "            os.kill(os.getpid(), signal.SIGKILL)\n"
+            "        return run(task)\n"
+            "    return real_deal(count, tasks, dies)\n"
+            "workers.deal = deal\n"
             "cli.main(sys.argv[1:])\n"
         )
         child = fresh_python(script, "apsp", path, "--format", fmt)
         assert child.returncode == 1
         assert "Traceback" in child.stderr
         assert "RuntimeError: a worker process died" in child.stderr
-        # rank 1 sent blocks 1 and died before block 3: blocks 0 to 2 are out
+        # the rank that drew block 3 (rows 12 to 15) died: stdout stops at
+        # the end of the header or of block 0, 1 or 2
+        row_end = "\n    ]" if fmt == "json" else "\n"
+        ends = [i + len(row_end) for i in range(len(good)) if good.startswith(row_end, i)]
+        head = good.index("\n    [") if fmt == "json" else ends.pop(0)
         assert good.startswith(child.stdout)
-        assert child.stdout.count("\n") > 12 and len(child.stdout) < len(good)
+        assert len(child.stdout) in (head, ends[3], ends[7], ends[11])
 
     def test_closed_stdout_on_emitter_ranks_exits_1_without_a_message(self, tmp_path):
         script = FORCE_POOL_IF_ASKED + "force_emitter()\ncli.run()\n"
@@ -714,23 +716,26 @@ class TestOutputBytes:
 
     SSSP = ("sssp", "--source", "0,5,17", "--alphas", "1,2", "--betas", "1.0,0.6", "--paths")
 
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (SSSP,
-             "0c87e3f3004b8f6d63a9f09c7e2dcf9b9d86f8635ec9a15407b67a1874c09a41"),
-            (SSSP + ("--strategy", "mda", "--format", "json"),
-             "907645b4486c55112ee543c08b268843b1187c32b4c4f3784e4ac81e6c87f2ba"),
-            (("sweep", "--alphas", "1,2,3", "--betas", "0.5,0.75,1.0", "--source", "0,9,33"),
-             "c3225f007a90711f1f82c0af8528bae54dd8a581a9a4c1a331a67a46e65a900a"),
-            (("apsp",),
-             "94f4c1026469a44a7a1e81eb96e28cb9461001a04fd29e834c496c2d60d98687"),
-            # with unreachable pairs, written as null
-            (("apsp", "--alpha", "2", "--beta", "0.6", "--format", "json"),
-             "428d086d3f6bdcbcdc0b2434c89cbc32e84289215b81692f88879950b6914de8"),
-        ],
-        ids=["sssp-csv", "sssp-json", "sweep-csv", "apsp-csv", "apsp-json"],
-    )
+    CASES = {
+        "sssp-csv": (
+            SSSP,
+            "0c87e3f3004b8f6d63a9f09c7e2dcf9b9d86f8635ec9a15407b67a1874c09a41"),
+        "sssp-json": (
+            SSSP + ("--strategy", "mda", "--format", "json"),
+            "907645b4486c55112ee543c08b268843b1187c32b4c4f3784e4ac81e6c87f2ba"),
+        "sweep-csv": (
+            ("sweep", "--alphas", "1,2,3", "--betas", "0.5,0.75,1.0", "--source", "0,9,33"),
+            "c3225f007a90711f1f82c0af8528bae54dd8a581a9a4c1a331a67a46e65a900a"),
+        "apsp-csv": (
+            ("apsp",),
+            "94f4c1026469a44a7a1e81eb96e28cb9461001a04fd29e834c496c2d60d98687"),
+        # with unreachable pairs, written as null
+        "apsp-json": (
+            ("apsp", "--alpha", "2", "--beta", "0.6", "--format", "json"),
+            "428d086d3f6bdcbcdc0b2434c89cbc32e84289215b81692f88879950b6914de8"),
+    }
+
+    @pytest.mark.parametrize("argv, digest", list(CASES.values()), ids=list(CASES))
     def test_stdout_sha256(self, tmp_path, capsys, monkeypatch, force_fw_workers, argv, digest):
         path = fixed_net_csv(tmp_path / "fixed.csv")
         code, out, err = run(capsys, argv[0], path, *argv[1:])
@@ -742,10 +747,23 @@ class TestOutputBytes:
             assert run(capsys, argv[0], path, *argv[1:]) == (code, out, err)
             assert len(forks) == 2
             # and with the output rendered on three ranks, three rows a block
-            monkeypatch.setattr(workers, "_EMIT_FORK_MIN_CELLS", 0)
             monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", 40 * 3)
             assert run(capsys, argv[0], path, *argv[1:]) == (code, out, err)
-            assert len(forks) == 6
+            assert len(forks) == 7
+
+    @pytest.mark.parametrize("argv, digest", list(CASES.values()), ids=list(CASES))
+    def test_a_platform_without_fork_runs_in_process(self, tmp_path, capsys, monkeypatch,
+                                                    argv, digest):
+        path = fixed_net_csv(tmp_path / "fixed.csv")
+        monkeypatch.delattr(os, "fork")  # any fork would now raise AttributeError
+        monkeypatch.setattr(cells, "_POOL_MIN_WORK", 0)
+        monkeypatch.setattr(paths, "_FW_FORK_MIN_NODES", 0)
+        monkeypatch.setattr(paths, "_FW_BLOCK_BYTES", 8 * 40 * 4)
+        monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", 40 * 3)
+        assert workers.available_cpus() == 1
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.fixture
@@ -867,7 +885,7 @@ class TestWorkerPool:
             "force_fw_workers()\n"
             "force_emitter()\n"
             "assert cli.main(['apsp', net, '-o', out]) == 0\n"
-            "assert threads_at_fork == [1, 1, 1, 1, 1, 1], threads_at_fork\n"
+            "assert threads_at_fork == [1, 1, 1, 1, 1, 1, 1], threads_at_fork\n"
         )
         child = fresh_python(script, path, tmp_path / "out")
         assert (child.returncode, child.stderr) == (0, "")

@@ -4,7 +4,9 @@ Every ``src/layerpath/*.py`` file is parsed with ``ast``. A relative import
 of a ``_name`` fails, and so does reading ``obj._attr`` where ``obj`` is not
 ``self`` or ``cls``. Dunders such as ``__setattr__`` are public protocol and
 pass. Inside ``core.py``, only the methods that build and seal a network
-may touch its build map, ``_adj``.
+may touch its build map, ``_adj``. Only ``workers.py`` forks, moves bytes
+through pipes, reaps or kills processes, exits one, or asks whether the
+platform can fork.
 """
 
 import ast
@@ -105,3 +107,52 @@ def test_the_build_map_check_sees_a_reader():
         "size = len(Net()._adj)\n"
     )
     assert build_map_uses(source) == [(7, "edges"), (10, "nodes"), (14, None)]
+
+
+# the os calls that start, feed, reap or end processes
+PLUMBING = ("fork", "pipe", "read", "readv", "write", "waitpid", "kill", "_exit")
+
+
+def process_plumbing(source):
+    """(line, text) of each ``os`` plumbing call or import, or fork test, in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [
+                (node.lineno, f"from os import {alias.name}")
+                for alias in node.names
+                if alias.name in PLUMBING
+            ]
+        elif isinstance(node, ast.Attribute) and node.attr in PLUMBING:
+            if isinstance(node.value, ast.Name) and node.value.id == "os":
+                found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.Call) and ast.unparse(node) == "hasattr(os, 'fork')":
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.name != "workers.py"], ids=lambda path: path.name
+)
+def test_only_workers_owns_process_plumbing(path):
+    assert process_plumbing(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_plumbing_check_sees_every_kind():
+    source = (
+        "import os\n"
+        "from os import _exit, fspath\n"
+        "pid = os.fork()\n"
+        "os.write(fd, b''), os.readv(fd, [])\n"
+        "can = hasattr(os, 'fork') and hasattr(os, 'sched_getaffinity')\n"
+        "os.dup2(os.open(os.devnull, os.O_WRONLY), 1)\n"
+        "done = self.write, os.path.join\n"
+    )
+    assert process_plumbing(source) == [
+        (2, "from os import _exit"),
+        (3, "os.fork"),
+        (4, "os.readv"),
+        (4, "os.write"),
+        (5, "hasattr(os, 'fork')"),
+    ]
+    assert process_plumbing((PACKAGE / "workers.py").read_text(encoding="utf-8")) != []

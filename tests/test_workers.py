@@ -1,4 +1,4 @@
-"""The fork primitive: task dealing, ordered streams, and no leftovers on any path."""
+"""The fork primitive: task dealing, results in order as they come, and no leftovers on any path."""
 
 import io
 import os
@@ -60,7 +60,7 @@ class TestDeal:
         assert done.count(done[0]) < 5
 
     def test_large_results_come_back_whole(self):
-        done = workers.deal(3, 5, lambda task: bytes([task]) * (300_000 + task))
+        done = list(workers.deal(3, 5, lambda task: bytes([task]) * (300_000 + task)))
         assert [len(d) for d in done] == [300_000 + task for task in range(5)]
         assert all(d == bytes([task]) * len(d) for task, d in enumerate(done))
 
@@ -71,18 +71,50 @@ class TestDeal:
             return b""
 
         with pytest.raises(RuntimeError, match="a worker process"):
-            workers.deal(2, 8, run)
+            list(workers.deal(2, 8, run))
 
-
-class TestStream:
     @pytest.mark.parametrize("count", [1, 2, 3])
-    def test_blocks_are_written_in_order(self, forks, count):
-        out = io.StringIO()
-        workers.stream(out, count, 10, lambda b: f"{b}:" + "x" * (100_000 * (b % 3)) + "\n")
-        assert out.getvalue() == "".join(
-            f"{b}:" + "x" * (100_000 * (b % 3)) + "\n" for b in range(10)
-        )
-        assert len(forks) == count - 1
+    def test_results_are_yielded_in_task_order(self, forks, count):
+        def run(b):
+            return (f"{b}:" + "x" * (100_000 * (b % 3)) + "\n").encode()
+
+        assert b"".join(workers.deal(count, 10, run)) == b"".join(map(run, range(10)))
+        assert len(forks) == count
+
+    def test_a_result_is_yielded_before_later_tasks_finish(self, tmp_path):
+        # what bounds apsp's memory: the first block is written while the
+        # last is still being rendered, not after every block is in
+        first_out = tmp_path / "first-out"
+
+        def run(task):
+            if task < 5:
+                return b"%d" % task
+            deadline = time.monotonic() + 10
+            while not first_out.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return b"after the first" if first_out.exists() else b"first held back"
+
+        results = workers.deal(2, 6, run)
+        assert next(results) == b"0"
+        first_out.touch()
+        assert list(results) == [b"1", b"2", b"3", b"4", b"after the first"]
+
+
+class TestWriteMatrix:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_block_renders_in_process_and_two_fork(self, monkeypatch, forks, fmt):
+        matrix = ml_floyd_warshall(random_network(60, 3, 0.05, seed=2))
+        n = len(matrix.order)
+        monkeypatch.setattr(workers, "available_cpus", lambda: 3)
+        outputs = []
+        for height, ranks in ((n, 0), (-(-n // 2), 2)):  # one block, then two
+            monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", n * height)
+            out = io.StringIO()
+            del forks[:]
+            workers.write_matrix(out, matrix, fmt)
+            assert len(forks) == ranks
+            outputs.append(out.getvalue())
+        assert outputs[0] == outputs[1]
 
 
 class ClosesAfter:
@@ -110,7 +142,6 @@ def cells_run(monkeypatch, outcome):
 def emitter_run(monkeypatch, outcome):
     net = random_network(60, 3, 0.05, seed=2)
     matrix = ml_floyd_warshall(net)
-    monkeypatch.setattr(workers, "_EMIT_FORK_MIN_CELLS", 0)
     monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", 60 * 4)
     monkeypatch.setattr(workers, "available_cpus", lambda: 3)
     if outcome == "killed":
@@ -134,15 +165,17 @@ def emitter_run(monkeypatch, outcome):
 )
 def test_no_process_or_fd_is_left_behind(monkeypatch, forks, run, outcome, raises):
     # Floyd-Warshall's ranks are checked the same way in test_paths.py; on
-    # three CPUs the cells fork three ranks, and the emitter two besides this
-    # process
+    # three CPUs the cells and the emitter each fork three ranks
     fds = len(os.listdir("/proc/self/fd"))
     if raises:
-        with pytest.raises(raises):
+        # held to the end: the traceback keeps the failed call's frames alive,
+        # so the ranks must be reaped before the call raises, not when its
+        # frames are freed
+        with pytest.raises(raises) as caught:
             run(monkeypatch, outcome)
     else:
         run(monkeypatch, outcome)
-    assert len(forks) == (3 if run is cells_run else 2)
+    assert len(forks) == 3
     with pytest.raises(ChildProcessError):  # every rank is reaped
         os.waitpid(-1, os.WNOHANG)
     assert len(os.listdir("/proc/self/fd")) == fds
