@@ -6,12 +6,16 @@ edge per layer, so the multiplicity of any pair is bounded by the number of
 layers. Loops are rejected. Weights are relationship strengths in [0, 1].
 
 Networks are built single-writer, then sealed. While it is built, a network
-keeps a build map, src -> dst -> {layer: weight}. Sealing empties that map
-into the one shape a sealed network keeps: one priced row per source,
-``((dst, layer count, distance), ...)``, plus two per-edge columns, the
-layer indices and the weights, that hold each pair's edges as a run of
-``layer count`` entries in the rows' order. Only ``add_edges`` and
-``seal`` touch the build map: every whole-network read (the edges, the
+keeps no dict per pair: a slot map, src -> {dst: pair slot}, and per slot
+the pair's layer bitmask (the duplicate check) and the running sum of its
+weights in insertion order; each edge goes into three per-edge ``array``
+columns, its pair's slot, its layer index and its weight, in insertion
+order. Sealing prices each pair from its sum and its mask's bit count and
+empties the slot map into the one shape a sealed network keeps: one priced
+row per source, ``((dst, layer count, distance), ...)``, plus the per-edge
+layer and weight columns and a column of each edge's pair position in the
+rows, from which ``edges()`` groups a pair's edges. Only ``add_edges`` and
+``seal`` touch the build state: every whole-network read (the edges, the
 nodes, the per-layer counts, equality) and every path algorithm requires a
 sealed network; a sealed network is immutable and safe to share across
 threads.
@@ -23,7 +27,7 @@ import math
 import operator
 from array import array
 from collections import Counter
-from itertools import islice
+from itertools import islice, repeat
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
@@ -157,8 +161,10 @@ class MultiLayeredNetwork:
     Edges are indexed by source node for O(out-degree) scans. Sealing
     prices every connected pair once, so the thresholds and distances that
     aggregation and search need are read, not recomputed (``priced_pairs``).
-    A sealed network keeps only those priced rows and the per-edge layer and
-    weight columns that ``edges()`` reads; the build map is gone.
+    A sealed network keeps only those priced rows and three per-edge
+    columns in insertion order, the layer indices, the weights and the
+    positions of the edges' pairs in the rows, which ``edges()`` reads; the
+    build state (slot map, layer masks, weight sums) is gone.
 
     ``polarity`` records how raw weights are read downstream: ``"positive"``
     weights express closeness and are converted to distances, ``"negative"``
@@ -173,16 +179,27 @@ class MultiLayeredNetwork:
         self._label_index: dict[str, int] = {}
         # nodes given to add_node; seal() adds every edge endpoint and freezes it
         self._nodes: set[int] | frozenset[int] = set()
-        # the build map, src -> dst -> {layer index: weight}; seal() empties
-        # and deletes it
-        self._adj: dict[int, dict[int, dict[int, float]]] = {}
-        # filled by seal(): src -> ((dst, layer count, distance), ...), and
-        # each pair's layer indices and weights as a run of `layer count`
-        # entries, in row order and the pair's insertion order
-        self._priced: dict[int, tuple[tuple[int, int, float], ...]] = {}
-        self._edge_layers = array("B")
+        # the build state, which seal() empties and deletes: src -> {dst:
+        # slot}, a slot per pair in order of first appearance, and per slot
+        # the mask of the pair's layers and the running sum of its weights in
+        # insertion order; per edge, in insertion order, its pair's slot
+        self._slots: dict[int, dict[int, int]] = {}
+        self._masks: list[int] = []
+        self._sums = array("d")
+        self._edge_slots = array("I")  # 4 B an edge; 2**32 pairs would not fit in memory
+        # keep-max only, linked on the first duplicate: per slot the pair's
+        # last linked edge and per edge the pair's edge before it (-1: none),
+        # and whether a duplicate's larger weight replaced a held one
+        self._heads = array("q")
+        self._links = array("q")
+        self._resum = False
+        # per edge, in insertion order: its layer index, its weight and, set
+        # by seal(), its pair's position in the rows; the rows, filled by
+        # seal(): src -> ((dst, layer count, distance), ...)
+        self._edge_layers = array("B")  # widened when a layer index outgrows it
         self._edge_weights = array("d")
-        self._num_edges = 0
+        self._edge_pairs = array("I")
+        self._priced: dict[int, tuple[tuple[int, int, float], ...]] = {}
         self._sealed = False
         for label in layers:
             self.add_layer(label)
@@ -235,76 +252,119 @@ class MultiLayeredNetwork:
                 f"on_duplicate must be one of {_DUPLICATE_POLICIES}, got {on_duplicate!r}"
             )
         keep_max = on_duplicate == ON_DUPLICATE_KEEP_MAX
-        adj = self._adj
+        slots = self._slots
+        masks = self._masks
+        sums = self._sums
+        heads = self._heads
+        links = self._links
+        edge_slots = self._edge_slots
+        edge_layers = self._edge_layers
+        edge_weights = self._edge_weights
+        # bound appends save a row three attribute lookups
+        append_slot, append_layer = edge_slots.append, edge_layers.append
+        append_weight, append_mask, append_sum = edge_weights.append, masks.append, sums.append
         label_index = self._label_index
         resolve = self.layer
-        added = 0
-        try:
-            for src, dst, layer, weight in rows:
-                # exact non-negative ints, known labels and in-range floats
-                # skip the coercion calls; anything else takes them
-                if type(src) is not int or src < 0:
-                    src = coerce_int(src, "node id", error=ValueError, type_error=TypeError)
-                if type(dst) is not int or dst < 0:
-                    dst = coerce_int(dst, "node id", error=ValueError, type_error=TypeError)
-                lidx = label_index.get(layer) if type(layer) is str else None
-                if lidx is None:
-                    lidx = resolve(layer).index
-                if type(weight) is not float or not 0.0 <= weight <= 1.0:
-                    weight = coerce_unit(weight, "weight", WeightOutOfRangeError)
-                if src == dst:
-                    raise LoopEdgeError(f"loop edge {src} -> {dst} is not allowed")
+        for src, dst, layer, weight in rows:
+            # exact non-negative ints, known labels and in-range floats
+            # skip the coercion calls; anything else takes them
+            if type(src) is not int or src < 0:
+                src = coerce_int(src, "node id", error=ValueError, type_error=TypeError)
+            if type(dst) is not int or dst < 0:
+                dst = coerce_int(dst, "node id", error=ValueError, type_error=TypeError)
+            lidx = label_index.get(layer) if type(layer) is str else None
+            if lidx is None:
+                lidx = resolve(layer).index
+            if type(weight) is not float or not 0.0 <= weight <= 1.0:
+                weight = coerce_unit(weight, "weight", WeightOutOfRangeError)
+            if src == dst:
+                raise LoopEdgeError(f"loop edge {src} -> {dst} is not allowed")
 
-                per_layer = adj.setdefault(src, {}).setdefault(dst, {})
-                held = per_layer.get(lidx)
-                if held is None:
-                    per_layer[lidx] = weight
-                    added += 1
-                elif not keep_max:
-                    raise DuplicateEdgeError(
-                        f"duplicate edge {src} -> {dst} on layer {self._labels[lidx]!r}"
-                    )
-                elif weight > held:  # max(held, weight): ties keep the held weight
-                    per_layer[lidx] = weight
-        finally:
-            self._num_edges += added
+            targets = slots.get(src)
+            if targets is None:
+                targets = slots[src] = {}
+            slot = targets.get(dst)
+            if slot is None:
+                slot = targets[dst] = len(masks)
+                append_mask(1 << lidx)
+                append_sum(0.0 + weight)  # as add_in_order starts: -0.0 sums to 0.0
+            else:
+                mask = masks[slot]
+                if mask >> lidx & 1:
+                    if not keep_max:
+                        raise DuplicateEdgeError(
+                            f"duplicate edge {src} -> {dst} on layer {self._labels[lidx]!r}"
+                        )
+                    # link the edges added since the last duplicate to their
+                    # pairs, then walk this pair's few edges to the triple's
+                    if len(links) < len(edge_slots):
+                        heads.extend(repeat(-1, len(masks) - len(heads)))
+                        for edge in range(len(links), len(edge_slots)):
+                            links.append(heads[edge_slots[edge]])
+                            heads[edge_slots[edge]] = edge
+                    edge = heads[slot]
+                    while edge_layers[edge] != lidx:
+                        edge = links[edge]
+                    if weight > edge_weights[edge]:  # max(held, weight): ties keep the held weight
+                        edge_weights[edge] = weight
+                        self._resum = True
+                    continue
+                masks[slot] = mask | 1 << lidx
+                sums[slot] += weight
+            append_slot(slot)
+            try:
+                append_layer(lidx)
+            except OverflowError:  # the smallest unsigned typecode that holds it
+                code = next(code for code in "HIL" if lidx < 1 << 8 * array(code).itemsize)
+                edge_layers = self._edge_layers = array(code, edge_layers)
+                append_layer = edge_layers.append
+                append_layer(lidx)
+            append_weight(weight)
 
     def seal(self) -> "MultiLayeredNetwork":
         """Freeze the network and price every connected pair once.
 
-        Empties the build map into the priced rows and the per-edge columns,
-        one source at a time, so the freed dicts make room for the new rows,
-        and adds each source and its targets to the node set.
-        Required before running any path algorithm.
+        Prices each pair from its running weight sum and its layer mask's
+        bit count, with no pass over its weights, and empties the slot map
+        into the priced rows one source at a time, so the freed dicts make
+        room for the new rows. Only when keep-max replaced a weight are the
+        sums added again, from the weight column in insertion order. Adds
+        each source and its targets to the node set. Required before running
+        any path algorithm.
         """
         if not self._sealed:
             if not self._labels:
                 raise GraphError("cannot seal a network with no layers")
             num_layers = len(self._labels)
             positive = self._polarity == POSITIVE
-            # the smallest unsigned typecode that holds every layer index
-            layer_code = next(
-                code for code in "BHIL" if num_layers <= 1 << 8 * array(code).itemsize
-            )
-            edge_layers = array(layer_code)
-            edge_weights = array("d")
+            slots, masks, sums = self._slots, self._masks, self._sums
+            edge_slots, resum = self._edge_slots, self._resum
+            # a reader left on the build state fails instead of reading nothing
+            del self._slots, self._masks, self._sums, self._edge_slots
+            del self._heads, self._links, self._resum
+            if resum:
+                sums = array("d", bytes(8 * len(masks)))
+                for slot, weight in zip(edge_slots, self._edge_weights):
+                    sums[slot] += weight
+            # each slot's position in the rows
+            positions = array("I", bytes(4 * len(masks)))
+            position = 0
             priced = self._priced
             nodes = self._nodes
-            adj = self._adj
-            for src in list(adj):
-                targets = adj.pop(src)
+            for src in list(slots):
+                targets = slots.pop(src)
                 nodes.add(src)
                 nodes.update(targets)
                 row = []
-                for dst, weights in targets.items():
-                    edge_layers.extend(weights)
-                    edge_weights.extend(weights.values())
-                    wsum = add_in_order(weights.values())
-                    row.append((dst, len(weights), pair_distance(wsum, num_layers, positive)))
+                for dst, slot in targets.items():
+                    row.append(
+                        (dst, masks[slot].bit_count(), pair_distance(sums[slot], num_layers, positive))
+                    )
+                    positions[slot] = position
+                    position += 1
                 priced[src] = tuple(row)
-            del self._adj  # a reader left on the build map fails instead of reading nothing
-            self._edge_layers = edge_layers
-            self._edge_weights = edge_weights
+            del masks, sums  # freed before the pair column is built: a lower peak
+            self._edge_pairs = array("I", map(positions.__getitem__, edge_slots))
             self._sealed = True
             self._nodes = frozenset(nodes)
         return self
@@ -348,7 +408,7 @@ class MultiLayeredNetwork:
 
     @property
     def num_edges(self) -> int:
-        return self._num_edges
+        return len(self._edge_weights)
 
     def layer_edge_counts(self) -> list[int]:
         """Edges per layer, indexed like ``layers``; sealed only."""
@@ -387,12 +447,17 @@ class MultiLayeredNetwork:
         """All edges by source, then by pair, each in insertion order; sealed only."""
         self._require_sealed()
         layers = self.layers
-        columns = zip(self._edge_layers, self._edge_weights)
+        edge_layers = self._edge_layers
+        edge_weights = self._edge_weights
+        pairs = self._edge_pairs
+        # edge indices by the position of their pair in the rows; the sort is
+        # stable, so a pair's edges keep insertion order
+        order = iter(sorted(range(len(pairs)), key=pairs.__getitem__))
         return (
-            LayeredEdge(src, dst, layers[lidx], weight)
+            LayeredEdge(src, dst, layers[edge_layers[edge]], edge_weights[edge])
             for src, row in self._priced.items()
             for dst, count, _ in row
-            for lidx, weight in islice(columns, count)
+            for edge in islice(order, count)
         )
 
     @property
@@ -431,5 +496,5 @@ class MultiLayeredNetwork:
         state = "sealed" if self._sealed else "building"
         return (
             f"MultiLayeredNetwork({nodes}layers={len(self._labels)}, "
-            f"edges={self._num_edges}, polarity={self._polarity!r}, {state})"
+            f"edges={len(self._edge_weights)}, polarity={self._polarity!r}, {state})"
         )

@@ -30,14 +30,21 @@ from os import _exit  # public in os; spelt os._exit, tests/test_layout.py takes
 # Matrix cells per block of ``apsp``'s output: 32 rows at 800 nodes, about
 # 0.5 MB of CSV. On a 2-CPU x86 VM, two ranks wrote the 800-node matrix in
 # 0.367-0.390 s (medians of 11 rounds, two sets) with 8-, 16-, 32- or 64-row
-# blocks. A matrix of one block (up to 160 nodes) is rendered in process;
-# from two blocks on, the blocks are dealt to forked ranks (``deal``), and
-# this process holds the block it is writing plus any that arrived ahead of
-# a lower one. There, forking two ranks, dealing them two 0.3 MB results
-# and reaping them took about 6 ms; at 180 nodes (two blocks) two ranks
-# took 27.5-38.5 ms against 26.0-33.7 ms in process, faster in 4-6 of 21
-# rounds (medians, four sets), and at 800 nodes 0.33 s against 0.68 s.
+# blocks. The blocks are dealt to forked ranks (``deal``), and this process
+# holds the block it is writing plus any that arrived ahead of a lower one.
 _EMIT_BLOCK_CELLS = 32 * 800
+# A matrix of fewer blocks is rendered in process: at this block size, a
+# matrix forks from 277 nodes on. Forking two ranks, dealing them their
+# blocks and reaping them costs about 6 ms, and two CPU-bound processes each
+# run slower than one alone. On the 2-CPU VM, CSV to /dev/null, medians of
+# 15-21 alternating rounds a set, in process against two ranks: two blocks
+# (161-220 nodes) 28.6-49.1 ms against 38.4-60.8 ms, ranks faster in 0 to 9
+# rounds of a set; three blocks (240-260 nodes) 39.5-72.9 ms against
+# 35.5-88.6 ms, faster in 0/15 to 21/21; four blocks (280-320 nodes)
+# 55.3-90.8 ms against 43.4-66.1 ms, faster in 11/15 to 21/21 and in 18/21
+# or more in 7 of 9 sets; from five blocks (350-800 nodes) faster in all
+# but one round, at 800 nodes 373-556 ms against 242-307 ms.
+_EMIT_FORK_MIN_BLOCKS = 4
 
 
 def available_cpus() -> int:
@@ -191,8 +198,9 @@ def write_matrix(out, matrix, fmt: str) -> None:
     ``repr`` of its float (``inf`` where unreachable); float reprs and node
     ids never need quoting, so this is what ``csv.writer`` would write. JSON:
     the payload as ``json.dump(payload, indent=2)`` writes it, with
-    ``matrix`` last and ``null`` where unreachable. A matrix of two
-    blocks or more is rendered on every available CPU (``deal``).
+    ``matrix`` last and ``null`` where unreachable. A matrix of
+    ``_EMIT_FORK_MIN_BLOCKS`` blocks or more is rendered on every available
+    CPU (``deal``).
     """
     order = matrix.order
     values = matrix.values
@@ -219,7 +227,7 @@ def write_matrix(out, matrix, fmt: str) -> None:
     def block(b: int) -> str:
         return "".join(map(row, range(b * height, min(b * height + height, n))))
 
-    ranks = min(available_cpus(), blocks)
+    ranks = min(available_cpus(), blocks) if blocks >= _EMIT_FORK_MIN_BLOCKS else 1
     if ranks < 2:
         for b in range(blocks):
             out.write(block(b))

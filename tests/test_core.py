@@ -25,7 +25,7 @@ from layerpath import (
     UnsealedNetworkError,
     WeightOutOfRangeError,
 )
-from layerpath.core import add_in_order
+from layerpath.core import add_in_order, pair_distance
 from netgen import build_net, layered_networks
 from oracles import keep_max_edge_order, naive_neighborhood, oracle_priced_pairs, recount_pairs
 
@@ -349,6 +349,28 @@ class TestPricedPairs:
         assert (dst, count) == (1, 3)
         assert dist.hex() == expected.hex()
         assert add_in_order([0.1, 0.2, 0.3]).hex() == ((0.1 + 0.2) + 0.3).hex()
+
+    @pytest.mark.parametrize("calls", ["one keep-max call", "error call, then keep-max call"])
+    def test_keep_max_reprices_in_first_appearance_order(self, calls):
+        # layer a's weight is replaced after b and c were added; the price
+        # must add (0.1, 0.2, 0.3) left to right, not the running sum that
+        # held 0.05, nor with the replaced weight added last
+        rows = [(0, 1, "a", 0.05), (2, 3, "a", 0.5), (0, 1, "b", 0.2), (0, 1, "c", 0.3)]
+        repeat = [(0, 1, "a", 0.1), (0, 1, "b", 0.125)]
+        net = MultiLayeredNetwork(layers=("a", "b", "c"))
+        if calls == "one keep-max call":
+            net.add_edges(rows + repeat, on_duplicate="keep-max")
+        else:
+            net.add_edges(rows, on_duplicate="error")
+            net.add_edges(repeat, on_duplicate="keep-max")
+        net.seal()
+        expected = pair_distance(add_in_order([0.1, 0.2, 0.3]), 3, True)
+        assert expected != pair_distance(add_in_order([0.2, 0.3, 0.1]), 3, True)
+        ((dst, count, dist),) = net.priced_pairs[0]
+        assert (dst, count, dist.hex()) == (1, 3, expected.hex())
+        assert [(e.src, e.layer.label, e.weight) for e in net.edges()] == [
+            (0, "a", 0.1), (0, "b", 0.2), (0, "c", 0.3), (2, "a", 0.5)
+        ]
 
     def test_sealed_only_and_read_only(self):
         net = build_net(("a",), [(0, 1, "a", 0.5)], sealed=False)

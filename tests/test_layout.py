@@ -4,7 +4,7 @@ Every ``src/layerpath/*.py`` file is parsed with ``ast``. A relative import
 of a ``_name`` fails, and so does reading ``obj._attr`` where ``obj`` is not
 ``self`` or ``cls``. Dunders such as ``__setattr__`` are public protocol and
 pass. Inside ``core.py``, only the methods that build and seal a network
-may touch its build map, ``_adj``. Only ``workers.py`` forks, moves bytes
+may touch its build state (``BUILD_ONLY``). Only ``workers.py`` forks, moves bytes
 through pipes, reaps or kills processes, exits one, or asks whether the
 platform can fork.
 """
@@ -63,10 +63,14 @@ def test_the_check_sees_both_kinds_of_reach():
 
 
 BUILD_MAP_USERS = ("__init__", "add_edges", "seal")
+# the attributes a network holds only while it is built: the slot map, the
+# per-pair layer masks and weight sums, the per-edge slot column, keep-max's
+# links from each pair to its edges, and whether keep-max replaced a weight
+BUILD_ONLY = ("_slots", "_masks", "_sums", "_edge_slots", "_heads", "_links", "_resum")
 
 
 def build_map_uses(source):
-    """(line, function) of each ``_adj`` use in ``source`` outside ``BUILD_MAP_USERS``.
+    """(line, function, attribute) of each ``BUILD_ONLY`` use in ``source`` outside ``BUILD_MAP_USERS``.
 
     A use inside a nested function counts as a use in the outermost one.
     """
@@ -75,9 +79,9 @@ def build_map_uses(source):
     def visit(node, function):
         if function is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        elif isinstance(node, ast.Attribute) and node.attr == "_adj":
+        elif isinstance(node, ast.Attribute) and node.attr in BUILD_ONLY:
             if function not in BUILD_MAP_USERS:
-                found.append((node.lineno, function))
+                found.append((node.lineno, function, node.attr))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -86,27 +90,43 @@ def build_map_uses(source):
 
 
 def test_only_building_and_sealing_touch_the_build_map():
-    assert build_map_uses((PACKAGE / "core.py").read_text(encoding="utf-8")) == []
+    source = (PACKAGE / "core.py").read_text(encoding="utf-8")
+    assert build_map_uses(source) == []
+    # no name in BUILD_ONLY is stale: the build touches every one
+    touched = {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+    assert touched >= set(BUILD_ONLY)
 
 
 def test_the_build_map_check_sees_a_reader():
     source = (
         "class Net:\n"
         "    def __init__(self):\n"
-        "        self._adj = {}\n"
+        "        self._slots, self._masks, self._sums = {}, [], []\n"
         "    def seal(self):\n"
-        "        del self._adj\n"
+        "        del self._slots\n"
         "    def edges(self):\n"
-        "        return iter(self._adj)\n"
+        "        return iter(self._edge_slots)\n"
         "    @property\n"
         "    def nodes(self):\n"
-        "        return {v for targets in self._adj.values() for v in targets}\n"
+        "        return {v for targets in self._slots.values() for v in targets}\n"
         "    def add_edges(self, rows):\n"
         "        def helper():\n"
-        "            return self._adj\n"
-        "size = len(Net()._adj)\n"
+        "            return self._masks\n"
+        "    def layer_edge_counts(self):\n"
+        "        return self._sums, self._heads, self._links, self._resum, self._masks\n"
+        "size = len(Net()._slots)\n"
     )
-    assert build_map_uses(source) == [(7, "edges"), (10, "nodes"), (14, None)]
+    assert build_map_uses(source) == [
+        (7, "edges", "_edge_slots"),
+        (10, "nodes", "_slots"),
+        (15, "layer_edge_counts", "_sums"),
+        (15, "layer_edge_counts", "_heads"),
+        (15, "layer_edge_counts", "_links"),
+        (15, "layer_edge_counts", "_resum"),
+        (15, "layer_edge_counts", "_masks"),
+        (16, None, "_slots"),
+    ]
+    assert {attr for _, _, attr in build_map_uses(source)} == set(BUILD_ONLY)
 
 
 # the os calls that start, feed, reap or end processes

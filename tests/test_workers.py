@@ -102,19 +102,26 @@ class TestDeal:
 
 class TestWriteMatrix:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_one_block_renders_in_process_and_two_fork(self, monkeypatch, forks, fmt):
+    def test_three_blocks_render_in_process_and_four_fork(self, monkeypatch, forks, fmt):
         matrix = ml_floyd_warshall(random_network(60, 3, 0.05, seed=2))
         n = len(matrix.order)
         monkeypatch.setattr(workers, "available_cpus", lambda: 3)
         outputs = []
-        for height, ranks in ((n, 0), (-(-n // 2), 2)):  # one block, then two
+        for height, ranks in ((n, 0), (-(-n // 3), 0), (-(-n // 4), 3)):  # 1, 3, then 4 blocks
             monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", n * height)
             out = io.StringIO()
             del forks[:]
             workers.write_matrix(out, matrix, fmt)
             assert len(forks) == ranks
             outputs.append(out.getvalue())
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_800_nodes_fork_and_276_do_not(self):
+        def blocks(n):
+            return -(-n // (workers._EMIT_BLOCK_CELLS // n))
+
+        assert blocks(800) >= workers._EMIT_FORK_MIN_BLOCKS
+        assert blocks(276) < workers._EMIT_FORK_MIN_BLOCKS <= blocks(277)
 
 
 class ClosesAfter:
