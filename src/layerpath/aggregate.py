@@ -14,7 +14,8 @@ is sealed.
 A pair of nodes survives aggregation into a single weighted edge when it
 spans at least ``alpha`` layers and its distance is at most ``beta``. The
 aggregated edge weight is always d(x, y), so the aggregated graph is a
-filtered view of the network's priced rows, searched like the rows themselves.
+filtered view of the network's flat priced rows, searched like the rows
+themselves.
 
 One rule is load-bearing and deliberate: a pair with no layered edge at all
 never receives an aggregated edge, even though its distance is 1 and a
@@ -26,7 +27,7 @@ out-degrees behave under loose thresholds. Tests pin this behavior.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .core import MultiLayeredNetwork, POSITIVE, coerce_int, coerce_unit, pair_distance
 from .errors import InvalidAlphaError, InvalidBetaError, SameNodeError, UnknownNodeError
@@ -61,26 +62,49 @@ class AggregationParams(_Thresholds):
         return cls(*iterable)
 
     def kept(self, row: tuple) -> tuple:
-        """The pairs of a priced row that meet both thresholds; the row itself if all do."""
+        """The pairs of a flat priced row that meet both thresholds, flat; ``row`` if all do."""
+        for _, kept in self.kept_rows({None: row}):
+            return kept
+        return ()
+
+    def kept_rows(self, rows: Mapping[int, tuple]) -> Iterator[tuple[int, tuple]]:
+        """``(src, kept(row))`` for each priced row of ``rows`` that keeps a pair, in order.
+
+        One loop over every row, with no call per row. A kept row is the row
+        itself when every pair passes, else a new flat tuple of the passing
+        pairs' own items. Every priced pair spans a layer and lies at a
+        distance of at most 1, so alpha 1 with beta 1 keeps every row whole
+        without a look at its pairs.
+        """
         alpha = self.alpha
         beta = self.beta
-        kept = [pair for pair in row if pair[1] >= alpha and pair[2] <= beta]
-        return row if len(kept) == len(row) else tuple(kept)
+        if alpha == 1 and beta == 1.0:
+            yield from rows.items()
+            return
+        for src, row in rows.items():
+            it = iter(row)
+            kept = []
+            for dst, count, dist in zip(it, it, it):
+                if count >= alpha and dist <= beta:
+                    kept += (dst, count, dist)
+            if kept:
+                yield src, row if len(kept) == len(row) else tuple(kept)
 
 
 class AggregatedGraph(NamedTuple):
     """Simple weighted digraph: the priced rows that pass the thresholds.
 
-    ``priced_pairs`` is a read-only src -> ((dst, layer count, distance),
-    ...): the network's own rows cut down to the pairs that meet both
-    thresholds, in priced order and as the same tuples. Sources without kept
-    pairs are left out. ``num_edges`` counts the kept pairs. Graphs compare,
-    hash and print by identity, as objects do.
+    ``priced_pairs`` is a read-only src -> (dst, layer count, distance, dst,
+    ...), flat like the network's: its own rows cut down to the pairs that
+    meet both thresholds, in priced order and with the same items; a row
+    whose every pair passes is the network's row itself. Sources without
+    kept pairs are left out. ``num_edges`` counts the kept pairs. Graphs
+    compare, hash and print by identity, as objects do.
     """
 
     nodes: frozenset[int]
     params: AggregationParams
-    priced_pairs: Mapping[int, tuple[tuple[int, int, float], ...]]
+    priced_pairs: Mapping[int, tuple]
     num_edges: int
 
     __eq__ = object.__eq__
@@ -102,9 +126,10 @@ def distance(net: MultiLayeredNetwork, x: int, y: int) -> float:
     for node in (x, y):
         if not net.has_node(node):
             raise UnknownNodeError(f"unknown node {node!r}")
-    for dst, _, dist in rows.get(x, ()):
-        if dst == y:
-            return dist
+    row = rows.get(x, ())
+    targets = row[0::3]
+    if y in targets:
+        return row[3 * targets.index(y) + 2]
     return pair_distance(0.0, net.num_layers, net.polarity == POSITIVE)
 
 
@@ -116,10 +141,6 @@ def aggregate_graph(net: MultiLayeredNetwork, params: AggregationParams) -> Aggr
     epsilon). Only pairs carrying at least one layered edge are visited.
     Requires a sealed network.
     """
-    rows = {}
-    for src, row in net.priced_pairs.items():
-        kept = params.kept(row)
-        if kept:
-            rows[src] = kept
-    num_edges = sum(map(len, rows.values()))
+    rows = dict(params.kept_rows(net.priced_pairs))
+    num_edges = sum(map(len, rows.values())) // 3
     return AggregatedGraph(net.nodes, params, MappingProxyType(rows), num_edges)

@@ -5,9 +5,10 @@ aggregate figures (route counts, length spread, mean hop count, neighborhood
 size, connectivity share) from the result alone: its thresholds, node set
 and the priced rows its search read (``result.rows``). Hop counts come from
 one forward pass over the parent-first predecessors, and the neighbour count
-from ``AggregationParams.kept`` on the source's row. ``edge_count_sweep``
-counts how many aggregated edges survive each combination of thresholds,
-which is the usual first look at how dense the aggregated graph will be.
+from ``AggregationParams.kept`` on the source's flat row, three items a
+pair. ``edge_count_sweep`` counts how many aggregated edges survive each
+combination of thresholds, which is the usual first look at how dense the
+aggregated graph will be.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def path_stats(result: ShortestPathResult) -> PathStats:
         min_len=min_len,
         max_len=max_len,
         avg_handshakes=avg_handshakes,
-        num_neighbors=len(params.kept(result.rows.get(source, ()))),
+        num_neighbors=len(params.kept(result.rows.get(source, ()))) // 3,
         pct_connected=num_routes / (num_nodes - 1) if num_nodes > 1 else 0.0,
     )
 
@@ -109,8 +110,8 @@ def edge_count_sweep(
 ) -> SweepReport:
     """Count surviving aggregated edges for every threshold combination.
 
-    Each cell counts the priced pairs ``AggregationParams.kept`` keeps under
-    its thresholds, without building an aggregated graph.
+    Each cell counts the priced pairs ``AggregationParams.kept_rows`` keeps
+    under its thresholds, without building an aggregated graph.
     """
     if not alphas:
         raise ParameterError("at least one alpha value is required")
@@ -119,11 +120,10 @@ def edge_count_sweep(
     alpha_grid = tuple(AggregationParams(alpha=alpha).alpha for alpha in alphas)
     beta_grid = tuple(AggregationParams(beta=beta).beta for beta in betas)
 
-    rows = net.priced_pairs.values()
+    rows = net.priced_pairs
 
     def count(params: AggregationParams) -> int:
-        kept = params.kept
-        return sum(len(kept(row)) for row in rows)
+        return sum(len(kept) for _, kept in params.kept_rows(rows)) // 3
 
     counts = tuple(
         tuple(count(AggregationParams(alpha, beta)) for beta in beta_grid)

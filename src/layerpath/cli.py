@@ -244,25 +244,27 @@ def cmd_bench(args) -> int:
 def cmd_aggregate_export(args) -> int:
     net = _load(args)
     rows = aggregate_graph(net, AggregationParams(args.alpha, args.beta)).priced_pairs
-    # by (src, dst), source by source: dst is unique within a row, so the
-    # row's (dst, count, distance) tuples sort by dst
-    edges = (
-        (src, dst, dist, count)
-        for src in sorted(rows)
-        for dst, count, dist in sorted(rows[src])
-    )
+
+    def edges():
+        # by (src, dst), source by source: dst is unique within a row, so
+        # the row's (dst, count, distance) triples sort by dst
+        for src in sorted(rows):
+            it = iter(rows[src])
+            for dst, count, dist in sorted(zip(it, it, it)):
+                yield src, dst, dist, count
+
     with _out_stream(args.output) as out:
         if args.format == "json":
             payload = [
                 {"src": src, "dst": dst, "distance": dist, "layer_count": count}
-                for src, dst, dist, count in edges
+                for src, dst, dist, count in edges()
             ]
             json.dump(payload, out, indent=2)
             out.write("\n")
         else:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(("src", "dst", "distance", "layer_count"))
-            writer.writerows(edges)
+            writer.writerows(edges())
     return 0
 
 

@@ -11,10 +11,12 @@ the pair's layer bitmask (the duplicate check) and the running sum of its
 weights in insertion order; each edge goes into three per-edge ``array``
 columns, its pair's slot, its layer index and its weight, in insertion
 order. Sealing prices each pair from its sum and its mask's bit count and
-empties the slot map into the one shape a sealed network keeps: one priced
-row per source, ``((dst, layer count, distance), ...)``, plus the per-edge
-layer and weight columns and a column of each edge's pair position in the
-rows, from which ``edges()`` groups a pair's edges. Only ``add_edges`` and
+empties the slot map into the one shape a sealed network keeps: one flat
+priced row per source, ``(dst, layer count, distance, dst, layer count,
+distance, ...)``, plus the per-edge layer and weight columns and a column of
+each edge's pair position in the rows, from which ``edges()`` groups a
+pair's edges. A row is read three items at a time, ``it = iter(row)`` and
+``zip(it, it, it)``, which allocates nothing per pair. Only ``add_edges`` and
 ``seal`` touch the build state: every whole-network read (the edges, the
 nodes, the per-layer counts, equality) and every path algorithm requires a
 sealed network; a sealed network is immutable and safe to share across
@@ -27,7 +29,7 @@ import math
 import operator
 from array import array
 from collections import Counter
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
@@ -161,7 +163,7 @@ class MultiLayeredNetwork:
     Edges are indexed by source node for O(out-degree) scans. Sealing
     prices every connected pair once, so the thresholds and distances that
     aggregation and search need are read, not recomputed (``priced_pairs``).
-    A sealed network keeps only those priced rows and three per-edge
+    A sealed network keeps only those flat priced rows and three per-edge
     columns in insertion order, the layer indices, the weights and the
     positions of the edges' pairs in the rows, which ``edges()`` reads; the
     build state (slot map, layer masks, weight sums) is gone.
@@ -177,7 +179,7 @@ class MultiLayeredNetwork:
         self._polarity = polarity
         self._labels: list[str] = []
         self._label_index: dict[str, int] = {}
-        # nodes given to add_node; seal() adds every edge endpoint and freezes it
+        # nodes given to add_node; seal() freezes them with every edge endpoint
         self._nodes: set[int] | frozenset[int] = set()
         # the build state, which seal() empties and deletes: src -> {dst:
         # slot}, a slot per pair in order of first appearance, and per slot
@@ -194,12 +196,12 @@ class MultiLayeredNetwork:
         self._links = array("q")
         self._resum = False
         # per edge, in insertion order: its layer index, its weight and, set
-        # by seal(), its pair's position in the rows; the rows, filled by
-        # seal(): src -> ((dst, layer count, distance), ...)
+        # by seal(), its pair's position in the rows; the flat rows, filled
+        # by seal(): src -> (dst, layer count, distance, dst, ...)
         self._edge_layers = array("B")  # widened when a layer index outgrows it
         self._edge_weights = array("d")
         self._edge_pairs = array("I")
-        self._priced: dict[int, tuple[tuple[int, int, float], ...]] = {}
+        self._priced: dict[int, tuple] = {}
         self._sealed = False
         for label in layers:
             self.add_layer(label)
@@ -326,11 +328,12 @@ class MultiLayeredNetwork:
 
         Prices each pair from its running weight sum and its layer mask's
         bit count, with no pass over its weights, and empties the slot map
-        into the priced rows one source at a time, so the freed dicts make
-        room for the new rows. Only when keep-max replaced a weight are the
-        sums added again, from the weight column in insertion order. Adds
-        each source and its targets to the node set. Required before running
-        any path algorithm.
+        into the flat priced rows one source at a time, so the freed dicts
+        make room for the new rows. Only when keep-max replaced a weight are
+        the sums added again, from the weight column in insertion order. The
+        node set is built once, from the nodes given to ``add_node`` and the
+        finished rows' sources and targets. Required before running any path
+        algorithm.
         """
         if not self._sealed:
             if not self._labels:
@@ -350,23 +353,23 @@ class MultiLayeredNetwork:
             positions = array("I", bytes(4 * len(masks)))
             position = 0
             priced = self._priced
-            nodes = self._nodes
             for src in list(slots):
-                targets = slots.pop(src)
-                nodes.add(src)
-                nodes.update(targets)
                 row = []
-                for dst, slot in targets.items():
-                    row.append(
-                        (dst, masks[slot].bit_count(), pair_distance(sums[slot], num_layers, positive))
-                    )
+                for dst, slot in slots.pop(src).items():
+                    dist = pair_distance(sums[slot], num_layers, positive)
+                    row += (dst, masks[slot].bit_count(), dist)
                     positions[slot] = position
                     position += 1
                 priced[src] = tuple(row)
-            del masks, sums  # freed before the pair column is built: a lower peak
+            # the emptied slot map keeps its table until it is freed: free it,
+            # the masks and the sums before the pair column is built
+            del slots, masks, sums
             self._edge_pairs = array("I", map(positions.__getitem__, edge_slots))
             self._sealed = True
-            self._nodes = frozenset(nodes)
+            # one table, sized for the sources at once: grown from an iterator
+            # instead, a set can end up with twice the slots
+            targets = chain.from_iterable(row[0::3] for row in priced.values())
+            self._nodes = frozenset(self._nodes).union(priced, targets)
         return self
 
     def _check_mutable(self) -> None:
@@ -456,16 +459,18 @@ class MultiLayeredNetwork:
         return (
             LayeredEdge(src, dst, layers[edge_layers[edge]], edge_weights[edge])
             for src, row in self._priced.items()
-            for dst, count, _ in row
+            for dst, count in zip(row[0::3], row[1::3])
             for edge in islice(order, count)
         )
 
     @property
-    def priced_pairs(self) -> Mapping[int, tuple[tuple[int, int, float], ...]]:
-        """Read-only ``src -> ((dst, layer count, distance), ...)``; sealed only.
+    def priced_pairs(self) -> Mapping[int, tuple]:
+        """Read-only ``src -> (dst, layer count, distance, dst, ...)``; sealed only.
 
-        Lists every ordered pair carrying at least one layered edge, in
-        insertion order. The distance is ``pair_distance`` of the pair.
+        Each flat row lists, three items a pair, every ordered pair from
+        ``src`` carrying at least one layered edge, in insertion order; read
+        it as ``it = iter(row); zip(it, it, it)``. The distance is
+        ``pair_distance`` of the pair.
         """
         self._require_sealed()
         return MappingProxyType(self._priced)

@@ -10,8 +10,8 @@ agree on lengths and reachability for every input:
   scans the priced pairs of each settled node and applies the layer-count
   and distance thresholds edge by edge.
 
-Both run one search loop over rows of the same shape,
-``src -> ((dst, layer count, distance), ...)``, with the threshold test
+Both run one search loop over flat rows of the same shape,
+``src -> (dst, layer count, distance, dst, ...)``, with the threshold test
 inline: mda on the network's priced rows, dap on the aggregated graph's
 rows, which are those priced rows cut down to the pairs that pass. So they
 agree bit for bit by construction.
@@ -70,8 +70,9 @@ class ShortestPathResult(NamedTuple):
     node to the node before it on a shortest path, with the source mapped to
     None, and lists every node after its own predecessor (the source first),
     so one forward pass can fold anything along the tree. ``params`` are the
-    thresholds the search ran under and ``rows`` the priced rows it read:
-    the network's own for mda, the aggregated graph's kept ones for dap.
+    thresholds the search ran under and ``rows`` the flat priced rows it
+    read, ``src -> (dst, layer count, distance, dst, ...)``: the network's
+    own for mda, the aggregated graph's kept ones for dap.
     """
 
     source: int
@@ -79,7 +80,7 @@ class ShortestPathResult(NamedTuple):
     predecessors: dict[int, int | None]
     nodes: frozenset[int]
     params: AggregationParams
-    rows: Mapping[int, tuple[tuple[int, int, float], ...]]
+    rows: Mapping[int, tuple]
 
     def length(self, v: int) -> float:
         """Shortest path length to ``v``; ``inf`` if unreachable."""
@@ -125,7 +126,7 @@ class DistanceMatrix:
 
 
 def _dijkstra(rows: Mapping[int, tuple], source: int, params: AggregationParams):
-    """Heap Dijkstra over priced rows ``src -> ((dst, layer count, distance), ...)``.
+    """Heap Dijkstra over flat priced rows ``src -> (dst, layer count, distance, dst, ...)``.
 
     Pairs below ``params.alpha`` layers or above ``params.beta`` are skipped as
     they are scanned. Lazy-deletion variant: a node may sit in the heap several
@@ -137,23 +138,29 @@ def _dijkstra(rows: Mapping[int, tuple], source: int, params: AggregationParams)
     """
     alpha = params.alpha
     beta = params.beta
+    # bound once per search, not looked up per node or pair
+    push = heapq.heappush
+    pop = heapq.heappop
+    row_of = rows.get
     lengths = {source: 0.0}
+    length_of = lengths.get
     preds: dict[int, int | None] = {}
     heap = [(0.0, source, None)]
     while heap:
-        dist, v, pred = heapq.heappop(heap)
+        dist, v, pred = pop(heap)
         if v in preds:
             continue
         preds[v] = pred
-        for w, count, d in rows.get(v, ()):
+        it = iter(row_of(v, ()))
+        for w, count, d in zip(it, it, it):
             # params.kept's test, inline: a call per scanned pair costs too much
             if count < alpha or d > beta:
                 continue
             cand = dist + d
-            cur = lengths.get(w)
+            cur = length_of(w)
             if cur is None or cand < cur:
                 lengths[w] = cand
-                heapq.heappush(heap, (cand, w, v))
+                push(heap, (cand, w, v))
     return lengths, preds
 
 
@@ -273,7 +280,7 @@ def ml_floyd_warshall(
     values.fill(np.inf)
     np.fill_diagonal(values, 0.0)
     for src, row in aggregate_graph(net, params).priced_pairs.items():
-        values[index[src], [index[dst] for dst, _, _ in row]] = [dist for _, _, dist in row]
+        values[index[src], [index[dst] for dst in row[0::3]]] = row[2::3]
     workers = 1
     if n >= _FW_FORK_MIN_NODES:
         workers = min(available_cpus(), len(bounds))

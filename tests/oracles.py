@@ -57,8 +57,14 @@ def recount_pairs(net):
     return seen
 
 
+def triples(row):
+    """The (dst, layer count, distance) triples of a flat priced row, in order."""
+    it = iter(row)
+    return zip(it, it, it)
+
+
 def oracle_priced_pairs(net):
-    """{src: [(dst, layer count, distance), ...]} priced from raw edges, in edge order.
+    """{src: [dst, layer count, distance, dst, ...]} priced from raw edges, in edge order.
 
     Each pair's weights are added with float ``+`` in the order ``edges()``
     yields them, then put through the paper's formula: ``1 - sum / |L|`` under
@@ -69,7 +75,7 @@ def oracle_priced_pairs(net):
     rows = {}
     for (src, dst), (count, wsum) in recount_pairs(net).items():
         dist = 1.0 - wsum / num_layers if positive else wsum / num_layers
-        rows.setdefault(src, []).append((dst, count, dist))
+        rows.setdefault(src, []).extend((dst, count, dist))
     return rows
 
 
@@ -96,7 +102,7 @@ def oracle_edges(net, params):
     return [
         (src, dst, dist)
         for src, row in oracle_priced_pairs(net).items()
-        for dst, count, dist in row
+        for dst, count, dist in triples(row)
         if count >= params.alpha and dist <= params.beta
     ]
 

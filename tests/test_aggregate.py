@@ -20,7 +20,7 @@ from layerpath import (
     distance,
 )
 from netgen import build_net, layered_networks
-from oracles import recount_pairs
+from oracles import recount_pairs, triples
 
 PARAM_GRID = [
     AggregationParams(alpha, beta)
@@ -74,6 +74,21 @@ class TestDistance:
         with pytest.raises(UnknownNodeError):
             distance(net, 9, 0)
 
+    def test_finds_a_pair_at_any_position_of_its_row(self):
+        # 0's flat row lists targets 5, 1 and 2 first, in the middle and
+        # last, and holds 1 and 2 as layer counts before those targets
+        net = build_net(
+            ("a", "b"),
+            [(0, 5, "a", 0.25), (0, 1, "a", 0.5), (0, 1, "b", 0.5), (0, 2, "a", 0.75)],
+            extra_nodes=(3,),
+        )
+        row = net.priced_pairs[0]
+        assert row == (5, 1, 1 - 0.25 / 2, 1, 2, 1 - 1.0 / 2, 2, 1, 1 - 0.75 / 2)
+        assert distance(net, 0, 5) is row[2]
+        assert distance(net, 0, 1) is row[5]
+        assert distance(net, 0, 2) is row[8]
+        assert distance(net, 0, 3) == 1.0
+
     def test_distance_requires_seal(self):
         # distances are read from the prices seal() writes
         net = MultiLayeredNetwork(layers=("a",))
@@ -101,15 +116,68 @@ class TestParams:
             AggregationParams(beta=True)
 
 
+class TestKept:
+    def net(self):
+        """Source 0: pairs (1, count 2, d 0.25), (2, count 1, d 0.75), (3, count 2, d 0.5)."""
+        return build_net(
+            ("a", "b"),
+            [
+                (0, 1, "a", 0.75), (0, 1, "b", 0.75),
+                (0, 2, "a", 0.5),
+                (0, 3, "a", 0.5), (0, 3, "b", 0.5),
+                (1, 3, "a", 0.5), (1, 3, "b", 0.5),
+            ],
+        )
+
+    def test_a_row_whose_pairs_all_pass_is_the_row_itself(self):
+        row = self.net().priced_pairs[0]
+        assert row == (1, 2, 0.25, 2, 1, 0.75, 3, 2, 0.5)
+        # alpha 1 with beta 1 keeps rows whole unread; other cells test each pair
+        for params in [AggregationParams(), AggregationParams(1, 0.75)]:
+            assert params.kept(row) is row
+        last = row[6:]
+        assert AggregationParams(2, 0.5).kept(last) is last
+
+    def test_kept_pairs_are_flat_and_the_rows_own_objects(self):
+        row = self.net().priced_pairs[0]
+        for params, positions in [
+            (AggregationParams(2, 1.0), (0, 6)),
+            (AggregationParams(1, 0.5), (0, 6)),
+            (AggregationParams(1, 0.25), (0,)),
+            (AggregationParams(2, 0.4), (0,)),
+            (AggregationParams(3, 1.0), ()),
+        ]:
+            kept = params.kept(row)
+            expected = tuple(item for at in positions for item in row[at : at + 3])
+            assert kept == expected
+            assert all(a is b for a, b in zip(kept, expected))
+        assert AggregationParams().kept(()) == ()
+        assert AggregationParams(2, 0.5).kept(()) == ()
+
+    def test_kept_rows_leaves_out_rows_that_keep_nothing(self):
+        rows = self.net().priced_pairs
+        assert dict(AggregationParams().kept_rows(rows)) == dict(rows)
+        assert dict(AggregationParams(1, 0.25).kept_rows(rows)) == {0: (1, 2, 0.25)}
+        assert dict(AggregationParams(3, 1.0).kept_rows(rows)) == {}
+
+    def test_num_edges_counts_pairs_not_items(self):
+        # the benchmark's traced run adds num_edges up as kept pairs, its
+        # aggregate.kept_ratio
+        net = self.net()
+        assert aggregate_graph(net, AggregationParams()).num_edges == 4
+        assert aggregate_graph(net, AggregationParams(2, 1.0)).num_edges == 3
+        assert aggregate_graph(net, AggregationParams(1, 0.25)).num_edges == 1
+
+
 def kept_pairs(graph):
     """The (src, dst) pairs of ``graph``'s aggregated edges."""
-    return {(src, dst) for src, row in graph.priced_pairs.items() for dst, _, _ in row}
+    return {(src, dst) for src, row in graph.priced_pairs.items() for dst in row[0::3]}
 
 
 def aggregated_edge(net, x, y, alpha=1, beta=1.0):
     """The kept (y, layer count, distance) of pair (x, y) under one threshold pair, or None."""
     row = aggregate_graph(net, AggregationParams(alpha, beta)).priced_pairs.get(x, ())
-    return next((pair for pair in row if pair[0] == y), None)
+    return next((pair for pair in triples(row) if pair[0] == y), None)
 
 
 class TestSingleEdgeQueries:
@@ -157,8 +225,8 @@ class TestAggregateGraph:
         )
         g = aggregate_graph(net, AggregationParams(1, 1.0))
         assert g.num_edges == 2
-        assert [pair[:2] for pair in g.priced_pairs[1]] == [(2, 1)]
-        assert g.priced_pairs[0] == ((1, 2, 0.5),)
+        assert [pair[:2] for pair in triples(g.priced_pairs[1])] == [(2, 1)]
+        assert g.priced_pairs[0] == (1, 2, 0.5)
         assert 2 not in g.priced_pairs
 
     def test_rows_are_the_priced_rows_cut_down(self):
@@ -173,9 +241,9 @@ class TestAggregateGraph:
         )
         priced = net.priced_pairs
         g = aggregate_graph(net, AggregationParams(2, 1.0))
-        # kept pairs stay in priced order and are the very same tuples
-        assert g.priced_pairs[0] == (priced[0][0], priced[0][2])
-        assert all(a is b for a, b in zip(g.priced_pairs[0], (priced[0][0], priced[0][2])))
+        # kept pairs stay in priced order and are the very same objects
+        assert g.priced_pairs[0] == priced[0][0:3] + priced[0][6:9]
+        assert all(a is b for a, b in zip(g.priced_pairs[0], priced[0][0:3] + priced[0][6:9]))
         # a row whose pairs all pass is shared, not copied
         assert g.priced_pairs[1] is priced[1]
         # rows with no kept pair are left out
@@ -235,7 +303,7 @@ def test_aggregated_edges_satisfy_both_thresholds(net, params):
     counts = {pair: count for pair, (count, _) in recount_pairs(net).items()}
     seen = set()
     for src, row in g.priced_pairs.items():
-        for dst, layer_count, dist in row:
+        for dst, layer_count, dist in triples(row):
             seen.add((src, dst))
             assert layer_count == counts[src, dst] >= params.alpha
             assert dist == distance(net, src, dst)

@@ -85,6 +85,15 @@ class TestPathStats:
             stats = path_stats(search(net, 0, AggregationParams(2, 1.0)))
             assert stats.num_neighbors == 1
 
+    def test_neighbors_count_pairs_not_row_items(self):
+        # a flat row holds three items a pair; the benchmark's sssp check
+        # reads num_neighbors as the source's aggregated out-degree
+        net = build_net(("a",), [(0, 1, "a", 0.5), (0, 2, "a", 0.5), (0, 3, "a", 0.5)])
+        assert len(net.priced_pairs[0]) == 9
+        for search in (dap_sssp, mda_sssp):
+            assert path_stats(search(net, 0)).num_neighbors == 3
+            assert path_stats(search(net, 0, AggregationParams(1, 0.25))).num_neighbors == 0
+
     def test_avg_len_adds_in_discovery_order(self):
         # sum() on Python >= 3.12 compensates and would give 0.3333333333333334
         tiny = 2.0 ** -53
@@ -175,7 +184,7 @@ def test_path_stats_agree_on_one_aggregation_and_both_strategies(net, alpha, dat
     # searches of one shared aggregation give one neighbour count per source;
     # rows from fresh dap and mda searches must match it. A beta equal to a
     # priced distance puts pairs right on the threshold.
-    distances = {dist for row in net.priced_pairs.values() for _, _, dist in row}
+    distances = {dist for row in net.priced_pairs.values() for dist in row[2::3]}
     beta = data.draw(st.sampled_from(sorted(distances | {1.0})))
     params = AggregationParams(alpha, beta)
     graph = aggregate_graph(net, params)

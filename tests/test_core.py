@@ -27,14 +27,20 @@ from layerpath import (
 )
 from layerpath.core import add_in_order, pair_distance
 from netgen import build_net, layered_networks
-from oracles import keep_max_edge_order, naive_neighborhood, oracle_priced_pairs, recount_pairs
+from oracles import (
+    keep_max_edge_order,
+    naive_neighborhood,
+    oracle_priced_pairs,
+    recount_pairs,
+    triples,
+)
 
 X, Y, Z, U, V = range(5)
 
 
 def kept_targets(net, x, alpha):
     """Nodes that x points to on at least ``alpha`` layers, by the alpha rule of aggregation."""
-    return {dst for dst, _, _ in AggregationParams(alpha).kept(net.priced_pairs.get(x, ()))}
+    return set(AggregationParams(alpha).kept(net.priced_pairs.get(x, ()))[0::3])
 
 
 def demo_net():
@@ -147,7 +153,7 @@ class TestEdges:
                 net.add_edge(0, 1, "a", 1.5, on_duplicate="keep-max")
             net.seal()
             assert [(e.layer.label, e.weight) for e in net.edges()] == [("a", kept), ("b", 0.25)]
-            assert dict(net.priced_pairs) == {0: ((1, 2, 1 - (kept + 0.25) / 2),)}
+            assert dict(net.priced_pairs) == {0: (1, 2, 1 - (kept + 0.25) / 2)}
 
     def test_unknown_duplicate_policy(self):
         net = MultiLayeredNetwork(layers=("a",))
@@ -167,7 +173,7 @@ class TestEdges:
         net.add_edge(0, 1, "b", 1.0)
         net.seal()
         assert [(e.layer.label, e.weight) for e in net.edges()] == [("a", 0.0), ("b", 1.0)]
-        assert dict(net.priced_pairs) == {0: ((1, 2, 0.5),)}
+        assert dict(net.priced_pairs) == {0: (1, 2, 0.5)}
 
     def test_unknown_layer(self):
         net = MultiLayeredNetwork(layers=("a",))
@@ -310,9 +316,9 @@ class TestQueries:
         net = demo_net()
         weights = {e.layer.label: e.weight for e in net.edges() if (e.src, e.dst) == (X, Y)}
         assert weights == {"work": 0.5, "lunch": 0.6, "tennis": 0.7}
-        priced = {dst: (count, dist) for dst, count, dist in net.priced_pairs[X]}
+        priced = {dst: (count, dist) for dst, count, dist in triples(net.priced_pairs[X])}
         assert priced[Y] == (3, 1 - (0.5 + 0.6 + 0.7) / 3)
-        assert V not in {dst for dst, _, _ in net.priced_pairs[Y]}
+        assert V not in net.priced_pairs[Y][0::3]
 
     def test_edges_per_layer(self):
         net = demo_net()
@@ -337,7 +343,7 @@ class TestQueries:
 class TestPricedPairs:
     def test_sealing_prices_each_connected_pair(self):
         net = build_net(("a", "b"), [(0, 1, "a", 0.5), (0, 1, "b", 0.25), (1, 2, "b", 1.0)])
-        assert dict(net.priced_pairs) == {0: ((1, 2, 0.625),), 1: ((2, 1, 0.5),)}
+        assert dict(net.priced_pairs) == {0: (1, 2, 0.625), 1: (2, 1, 0.5)}
 
     def test_weights_are_summed_in_insertion_order(self):
         # sum() rounds 0.1 + 0.2 + 0.3 once (to 0.6) on Python >= 3.12; the
@@ -345,7 +351,7 @@ class TestPricedPairs:
         net = build_net(("a", "b", "c"), [(0, 1, "a", 0.1), (0, 1, "b", 0.2), (0, 1, "c", 0.3)])
         expected = 1 - ((0.1 + 0.2) + 0.3) / 3
         assert expected != 1 - 0.6 / 3
-        ((dst, count, dist),) = net.priced_pairs[0]
+        (dst, count, dist) = net.priced_pairs[0]
         assert (dst, count) == (1, 3)
         assert dist.hex() == expected.hex()
         assert add_in_order([0.1, 0.2, 0.3]).hex() == ((0.1 + 0.2) + 0.3).hex()
@@ -366,7 +372,7 @@ class TestPricedPairs:
         net.seal()
         expected = pair_distance(add_in_order([0.1, 0.2, 0.3]), 3, True)
         assert expected != pair_distance(add_in_order([0.2, 0.3, 0.1]), 3, True)
-        ((dst, count, dist),) = net.priced_pairs[0]
+        (dst, count, dist) = net.priced_pairs[0]
         assert (dst, count, dist.hex()) == (1, 3, expected.hex())
         assert [(e.src, e.layer.label, e.weight) for e in net.edges()] == [
             (0, "a", 0.1), (0, "b", 0.2), (0, "c", 0.3), (2, "a", 0.5)
@@ -407,7 +413,7 @@ def test_sealed_distances_lie_in_the_unit_interval(polarity, shape):
             net.add_edge(0, dst, layer, weight)
     net.seal()
     for row in net.priced_pairs.values():
-        for _, _, dist in row:
+        for dist in row[2::3]:
             assert 0.0 <= dist <= 1.0
 
 
@@ -440,7 +446,9 @@ def test_neighborhood_matches_naive_recount(net, alpha):
 @given(layered_networks(polarities=(POSITIVE, NEGATIVE)))
 def test_pair_cache_matches_edge_recount(net):
     recounted = recount_pairs(net)
-    priced = {(src, dst): count for src, row in net.priced_pairs.items() for dst, count, _ in row}
+    priced = {
+        (src, dst): count for src, row in net.priced_pairs.items() for dst, count, _ in triples(row)
+    }
     assert priced == {pair: count for pair, (count, _) in recounted.items()}
     total = sum(count for count, _ in recounted.values())
     assert net.num_edges == total == len(list(net.edges()))
@@ -468,7 +476,10 @@ def test_sealing_keeps_every_edge_in_order(rows):
 
 def _bits(rows):
     """Rows in order, each distance as its exact float bits."""
-    return [(src, [(dst, count, dist.hex()) for dst, count, dist in row]) for src, row in rows.items()]
+    return [
+        (src, [(dst, count, dist.hex()) for dst, count, dist in triples(row)])
+        for src, row in rows.items()
+    ]
 
 
 @settings(max_examples=100)
@@ -481,7 +492,7 @@ def test_priced_pairs_match_an_independent_pricer(net):
         exact_sums[e.src, e.dst] = exact_sums.get((e.src, e.dst), 0) + Fraction(e.weight)
     num_layers = net.num_layers
     for src, row in net.priced_pairs.items():
-        for dst, _, dist in row:
+        for dst, _, dist in triples(row):
             mean = exact_sums[src, dst] / num_layers
             exact = 1 - mean if net.polarity == POSITIVE else mean
             assert abs(Fraction(dist) - exact) <= Fraction(num_layers, 2**52)

@@ -44,7 +44,7 @@ class TestLoader:
         assert net.num_nodes == 3
         assert net.num_layers == 1
         assert net.layers[0].label == "friends"
-        assert dict(net.priced_pairs) == {0: ((1, 1, 0.5),), 1: ((2, 1, 0.75),)}
+        assert dict(net.priced_pairs) == {0: (1, 1, 0.5), 1: (2, 1, 0.75)}
 
     def test_layers_indexed_by_first_appearance(self, tmp_path):
         path = write(tmp_path, HEADER + "0,1,z,0.5\n0,1,a,0.5\n1,0,z,0.5\n")
@@ -93,7 +93,7 @@ class TestLoader:
         first, second, third = weights
         expected = 1 - ((first + second) + third) / 3
         assert expected != 1 - ((third + second) + first) / 3
-        assert net.priced_pairs[0] == ((1, 3, expected),)
+        assert net.priced_pairs[0] == (1, 3, expected)
 
     def test_loading_streams_rows_into_the_network(self, tmp_path):
         # no row buffer: the peak heap during the load stays close to the
@@ -139,7 +139,9 @@ class TestLoader:
         # 4,000 nodes, 4 targets each, every pair on 1, 2 or 3 of 4 layers
         # (p = 0.5, 0.3, 0.2, as the benchmark's nets): 27,000-odd edges.
         # Per edge under tracemalloc on CPython 3.11, the load peaked at 210 B
-        # with a dict per pair and at 109 B with the slot map and running sums
+        # with a dict per pair, at 109 B with the slot map and running sums
+        # and a tuple per priced pair, and at 94 B with flat priced rows; the
+        # sealed network held 90 B with a tuple per pair and 62 B flat
         rng = random.Random(19)
         with open(tmp_path / "net.csv", "w", encoding="utf-8") as out:
             out.write(HEADER)
@@ -153,11 +155,12 @@ class TestLoader:
         tracemalloc.start()
         try:
             net = load_edge_list(tmp_path / "net.csv")
-            peak = tracemalloc.get_traced_memory()[1]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert net.num_edges > 20_000
-        assert peak / net.num_edges < 150, f"load peak {peak / net.num_edges:.1f} B/edge"
+        assert peak / net.num_edges < 105, f"load peak {peak / net.num_edges:.1f} B/edge"
+        assert held / net.num_edges < 72, f"held after the load {held / net.num_edges:.1f} B/edge"
 
 
 class TestLoaderErrors:
@@ -220,7 +223,7 @@ class TestLoaderErrors:
         path = write(tmp_path, HEADER + "0,1,a,0.5\n0,1,a,0.75\n0,1,a,0.25\n")
         net = load_edge_list(path, on_duplicate="keep-max")
         assert [e.weight for e in net.edges()] == [0.75]
-        assert dict(net.priced_pairs) == {0: ((1, 1, 0.25),)}
+        assert dict(net.priced_pairs) == {0: (1, 1, 0.25)}
 
     def test_keep_max_holds_the_first_position(self, tmp_path):
         rows = "0,1,a,0.5\n0,1,b,0.25\n0,1,a,0.75\n2,3,a,0.5\n0,1,a,0.125\n"

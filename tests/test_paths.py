@@ -32,7 +32,7 @@ from layerpath import (
 from layerpath import paths
 from layerpath.paths import _fw_block_height
 from netgen import build_net, layered_networks
-from oracles import brute_force_sp, textbook_floyd_warshall
+from oracles import brute_force_sp, textbook_floyd_warshall, triples
 
 DEFAULTS = AggregationParams()
 
@@ -281,7 +281,7 @@ def start_matrix(net, params):
     start = np.full((n, n), inf)
     np.fill_diagonal(start, 0.0)
     for src, row in aggregate_graph(net, params).priced_pairs.items():
-        for dst, _, dist in row:
+        for dst, _, dist in triples(row):
             start[src, dst] = dist
     return start
 
@@ -382,7 +382,7 @@ def test_strategies_agree_everywhere(net, thresholds):
 
 def kept_distance(graph, x, y):
     """The distance of the aggregated pair (x, y), or None if the graph dropped it."""
-    return next((dist for dst, _, dist in graph.priced_pairs.get(x, ()) if dst == y), None)
+    return next((dist for dst, _, dist in triples(graph.priced_pairs.get(x, ())) if dst == y), None)
 
 
 @settings(max_examples=60, deadline=None)
