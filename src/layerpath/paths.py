@@ -44,20 +44,23 @@ if TYPE_CHECKING:  # numpy is imported only where the all-pairs routines run
 DEFAULT_APSP_NODE_CAP = 2_000
 # One Floyd-Warshall block of float64 rows, and as much again for its
 # temporary: small enough that both stay in a core's L2 cache across steps.
-# On a 2-CPU x86 VM (2 MB L2 per core), 256 and 512 KB were fastest at 800
-# nodes, with 64 KB 45% slower and 1 MB 15% slower; at 2,000 nodes 128 to
-# 512 KB were within 10% of each other.
-_FW_BLOCK_BYTES = 256 * 1024
-# Below this many nodes Floyd-Warshall runs in process. On a 2-CPU x86 VM,
-# forking a worker and reaping it took about 2 ms, but a few blocks split
-# unevenly between two processes and leave the later ones waiting on the
-# first pass. Kernel medians, two processes against one, over 7-25 rounds
-# per set: 300 nodes (3 blocks) 47-52 ms against 43-50 ms, slower in 3 of 3
-# sets; 400 nodes (5 blocks) 81-148 ms against 94-141 ms, faster in 3 of 6;
-# 500 nodes (8 blocks) 131-185 ms against 205-244 ms, faster in 3 of 3, as
-# at 550, 600 and 800 nodes (0.38 s against 0.83 s). Re-measured on
-# ``workers.forked``, 9 rounds, two sets: 300 nodes faster in 1/9 and 7/9,
-# 400 in 3/9 and 9/9, 500 in 6/9 and 9/9 (148-202 ms against 222-266 ms).
+# On a 2-CPU x86 VM (2 MB L2 per core), kernel medians in one process and in
+# two: 512 KB took 276 and 169 ms at 800 nodes and 4.10 and 2.31 s at 2,000
+# (256 KB: 277 and 181 ms, 4.71 and 2.55 s); 1 MB was 31-61% slower and
+# 64 KB 74-94% slower at both sizes; at 300 nodes 512 KB took 22 ms in one
+# process, 256 KB 24 ms and 64 KB 36 ms. The larger temporary costs each
+# process 256 KB: apsp's peak RSS at 800 nodes read 39.89 MB against 39.63.
+_FW_BLOCK_BYTES = 512 * 1024
+# Below this many nodes Floyd-Warshall runs in process. Forking a worker and
+# reaping it takes about 2 ms, but a few blocks split unevenly between two
+# processes and leave the later ones waiting on the first pass, and on a
+# shared machine the second CPU is not always free. On a 2-CPU x86 VM, kernel
+# medians in 9 alternating rounds a set, two processes against one: 300-450
+# nodes (2-4 blocks) slower in 24 of 25 sets, faster in 31 of 225 rounds;
+# 500 nodes (4 blocks) faster in 53 of 126 rounds and 6 of 14 sets, 4% less
+# time summed over the sets (51-113 ms against 68-105 ms); 650 nodes faster
+# in 54/99 rounds, 13% less; 800 nodes in 69/72 rounds, 42% less
+# (175-225 ms against 290-370 ms).
 _FW_FORK_MIN_NODES = 500
 
 
@@ -340,23 +343,36 @@ def _fw_relax(values, snap, bounds, rank: int, pipes) -> None:
 
     n = values.shape[1]
     tmp = np.empty((_fw_block_height(n), n))
-    for first_pass in (True, False):
-        for b in range(rank, blocks, workers):
-            start, stop = bounds[b]
-            block = values[start:stop]
-            cand = tmp[: stop - start]
-            for c in range(b + 1) if first_pass else range(b + 1, blocks):
-                if c != b:
-                    wait(c)
-                for k in range(*bounds[c]):
-                    if c == b:  # row k is in this block
-                        snap[k] = block[k - start]
-                    np.add(block[:, k, None], snap[k], out=cand)
-                    np.minimum(block, cand, out=block)
-            if first_pass:
-                through = b
-                if outbox is not None:
-                    send(outbox, b.to_bytes(4, "little"))
+    # With a ufunc buffer of two rows or more (numpy's default is 8,192
+    # items), numpy 2.4 runs the step's column-by-row add through buffered
+    # iteration, copying the column into a buffer several rows at a time:
+    # 33.6 us for a 40 x 800 block on a 2-CPU x86 VM. With a buffer below two
+    # rows it runs one unbuffered inner loop per row, in 10.6 us; the minimum
+    # takes 8.5 us either way. 16 items, the smallest size numpy 1.x takes, is
+    # below two rows from 8 nodes on. The same ufuncs on the same operands
+    # give the same sums. The caller's size is back when this returns or
+    # raises.
+    bufsize = np.setbufsize(16)
+    try:
+        for first_pass in (True, False):
+            for b in range(rank, blocks, workers):
+                start, stop = bounds[b]
+                block = values[start:stop]
+                cand = tmp[: stop - start]
+                for c in range(b + 1) if first_pass else range(b + 1, blocks):
+                    if c != b:
+                        wait(c)
+                    for k in range(*bounds[c]):
+                        if c == b:  # row k is in this block
+                            snap[k] = block[k - start]
+                        np.add(block[:, k, None], snap[k], out=cand)
+                        np.minimum(block, cand, out=block)
+                if first_pass:
+                    through = b
+                    if outbox is not None:
+                        send(outbox, b.to_bytes(4, "little"))
+    finally:
+        np.setbufsize(bufsize)
 
 
 def apsp_repeated_dijkstra(

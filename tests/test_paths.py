@@ -287,12 +287,17 @@ def start_matrix(net, params):
 
 
 class TestBlockedFloydWarshall:
+    @pytest.fixture
+    def three_blocks_at_300(self, monkeypatch):
+        """256 KB blocks: 109 rows, so a 300-node net has three, the last one short."""
+        monkeypatch.setattr(paths, "_FW_BLOCK_BYTES", 256 * 1024)
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("params", [AggregationParams(1, 1.0), AggregationParams(2, 0.75)])
     @pytest.mark.parametrize("polarity", [POSITIVE, NEGATIVE])
     @pytest.mark.parametrize("n", [300, 40, 1])
     def test_bit_identical_to_the_textbook_loop(self, n, polarity, params, workers,
-                                                force_fw_workers):
+                                                force_fw_workers, three_blocks_at_300):
         forks = force_fw_workers(workers)
         height = _fw_block_height(n)
         blocks = -(-n // height)
@@ -331,18 +336,25 @@ class TestBlockedFloydWarshall:
         assert ml_floyd_warshall(net).values.tobytes() == want.tobytes()
         assert len(forks) == workers - 1
 
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-    @pytest.mark.parametrize("killed", [False, True], ids=["finished", "killed"])
-    def test_no_process_or_fd_is_left_behind(self, monkeypatch, force_fw_workers, killed):
-        fds = len(os.listdir("/proc/self/fd"))
+    @staticmethod
+    def kill_rank_2(monkeypatch):
+        """Rank 2 kills itself before it relaxes; rank 1 then waits on it until killed."""
         relax = paths._fw_relax
 
         def dies(values, snap, bounds, rank, *ring):
-            if killed and rank == 2:  # worker 1 then waits on it until killed
+            if rank == 2:
                 os.kill(os.getpid(), signal.SIGKILL)
             relax(values, snap, bounds, rank, *ring)
 
         monkeypatch.setattr(paths, "_fw_relax", dies)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("killed", [False, True], ids=["finished", "killed"])
+    def test_no_process_or_fd_is_left_behind(self, monkeypatch, force_fw_workers, killed,
+                                             three_blocks_at_300):
+        fds = len(os.listdir("/proc/self/fd"))
+        if killed:
+            self.kill_rank_2(monkeypatch)
         forks = force_fw_workers(3)
         net = zero_distance_net(300, POSITIVE, seed=300)
         if killed:
@@ -354,6 +366,40 @@ class TestBlockedFloydWarshall:
         with pytest.raises(ChildProcessError):  # every worker is reaped
             os.waitpid(-1, os.WNOHANG)
         assert len(os.listdir("/proc/self/fd")) == fds
+
+    @pytest.mark.parametrize("caller", [None, 1 << 16], ids=["default", "caller-set"])
+    @pytest.mark.parametrize("run", ["in-process", "ranks", "killed"])
+    def test_the_kernels_numpy_buffer_never_leaks(self, monkeypatch, force_fw_workers,
+                                                  three_blocks_at_300, run, caller):
+        # the kernel's steps run under a ufunc buffer below two rows, and
+        # the caller's buffer size is back when ml_floyd_warshall returns or
+        # raises, whether it was numpy's default or one the caller set
+        n = 300
+        seen = []  # the buffer size at each of this process's steps
+        minimum = np.minimum
+
+        def recording(*args, **kwargs):
+            seen.append(np.getbufsize())
+            return minimum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "minimum", recording)
+        forks = force_fw_workers(1 if run == "in-process" else 3)
+        if run == "killed":
+            self.kill_rank_2(monkeypatch)
+        net = zero_distance_net(n, POSITIVE, seed=n)
+        before = np.setbufsize(caller) if caller else np.getbufsize()
+        try:
+            if run == "killed":
+                with pytest.raises(RuntimeError, match="Floyd-Warshall worker"):
+                    ml_floyd_warshall(net)
+            else:
+                ml_floyd_warshall(net)
+            after = np.getbufsize()
+        finally:
+            np.setbufsize(before)
+        assert after == (caller or before)
+        assert len(forks) == (0 if run == "in-process" else 2)
+        assert seen and max(seen) < 2 * n
 
 
 class TestBruteForceGuard:
