@@ -7,15 +7,15 @@ layers. Loops are rejected. Weights are relationship strengths in [0, 1].
 
 Networks are built single-writer, then sealed. While it is built, a network
 keeps no dict per pair: a slot map, src -> {dst: pair slot}, and per slot
-the pair's layer bitmask (the duplicate check) and the running sum of its
-weights in insertion order; each edge goes into three per-edge ``array``
-columns, its pair's slot, its layer index and its weight, in insertion
-order. Sealing prices each pair from its sum and its mask's bit count and
-empties the slot map into the one shape a sealed network keeps: one flat
-priced row per source, ``(dst, layer count, distance, dst, layer count,
-distance, ...)``, plus the per-edge layer and weight columns and a column of
-each edge's pair position in the rows, from which ``edges()`` groups a
-pair's edges. A row is read three items at a time, ``it = iter(row)`` and
+the pair's layer bitmask (the duplicate check); each edge goes into three
+per-edge ``array`` columns, its pair's slot, its layer index and its weight,
+in insertion order. Sealing adds each pair's weights in one pass over the
+weight column, in insertion order, prices each pair from its sum and its
+mask's bit count, and empties the slot map into the one shape a sealed
+network keeps: one flat priced row per source, ``(dst, layer count,
+distance, dst, layer count, distance, ...)``, plus the per-edge layer and
+weight columns and a column of each edge's pair position in the rows, from
+which ``edges()`` groups a pair's edges. A row is read three items at a time, ``it = iter(row)`` and
 ``zip(it, it, it)``, which allocates nothing per pair. Only ``add_edges`` and
 ``seal`` touch the build state: every whole-network read (the edges, the
 nodes, the per-layer counts, equality) and every path algorithm requires a
@@ -166,7 +166,7 @@ class MultiLayeredNetwork:
     A sealed network keeps only those flat priced rows and three per-edge
     columns in insertion order, the layer indices, the weights and the
     positions of the edges' pairs in the rows, which ``edges()`` reads; the
-    build state (slot map, layer masks, weight sums) is gone.
+    build state (slot map, layer masks, per-edge slots) is gone.
 
     ``polarity`` records how raw weights are read downstream: ``"positive"``
     weights express closeness and are converted to distances, ``"negative"``
@@ -183,18 +183,15 @@ class MultiLayeredNetwork:
         self._nodes: set[int] | frozenset[int] = set()
         # the build state, which seal() empties and deletes: src -> {dst:
         # slot}, a slot per pair in order of first appearance, and per slot
-        # the mask of the pair's layers and the running sum of its weights in
-        # insertion order; per edge, in insertion order, its pair's slot
+        # the mask of the pair's layers; per edge, in insertion order, its
+        # pair's slot
         self._slots: dict[int, dict[int, int]] = {}
         self._masks: list[int] = []
-        self._sums = array("d")
         self._edge_slots = array("I")  # 4 B an edge; 2**32 pairs would not fit in memory
         # keep-max only, linked on the first duplicate: per slot the pair's
-        # last linked edge and per edge the pair's edge before it (-1: none),
-        # and whether a duplicate's larger weight replaced a held one
+        # last linked edge and per edge the pair's edge before it (-1: none)
         self._heads = array("q")
         self._links = array("q")
-        self._resum = False
         # per edge, in insertion order: its layer index, its weight and, set
         # by seal(), its pair's position in the rows; the flat rows, filled
         # by seal(): src -> (dst, layer count, distance, dst, ...)
@@ -243,10 +240,11 @@ class MultiLayeredNetwork:
         outside [0, 1], then ``LoopEdgeError`` for src == dst. When the
         (src, dst, layer) triple already exists, ``on_duplicate="error"``
         raises ``DuplicateEdgeError`` and ``"keep-max"`` keeps the larger
-        weight in the triple's first position, so the pair's weight sum still
-        adds its layers in first-appearance order. The first bad row stops
-        the call; the rows before it stay added. ``rows`` may be a generator,
-        and it may register layers on this network while it is consumed.
+        weight in the triple's first position, so the pair's weight sum at
+        seal still adds its layers in first-appearance order. The first bad
+        row stops the call; the rows before it stay added. ``rows`` may be a
+        generator, and it may register layers on this network while it is
+        consumed.
         """
         self._check_mutable()
         if on_duplicate not in _DUPLICATE_POLICIES:
@@ -256,7 +254,6 @@ class MultiLayeredNetwork:
         keep_max = on_duplicate == ON_DUPLICATE_KEEP_MAX
         slots = self._slots
         masks = self._masks
-        sums = self._sums
         heads = self._heads
         links = self._links
         edge_slots = self._edge_slots
@@ -264,7 +261,7 @@ class MultiLayeredNetwork:
         edge_weights = self._edge_weights
         # bound appends save a row three attribute lookups
         append_slot, append_layer = edge_slots.append, edge_layers.append
-        append_weight, append_mask, append_sum = edge_weights.append, masks.append, sums.append
+        append_weight, append_mask = edge_weights.append, masks.append
         label_index = self._label_index
         resolve = self.layer
         for src, dst, layer, weight in rows:
@@ -289,7 +286,6 @@ class MultiLayeredNetwork:
             if slot is None:
                 slot = targets[dst] = len(masks)
                 append_mask(1 << lidx)
-                append_sum(0.0 + weight)  # as add_in_order starts: -0.0 sums to 0.0
             else:
                 mask = masks[slot]
                 if mask >> lidx & 1:
@@ -309,10 +305,8 @@ class MultiLayeredNetwork:
                         edge = links[edge]
                     if weight > edge_weights[edge]:  # max(held, weight): ties keep the held weight
                         edge_weights[edge] = weight
-                        self._resum = True
                     continue
                 masks[slot] = mask | 1 << lidx
-                sums[slot] += weight
             append_slot(slot)
             try:
                 append_layer(lidx)
@@ -326,29 +320,26 @@ class MultiLayeredNetwork:
     def seal(self) -> "MultiLayeredNetwork":
         """Freeze the network and price every connected pair once.
 
-        Prices each pair from its running weight sum and its layer mask's
-        bit count, with no pass over its weights, and empties the slot map
-        into the flat priced rows one source at a time, so the freed dicts
-        make room for the new rows. Only when keep-max replaced a weight are
-        the sums added again, from the weight column in insertion order. The
-        node set is built once, from the nodes given to ``add_node`` and the
-        finished rows' sources and targets. Required before running any path
-        algorithm.
+        Adds each pair's weights in one pass over the weight column, in
+        insertion order, as ``add_in_order`` does, then prices each pair from
+        its sum and its layer mask's bit count and empties the slot map into
+        the flat priced rows one source at a time, so the freed dicts make
+        room for the new rows. The node set is built once, from the nodes
+        given to ``add_node`` and the finished rows' sources and targets.
+        Required before running any path algorithm.
         """
         if not self._sealed:
             if not self._labels:
                 raise GraphError("cannot seal a network with no layers")
             num_layers = len(self._labels)
             positive = self._polarity == POSITIVE
-            slots, masks, sums = self._slots, self._masks, self._sums
-            edge_slots, resum = self._edge_slots, self._resum
+            slots, masks, edge_slots = self._slots, self._masks, self._edge_slots
             # a reader left on the build state fails instead of reading nothing
-            del self._slots, self._masks, self._sums, self._edge_slots
-            del self._heads, self._links, self._resum
-            if resum:
-                sums = array("d", bytes(8 * len(masks)))
-                for slot, weight in zip(edge_slots, self._edge_weights):
-                    sums[slot] += weight
+            del self._slots, self._masks, self._edge_slots, self._heads, self._links
+            # 0.0 + w1 + w2 + ... per pair: a -0.0 weight sums to 0.0
+            sums = array("d", bytes(8 * len(masks)))
+            for slot, weight in zip(edge_slots, self._edge_weights):
+                sums[slot] += weight
             # each slot's position in the rows
             positions = array("I", bytes(4 * len(masks)))
             position = 0

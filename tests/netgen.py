@@ -1,5 +1,7 @@
 """Shared builders and hypothesis strategies for the test suite."""
 
+import random
+
 from hypothesis import strategies as st
 
 from layerpath import MultiLayeredNetwork, POSITIVE
@@ -47,3 +49,20 @@ def layered_networks(
     for (src, dst, layer_index), weight in edge_map.items():
         net.add_edge(src, dst, layer_index, weight)
     return net.seal()
+
+
+def write_load_peak_net(path):
+    """Write the load-peak test's edge list to ``path``: 27,000-odd edges.
+
+    4,000 nodes, 4 targets each, every pair on 1, 2 or 3 of 4 layers (p =
+    0.5, 0.3, 0.2, as the benchmark's nets), a pair's layers on adjacent rows.
+    """
+    rng = random.Random(19)
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("src,dst,layer,weight\n")
+        for src in range(4000):
+            for step in rng.sample(range(1, 4000), 4):
+                dst = (src + step) % 4000
+                draw = rng.random()
+                for label in rng.sample("abcd", 1 + (draw >= 0.5) + (draw >= 0.8)):
+                    out.write(f"{src},{dst},{label},{rng.random()!r}\n")

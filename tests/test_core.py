@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from layerpath import (
@@ -211,6 +211,7 @@ def _snapshot(net):
         net.layer_edge_counts(),
         net.num_edges,
         net.nodes,
+        _bits(net.priced_pairs),
     )
 
 
@@ -220,7 +221,7 @@ def _snapshot(net):
     on_duplicate=st.sampled_from(["error", "keep-max"]),
 )
 def test_add_edges_matches_add_edge_row_by_row(rows, on_duplicate):
-    """One ``add_edges`` call and ``add_edge`` per row: same error, then same sealed edges and counts."""
+    """One ``add_edges`` call and ``add_edge`` per row: same error, then same sealed edges, counts and prices."""
     bulk = MultiLayeredNetwork(layers=("a", "b"))
     read = []
 
@@ -459,19 +460,29 @@ def test_pair_cache_matches_edge_recount(net):
     st.lists(
         st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from("abc"), st.floats(0.0, 1.0)),
         max_size=30,
-    ).map(lambda rows: [row for row in rows if row[0] != row[1]])
+    ).map(lambda rows: [row for row in rows if row[0] != row[1]]),
+    st.sampled_from([POSITIVE, NEGATIVE]),
 )
-def test_sealing_keeps_every_edge_in_order(rows):
+# (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1 == 0.6, and negative polarity's
+# sum / |L| keeps that last bit: pair (0, 1) is priced wrong if its weights
+# are added in another order or correctly rounded
+@example(
+    [(0, 1, "a", 0.05), (2, 1, "a", 0.5), (0, 1, "b", 0.2), (0, 1, "c", 0.3), (0, 1, "a", 0.1)],
+    NEGATIVE,
+)
+def test_sealing_keeps_every_edge_in_order(rows, polarity):
     # a sealed network lists its edges from the per-edge columns: sources,
-    # pairs and layers by first appearance, keep-max repeats in place
-    net = MultiLayeredNetwork(layers=("a", "b", "c"))
+    # pairs and layers by first appearance, keep-max repeats in place; each
+    # pair's price adds those edges' weights in that order
+    net = MultiLayeredNetwork(layers=("a", "b", "c"), polarity=polarity)
     net.add_edges(rows, on_duplicate="keep-max")
     expected = keep_max_edge_order(rows)
-    edges, counts, num_edges, nodes = _snapshot(net)
+    edges, counts, num_edges, nodes, priced = _snapshot(net)
     assert edges == [(src, dst, net.layer(layer), weight.hex()) for src, dst, layer, weight in expected]
     assert counts == [sum(row[2] == label for row in expected) for label in "abc"]
     assert num_edges == len(expected)
     assert nodes == {node for row in rows for node in row[:2]}
+    assert priced == _bits(oracle_priced_pairs(net))
 
 
 def _bits(rows):

@@ -24,7 +24,7 @@ from layerpath import (
     random_network,
     write_edge_csv,
 )
-from netgen import build_net
+from netgen import build_net, write_load_peak_net
 from oracles import oracle_priced_pairs
 
 HEADER = "src,dst,layer,weight\n"
@@ -136,21 +136,13 @@ class TestLoader:
         assert peak <= 1.25 * built_peak, f"load peak {peak} B vs {built_peak} B in memory"
 
     def test_the_load_peak_stays_below_a_dict_per_pair(self, tmp_path):
-        # 4,000 nodes, 4 targets each, every pair on 1, 2 or 3 of 4 layers
-        # (p = 0.5, 0.3, 0.2, as the benchmark's nets): 27,000-odd edges.
         # Per edge under tracemalloc on CPython 3.11, the load peaked at 210 B
         # with a dict per pair, at 109 B with the slot map and running sums
-        # and a tuple per priced pair, and at 94 B with flat priced rows; the
-        # sealed network held 90 B with a tuple per pair and 62 B flat
-        rng = random.Random(19)
-        with open(tmp_path / "net.csv", "w", encoding="utf-8") as out:
-            out.write(HEADER)
-            for src in range(4000):
-                for step in rng.sample(range(1, 4000), 4):
-                    dst = (src + step) % 4000
-                    draw = rng.random()
-                    for label in rng.sample("abcd", 1 + (draw >= 0.5) + (draw >= 0.8)):
-                        out.write(f"{src},{dst},{label},{rng.random()!r}\n")
+        # and a tuple per priced pair, at 94 B with flat priced rows, and at
+        # 89 B with the sums added at seal; the sealed network held 90 B
+        # with a tuple per pair and 62 B flat. CI's tier-1 job writes both
+        # figures, from the same net, on every Python it runs
+        write_load_peak_net(tmp_path / "net.csv")
         gc.collect()
         tracemalloc.start()
         try:

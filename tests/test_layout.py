@@ -64,9 +64,9 @@ def test_the_check_sees_both_kinds_of_reach():
 
 BUILD_MAP_USERS = ("__init__", "add_edges", "seal")
 # the attributes a network holds only while it is built: the slot map, the
-# per-pair layer masks and weight sums, the per-edge slot column, keep-max's
-# links from each pair to its edges, and whether keep-max replaced a weight
-BUILD_ONLY = ("_slots", "_masks", "_sums", "_edge_slots", "_heads", "_links", "_resum")
+# per-pair layer masks, the per-edge slot column and keep-max's links from
+# each pair to its edges
+BUILD_ONLY = ("_slots", "_masks", "_edge_slots", "_heads", "_links")
 
 
 def build_map_uses(source):
@@ -101,7 +101,7 @@ def test_the_build_map_check_sees_a_reader():
     source = (
         "class Net:\n"
         "    def __init__(self):\n"
-        "        self._slots, self._masks, self._sums = {}, [], []\n"
+        "        self._slots, self._masks = {}, []\n"
         "    def seal(self):\n"
         "        del self._slots\n"
         "    def edges(self):\n"
@@ -113,16 +113,14 @@ def test_the_build_map_check_sees_a_reader():
         "        def helper():\n"
         "            return self._masks\n"
         "    def layer_edge_counts(self):\n"
-        "        return self._sums, self._heads, self._links, self._resum, self._masks\n"
+        "        return self._heads, self._links, self._masks\n"
         "size = len(Net()._slots)\n"
     )
     assert build_map_uses(source) == [
         (7, "edges", "_edge_slots"),
         (10, "nodes", "_slots"),
-        (15, "layer_edge_counts", "_sums"),
         (15, "layer_edge_counts", "_heads"),
         (15, "layer_edge_counts", "_links"),
-        (15, "layer_edge_counts", "_resum"),
         (15, "layer_edge_counts", "_masks"),
         (16, None, "_slots"),
     ]
