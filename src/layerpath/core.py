@@ -165,8 +165,9 @@ class MultiLayeredNetwork:
     aggregation and search need are read, not recomputed (``priced_pairs``).
     A sealed network keeps only those flat priced rows and three per-edge
     columns in insertion order, the layer indices, the weights and the
-    positions of the edges' pairs in the rows, which ``edges()`` reads; the
-    build state (slot map, layer masks, per-edge slots) is gone.
+    positions of the edges' pairs in the rows, which ``edges()`` and
+    ``edge_set()`` read; the build state (slot map, layer masks, per-edge
+    slots) is gone.
 
     ``polarity`` records how raw weights are read downstream: ``"positive"``
     weights express closeness and are converted to distances, ``"negative"``
@@ -469,9 +470,17 @@ class MultiLayeredNetwork:
     # -- comparison ---------------------------------------------------------
 
     def edge_set(self) -> frozenset[tuple[int, int, str, float]]:
-        """Edges as (src, dst, layer label, weight) tuples, order-free; sealed only."""
+        """Edges as (src, dst, layer label, weight) tuples, order-free; sealed only.
+
+        Walks the three edge columns as they lie, so it skips the sort by pair
+        position that ``edges()`` makes.
+        """
+        self._require_sealed()
+        ends = [(src, dst) for src, row in self._priced.items() for dst in row[0::3]]
+        labels = self._labels
         return frozenset(
-            (e.src, e.dst, e.layer.label, e.weight) for e in self.edges()
+            (*ends[pair], labels[layer], weight)
+            for pair, layer, weight in zip(self._edge_pairs, self._edge_layers, self._edge_weights)
         )
 
     def __eq__(self, other) -> bool:

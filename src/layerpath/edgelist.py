@@ -133,9 +133,11 @@ def write_edge_csv(net: MultiLayeredNetwork, stream) -> int:
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(HEADER)
-    edges = sorted(net.edges(), key=lambda e: (e.src, e.dst, e.layer.label))
-    for edge in edges:
-        writer.writerow((edge.src, edge.dst, edge.layer.label, repr(edge.weight)))
+    # a network holds one edge per (src, dst, label), so the tuples sort by
+    # that triple and the weight is never compared
+    edges = sorted(net.edge_set())
+    for src, dst, label, weight in edges:
+        writer.writerow((src, dst, label, repr(weight)))
     return len(edges)
 
 

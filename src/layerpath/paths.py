@@ -31,6 +31,7 @@ predecessor.
 from __future__ import annotations
 
 import heapq
+import math
 from math import inf
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
@@ -43,25 +44,38 @@ if TYPE_CHECKING:  # numpy is imported only where the all-pairs routines run
 
 DEFAULT_APSP_NODE_CAP = 2_000
 # One Floyd-Warshall block of float64 rows, and as much again for its
-# temporary: small enough that both stay in a core's L2 cache across steps.
-# On a 2-CPU x86 VM (2 MB L2 per core), kernel medians in one process and in
-# two: 512 KB took 276 and 169 ms at 800 nodes and 4.10 and 2.31 s at 2,000
-# (256 KB: 277 and 181 ms, 4.71 and 2.55 s); 1 MB was 31-61% slower and
-# 64 KB 74-94% slower at both sizes; at 300 nodes 512 KB took 22 ms in one
-# process, 256 KB 24 ms and 64 KB 36 ms. The larger temporary costs each
-# process 256 KB: apsp's peak RSS at 800 nodes read 39.89 MB against 39.63.
+# temporary: small enough that both stay in a core's L2 cache across a
+# phase's steps. Each slot of rows set aside holds one block too. On a 2-CPU
+# x86 VM (2 MB L2 per core), with three slots, kernel medians of 5
+# alternating rounds in one process and in two: 512 KB took 344 and 198 ms
+# at 800 nodes and 5.07 and 2.92 s at 2,000; 256 KB took 376 and 214 ms and
+# 5.71 and 2.92 s, and 1 MB 22-52% longer, each slower than 512 KB in 19 of
+# 20 rounds; at 300 nodes in one process 512 KB took 27.0 ms, 256 KB 28.3
+# and 128 KB 31.1.
 _FW_BLOCK_BYTES = 512 * 1024
 # Below this many nodes Floyd-Warshall runs in process. Forking a worker and
-# reaping it takes about 2 ms, but a few blocks split unevenly between two
-# processes and leave the later ones waiting on the first pass, and on a
-# shared machine the second CPU is not always free. On a 2-CPU x86 VM, kernel
-# medians in 9 alternating rounds a set, two processes against one: 300-450
-# nodes (2-4 blocks) slower in 24 of 25 sets, faster in 31 of 225 rounds;
-# 500 nodes (4 blocks) faster in 53 of 126 rounds and 6 of 14 sets, 4% less
-# time summed over the sets (51-113 ms against 68-105 ms); 650 nodes faster
-# in 54/99 rounds, 13% less; 800 nodes in 69/72 rounds, 42% less
-# (175-225 ms against 290-370 ms).
+# reaping it takes about 2 ms, but with two or three blocks one process
+# mostly waits for the other's phases, and on a shared machine the second
+# CPU is not always free. On a 2-CPU x86 VM, with three slots, kernel
+# medians in 7-9 alternating rounds a set, two processes against one:
+# 300-400 nodes (2-3 blocks) faster in 10 of 43 rounds over three sets (at
+# 400 nodes 7/9 in one, 2% less, and 2/9 in another, 12% more); 450 nodes
+# (4 blocks) faster in 8/9 and 7/7 rounds, 14-18% less, but in 1/9 of a
+# third set, 9% more; 500 nodes faster in 9/9 and 6/7, 25-30% less; 650
+# nodes in 9/9, 40% less; 800 nodes in 7/7, 41% less (232 against 393 ms).
 _FW_FORK_MIN_NODES = 500
+# Blocks of rows set aside for the phases in flight (see ``_fw_relax``), in
+# place of an n x n copy of the matrix: 3 x 0.52 MB at 800 nodes against
+# 5.12 MB. The owner of block c + 1 fills its slot while it applies phase c,
+# once every process is through phase c + 1 - _FW_SLOTS. With two slots that
+# is phase c - 1, which the other process of two may still be applying, so
+# the owner waits; with three it is phase c - 2, which that process finished
+# before it published phase c's rows. On the 2-CPU VM, two processes, kernel
+# medians of 9 alternating rounds, three slots against two: 719 against 767
+# ms at 1,200 nodes and 1.67 against 1.75 s at 1,600 (faster in 7 of 9
+# rounds each); at 500, 800 and 2,000 nodes (8 rounds) within 3% either way,
+# faster in 4 of 8.
+_FW_SLOTS = 3
 
 
 class ShortestPathResult(NamedTuple):
@@ -246,23 +260,25 @@ def ml_floyd_warshall(
 
     The relaxation runs a block of rows at a time, so the block and its
     temporary stay in cache across many steps instead of streaming the whole
-    matrix through every step. In a first pass each block applies the steps
-    ``k`` up to its own last row; in a second pass it applies the rest. Step
+    matrix through every step. It runs in phases, one per block: in phase
+    ``c`` every block applies the steps ``k`` of block ``c``'s rows. Step
     ``k`` reads row ``k`` as it stands at step ``k`` (the step leaves its own
     row alone, since the diagonal is 0.0), and later steps change that row,
-    so it is copied aside when it is reached. Every entry therefore sees the
-    textbook sequence ``d = min(d, d[i, k] + d[k, j])`` for k = 0..n-1, in
-    order, with the same operands, and the matrix is bit for bit the one the
-    whole-matrix loop gives.
+    so block ``c`` copies each of its rows into a slot as it reaches it, in
+    its own phase. Each block applies the phases in order, so every entry
+    sees the textbook sequence ``d = min(d, d[i, k] + d[k, j])`` for k =
+    0..n-1, in order, with the same operands, and the matrix is bit for bit
+    the one the whole-matrix loop gives. Only ``_FW_SLOTS`` blocks of rows
+    are set aside at a time: phase ``c`` writes slot ``c % _FW_SLOTS``, once
+    every block is through phase ``c - _FW_SLOTS``.
 
     The blocks are dealt round-robin to one process per available CPU,
-    forked from this one once the matrix is filled; the matrix and the rows
-    copied aside sit in shared memory, and process ``rank`` tells process
-    ``rank + 1`` (mod the count) through pipe ``rank`` which blocks are
-    through their first pass (see ``_fw_relax``). Below
-    ``_FW_FORK_MIN_NODES`` nodes, or where ``workers.available_cpus`` is 1,
-    every block runs in this process. A worker that dies raises
-    ``RuntimeError``.
+    forked from this one once the matrix is filled; the matrix and the slots
+    sit in shared memory, and the processes tell each other round a ring of
+    pipes which phases have their rows in a slot and which phases they are
+    through (see ``_fw_relax``). Below ``_FW_FORK_MIN_NODES`` nodes, or where
+    ``workers.available_cpus`` is 1, every block runs in this process. A
+    worker that dies raises ``RuntimeError``.
     """
     import mmap
 
@@ -274,12 +290,13 @@ def ml_floyd_warshall(
     n = len(order)
     height = _fw_block_height(n)
     bounds = [(start, min(start + height, n)) for start in range(0, n, height)]
-    # the matrix, and row k as it stood at step k, in anonymous maps, which
-    # forked workers share; mmap refuses length 0
-    values, snap = (
-        np.frombuffer(mmap.mmap(-1, max(8 * n * n, 8)), np.float64, n * n).reshape(n, n)
-        for _ in range(2)
-    )
+
+    def shared(*shape):  # an anonymous map, which forked workers share; mmap refuses length 0
+        size = math.prod(shape)
+        return np.frombuffer(mmap.mmap(-1, max(8 * size, 8)), np.float64, size).reshape(shape)
+
+    values = shared(n, n)
+    slots = shared(_FW_SLOTS, min(height, n), n)
     values.fill(np.inf)
     np.fill_diagonal(values, 0.0)
     for src, row in aggregate_graph(net, params).priced_pairs.items():
@@ -290,13 +307,13 @@ def ml_floyd_warshall(
     ring = [(rank, (rank + 1) % workers) for rank in range(workers)] if workers > 1 else []
 
     def relax(rank, pipes):
-        _fw_relax(values, snap, bounds, rank, pipes)
+        _fw_relax(values, slots, bounds, rank, pipes)
 
-    with forked(workers, ring, relax) as pipes:
-        try:
+    try:
+        with forked(workers, ring, relax) as pipes:
             relax(0, pipes)
-        except (RuntimeError, BrokenPipeError):  # not stdout's: a worker's end of the ring
-            raise RuntimeError("a Floyd-Warshall worker died") from None
+    except (RuntimeError, BrokenPipeError):  # a worker's end of the ring or exit code, not stdout's
+        raise RuntimeError("a Floyd-Warshall worker died") from None
     return DistanceMatrix(order, values, params)
 
 
@@ -305,20 +322,30 @@ def _fw_block_height(n: int) -> int:
     return max(1, _FW_BLOCK_BYTES // (8 * max(n, 1)))
 
 
-def _fw_relax(values, snap, bounds, rank: int, pipes) -> None:
-    """Both passes over blocks ``rank``, ``rank + workers``, ... of ``values``.
+def _fw_relax(values, slots, bounds, rank: int, pipes) -> None:
+    """Every phase on blocks ``rank``, ``rank + workers``, ... of ``values``.
 
-    This process alone writes those blocks and their rows of ``snap``. Before
-    a block applies the steps of another block ``c`` (lower ones in the first
-    pass, higher ones in the second), it waits until ``c`` is through its
-    first pass, which copied ``c``'s rows into ``snap``. A first pass waits
-    for every lower block, so once a block is through, every lower one is,
-    and a process need only know the highest block through so far. It hears
-    of blocks from the process before it in the ring, on ``inbox``, as
-    4-byte indices, and passes each on, on ``outbox``, unless the next
-    process owns it; it tells the next process of its own blocks too. In the
-    first pass no block waits on a higher one, so the lowest unfinished block
-    can always run, and the second pass waits on first passes only. With one
+    This process alone writes those blocks, and the slot of each phase whose
+    block is one of them. Phase ``c`` of block ``b`` reads block ``c``'s
+    rows from slot ``c % len(slots)``, so it waits until phase ``c`` is
+    ready: block ``c`` has applied its own phase and filled the slot. Before
+    a block fills a slot, it waits until every process is through the
+    phase that last used the slot. The owner of block ``c + 1`` applies
+    phase ``c`` to that block first and then its own phase (look-ahead), so
+    the next slot is filled while the other blocks apply phase ``c``. That
+    slot waits on phase ``c + 1 - len(slots)``, below ``c`` with two slots
+    or more, so every wait is on a phase lower than the one the process is
+    applying, and the lowest phase not yet applied can always run.
+
+    Each notice is 8 bytes: the phase, and 0 for "ready" or the process's
+    rank plus one for "through". A process hears them from the process
+    before it in the ring, on ``inbox``, and passes each on, on ``outbox``,
+    unless it came from the next process; it tells the next process its own
+    too. A "ready" notice sets out after the one before it has passed its
+    owner, a "through" notice after its sender's earlier ones, and the ring
+    keeps their order, so the highest phase heard of each kind, and from
+    each sender, tells all. It leaves once it has heard every notice that
+    will reach it, so no notice is sent to a process that has left. With one
     process there is no pipe and nothing to wait for. ``pipes`` is the ring,
     one pipe per process: ``rank`` reads pipe ``rank - 1`` and writes pipe
     ``rank``.
@@ -330,19 +357,52 @@ def _fw_relax(values, snap, bounds, rank: int, pipes) -> None:
     workers = len(pipes) or 1
     inbox, outbox = (pipes[rank - 1][0], pipes[rank][1]) if pipes else (None, None)
     blocks = len(bounds)
-    successor = (rank + 1) % workers
-    through = -1  # every block up to this one is through its first pass
+    depth = len(slots)
+    mine = range(rank, blocks, workers)
+    ready = -1  # every phase up to this one has its rows in its slot
+    through = [-1] * workers  # the last phase each process is through, as heard here
 
-    def wait(c: int) -> None:
-        nonlocal through
-        while through < c:
+    def hear(done) -> None:
+        nonlocal ready
+        while not done():
             notice = recv(inbox)
-            through = int.from_bytes(notice, "little")
-            if through % workers != successor:
+            phase = int.from_bytes(notice[:4], "little")
+            sender = int.from_bytes(notice[4:], "little") - 1
+            if sender < 0:
+                ready = phase
+                sender = phase % workers
+            else:
+                through[sender] = phase
+            if (sender - rank) % workers != 1:
                 send(outbox, notice)
+
+    def tell(phase: int, sender: int = -1) -> None:
+        if outbox is not None:
+            send(outbox, phase.to_bytes(4, "little") + (sender + 1).to_bytes(4, "little"))
 
     n = values.shape[1]
     tmp = np.empty((_fw_block_height(n), n))
+
+    def apply(c: int, b: int) -> None:
+        """Phase ``c`` on block ``b``; block ``c`` sets its rows aside as it goes."""
+        start, stop = bounds[b]
+        first = bounds[c][0]
+        block = values[start:stop]
+        cand = tmp[: stop - start]
+        slot = slots[c % depth]
+        for k in range(*bounds[c]):
+            if c == b:  # row k is in this block
+                slot[k - first] = block[k - start]
+            np.add(block[:, k, None], slot[k - first], out=cand)
+            np.minimum(block, cand, out=block)
+
+    def own_phase(c: int) -> None:
+        nonlocal ready
+        hear(lambda: min(through) >= c - depth)
+        apply(c, c)
+        ready = c
+        tell(c)
+
     # With a ufunc buffer of two rows or more (numpy's default is 8,192
     # items), numpy 2.4 runs the step's column-by-row add through buffered
     # iteration, copying the column into a buffer several rows at a time:
@@ -354,23 +414,21 @@ def _fw_relax(values, snap, bounds, rank: int, pipes) -> None:
     # raises.
     bufsize = np.setbufsize(16)
     try:
-        for first_pass in (True, False):
-            for b in range(rank, blocks, workers):
-                start, stop = bounds[b]
-                block = values[start:stop]
-                cand = tmp[: stop - start]
-                for c in range(b + 1) if first_pass else range(b + 1, blocks):
-                    if c != b:
-                        wait(c)
-                    for k in range(*bounds[c]):
-                        if c == b:  # row k is in this block
-                            snap[k] = block[k - start]
-                        np.add(block[:, k, None], snap[k], out=cand)
-                        np.minimum(block, cand, out=block)
-                if first_pass:
-                    through = b
-                    if outbox is not None:
-                        send(outbox, b.to_bytes(4, "little"))
+        if rank == 0 and blocks:
+            own_phase(0)
+        for c in range(blocks):
+            hear(lambda: ready >= c)
+            ahead = c + 1
+            if ahead in mine:
+                apply(c, ahead)
+                own_phase(ahead)
+            for b in mine:
+                if b != c and b != ahead:
+                    apply(c, b)
+            through[rank] = c
+            if c + depth < blocks:  # a later phase waits on it
+                tell(c, rank)
+        hear(lambda: min(through) >= blocks - 1 - depth)
     finally:
         np.setbufsize(bufsize)
 

@@ -465,10 +465,10 @@ class TestApsp:
             "from layerpath import paths\n"
             "force_fw_workers()\n"
             "relax = paths._fw_relax\n"
-            "def dies(values, snap, bounds, rank, *ring):\n"
+            "def dies(values, slots, bounds, rank, *ring):\n"
             "    if rank == 1:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    relax(values, snap, bounds, rank, *ring)\n"
+            "    relax(values, slots, bounds, rank, *ring)\n"
             "paths._fw_relax = dies\n"
             "cli.main(sys.argv[1:])\n"
         )
@@ -712,7 +712,8 @@ def fixed_net_csv(path):
 
 class TestOutputBytes:
     """Output bytes pinned by sha256, so a run on any Python version checks
-    that distances, lengths and averages add up to the same last bits."""
+    that distances, lengths and averages add up to the same last bits, and
+    that ``generate`` draws and writes the same edge list."""
 
     SSSP = ("sssp", "--source", "0,5,17", "--alphas", "1,2", "--betas", "1.0,0.6", "--paths")
 
@@ -733,35 +734,48 @@ class TestOutputBytes:
         "apsp-json": (
             ("apsp", "--alpha", "2", "--beta", "0.6", "--format", "json"),
             "428d086d3f6bdcbcdc0b2434c89cbc32e84289215b81692f88879950b6914de8"),
+        # no input file; the edge list carries no polarity, so both write the same bytes
+        "generate-positive": (
+            ("generate", "--nodes", "40", "--layers", "3", "--density", "0.05", "--seed", "7"),
+            "02737d1cc26357cfa95426bfaea53df24d3a09ea9ace1c9c6ed5934594ef3a1f"),
+        "generate-negative": (
+            ("generate", "--nodes", "40", "--layers", "3", "--density", "0.05", "--seed", "7",
+             "--polarity", "negative"),
+            "02737d1cc26357cfa95426bfaea53df24d3a09ea9ace1c9c6ed5934594ef3a1f"),
     }
+
+    @staticmethod
+    def argv_on(path, argv):
+        """``argv`` with the fixed net's path after the command, unless it is ``generate``."""
+        return argv if argv[0] == "generate" else (argv[0], path, *argv[1:])
 
     @pytest.mark.parametrize("argv, digest", list(CASES.values()), ids=list(CASES))
     def test_stdout_sha256(self, tmp_path, capsys, monkeypatch, force_fw_workers, argv, digest):
-        path = fixed_net_csv(tmp_path / "fixed.csv")
-        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        argv = self.argv_on(fixed_net_csv(tmp_path / "fixed.csv"), argv)
+        code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         if argv[0] == "apsp":  # and again on three forked workers, four rows a block
             monkeypatch.setattr(paths, "_FW_BLOCK_BYTES", 8 * 40 * 4)
             forks = force_fw_workers(3)
-            assert run(capsys, argv[0], path, *argv[1:]) == (code, out, err)
+            assert run(capsys, *argv) == (code, out, err)
             assert len(forks) == 2
             # and with the output rendered on three ranks, three rows a block
             monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", 40 * 3)
-            assert run(capsys, argv[0], path, *argv[1:]) == (code, out, err)
+            assert run(capsys, *argv) == (code, out, err)
             assert len(forks) == 7
 
     @pytest.mark.parametrize("argv, digest", list(CASES.values()), ids=list(CASES))
     def test_a_platform_without_fork_runs_in_process(self, tmp_path, capsys, monkeypatch,
                                                     argv, digest):
-        path = fixed_net_csv(tmp_path / "fixed.csv")
+        argv = self.argv_on(fixed_net_csv(tmp_path / "fixed.csv"), argv)
         monkeypatch.delattr(os, "fork")  # any fork would now raise AttributeError
         monkeypatch.setattr(cells, "_POOL_MIN_WORK", 0)
         monkeypatch.setattr(paths, "_FW_FORK_MIN_NODES", 0)
         monkeypatch.setattr(paths, "_FW_BLOCK_BYTES", 8 * 40 * 4)
         monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", 40 * 3)
         assert workers.available_cpus() == 1
-        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

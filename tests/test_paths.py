@@ -1,5 +1,6 @@
 """Shortest-path strategies: agreement, reconstruction, guards."""
 
+import mmap
 import os
 import random
 import signal
@@ -29,7 +30,7 @@ from layerpath import (
     ml_floyd_warshall,
     random_network,
 )
-from layerpath import paths
+from layerpath import paths, workers
 from layerpath.paths import _fw_block_height
 from netgen import build_net, layered_networks
 from oracles import brute_force_sp, textbook_floyd_warshall, triples
@@ -303,7 +304,7 @@ class TestBlockedFloydWarshall:
         blocks = -(-n // height)
         if n == 300:  # three or more blocks, the last one short
             assert blocks >= 3 and n % height != 0
-        else:  # one block, so only the first pass does any work
+        else:  # one block, so one phase, its own, does all the work
             assert height >= n
         net = zero_distance_net(n, polarity, seed=n)
         want = textbook_floyd_warshall(start_matrix(net, params))
@@ -341,10 +342,10 @@ class TestBlockedFloydWarshall:
         """Rank 2 kills itself before it relaxes; rank 1 then waits on it until killed."""
         relax = paths._fw_relax
 
-        def dies(values, snap, bounds, rank, *ring):
+        def dies(values, slots, bounds, rank, *ring):
             if rank == 2:
                 os.kill(os.getpid(), signal.SIGKILL)
-            relax(values, snap, bounds, rank, *ring)
+            relax(values, slots, bounds, rank, *ring)
 
         monkeypatch.setattr(paths, "_fw_relax", dies)
 
@@ -366,6 +367,75 @@ class TestBlockedFloydWarshall:
         with pytest.raises(ChildProcessError):  # every worker is reaped
             os.waitpid(-1, os.WNOHANG)
         assert len(os.listdir("/proc/self/fd")) == fds
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("notice", ["ready", "through"])
+    def test_a_rank_that_dies_mid_schedule_fails_the_run(self, monkeypatch, force_fw_workers,
+                                                         notice):
+        # ten rows a block: 30 phases. Rank 2 kills itself where it would
+        # send its first own notice of one kind, after phase 0's rows are
+        # in their slot; ranks 0 and 1 then wait on it for that notice, or
+        # for one only it would pass on
+        monkeypatch.setattr(paths, "_FW_BLOCK_BYTES", 8 * 300 * 10)
+        relax = paths._fw_relax
+        fds = len(os.listdir("/proc/self/fd"))
+        died = os.pipe()  # rank 2 writes its notice's phase here just before it dies
+
+        def dies(values, slots, bounds, rank, pipes):
+            if rank == 2:
+                send = workers.send
+
+                def dying_send(fd, data):
+                    # a notice is the phase, then 0 for "ready" or the sender's rank plus one
+                    phase = int.from_bytes(data[:4], "little")
+                    sender = int.from_bytes(data[4:], "little")
+                    own = sender == 3 if notice == "through" else (sender, phase % 3) == (0, 2)
+                    if own:
+                        os.write(died[1], phase.to_bytes(4, "little"))
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    send(fd, data)
+
+                workers.send = dying_send  # in this forked rank only, which never returns
+            relax(values, slots, bounds, rank, pipes)
+
+        monkeypatch.setattr(paths, "_fw_relax", dies)
+        forks = force_fw_workers(3)
+        net = zero_distance_net(300, POSITIVE, seed=300)
+        try:
+            with pytest.raises(RuntimeError, match="^a Floyd-Warshall worker died$"):
+                ml_floyd_warshall(net)
+            phase = int.from_bytes(os.read(died[0], 4), "little")
+        finally:
+            for fd in died:
+                os.close(fd)
+        assert phase == (0 if notice == "through" else 2)
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):  # every worker is reaped
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+    @pytest.mark.parametrize("ranks", [1, 3])
+    def test_the_rows_set_aside_do_not_grow_with_n(self, monkeypatch, force_fw_workers, ranks):
+        # every map but the matrix is the slots: _FW_SLOTS blocks at most,
+        # however many nodes; an n x n copy of the matrix would be 11.5 MB
+        # at 1,200 nodes, against 1.56 MB of slots
+        lengths = []
+        real_mmap = mmap.mmap
+
+        def recording(fileno, length, *args, **kwargs):
+            lengths.append(length)
+            return real_mmap(fileno, length, *args, **kwargs)
+
+        monkeypatch.setattr(mmap, "mmap", recording)
+        forks = force_fw_workers(ranks)
+        for n in (300, 1_200):  # two blocks, then 23
+            lengths.clear()
+            forks.clear()
+            net = zero_distance_net(n, NEGATIVE, seed=n)
+            assert ml_floyd_warshall(net).values.shape == (n, n)
+            lengths.remove(8 * n * n)  # the matrix
+            assert 0 < sum(lengths) <= paths._FW_SLOTS * paths._FW_BLOCK_BYTES
+            assert len(forks) == min(ranks, -(-n // _fw_block_height(n))) - 1
 
     @pytest.mark.parametrize("caller", [None, 1 << 16], ids=["default", "caller-set"])
     @pytest.mark.parametrize("run", ["in-process", "ranks", "killed"])
