@@ -53,16 +53,16 @@ DEFAULT_APSP_NODE_CAP = 2_000
 # 20 rounds; at 300 nodes in one process 512 KB took 27.0 ms, 256 KB 28.3
 # and 128 KB 31.1.
 _FW_BLOCK_BYTES = 512 * 1024
-# Below this many nodes Floyd-Warshall runs in process. Forking a worker and
-# reaping it takes about 2 ms, but with two or three blocks one process
-# mostly waits for the other's phases, and on a shared machine the second
-# CPU is not always free. On a 2-CPU x86 VM, with three slots, kernel
-# medians in 7-9 alternating rounds a set, two processes against one:
-# 300-400 nodes (2-3 blocks) faster in 10 of 43 rounds over three sets (at
-# 400 nodes 7/9 in one, 2% less, and 2/9 in another, 12% more); 450 nodes
-# (4 blocks) faster in 8/9 and 7/7 rounds, 14-18% less, but in 1/9 of a
-# third set, 9% more; 500 nodes faster in 9/9 and 6/7, 25-30% less; 650
-# nodes in 9/9, 40% less; 800 nodes in 7/7, 41% less (232 against 393 ms).
+# Below this many nodes Floyd-Warshall runs in process. Forked, each rank is
+# a process of its own while this one only waits, and on a shared machine
+# the second CPU is not always free. On a 2-CPU x86 VM, kernel medians of 7
+# warm calls, 9 rounds a size with the order rotated, two ranks against one
+# process: 300 nodes (2 blocks) 26.8 against 17.8 ms, faster in 0/9; 400 (3
+# blocks) 40.1 against 40.4 ms, 3/9; 450 (4 blocks) 58.7 against 56.4 ms,
+# 3/9; 500 nodes 62.8 against 76.7 ms, 9/9; 650 nodes 95.9 against 145 ms,
+# 9/9; 800 nodes 183 against 286 ms, 9/9. Forking at 300-450 nodes would
+# lower apsp's peak RSS by 1.1-2.3 MB (wait4, 11 rounds a size), since this
+# process would not hold the matrix, for a kernel no faster.
 _FW_FORK_MIN_NODES = 500
 # Blocks of rows set aside for the phases in flight (see ``_fw_relax``), in
 # place of an n x n copy of the matrix: 3 x 0.52 MB at 800 nodes against
@@ -272,12 +272,15 @@ def ml_floyd_warshall(
     are set aside at a time: phase ``c`` writes slot ``c % _FW_SLOTS``, once
     every block is through phase ``c - _FW_SLOTS``.
 
-    The blocks are dealt round-robin to one process per available CPU,
-    forked from this one once the matrix is filled; the matrix and the slots
-    sit in shared memory, and the processes tell each other round a ring of
-    pipes which phases have their rows in a slot and which phases they are
-    through (see ``_fw_relax``). Below ``_FW_FORK_MIN_NODES`` nodes, or where
-    ``workers.available_cpus`` is 1, every block runs in this process. A
+    Below ``_FW_FORK_MIN_NODES`` nodes, or where ``workers.available_cpus``
+    is 1, this process fills the matrix (inf, the diagonal, the kept pairs)
+    and runs every block. Otherwise it aggregates, maps the matrix and the
+    slots in shared memory, and forks one process per available CPU, one
+    per block at most, and the blocks are dealt round-robin to those. Each
+    fills its own blocks' rows and relaxes them, and the processes tell each
+    other round a ring of pipes which phases have their rows in a slot and
+    which phases they are through (see ``_fw_relax``). This process only
+    waits for them: it writes no page of the matrix or of the slots. A
     worker that dies raises ``RuntimeError``.
     """
     import mmap
@@ -297,23 +300,32 @@ def ml_floyd_warshall(
 
     values = shared(n, n)
     slots = shared(_FW_SLOTS, min(height, n), n)
-    values.fill(np.inf)
-    np.fill_diagonal(values, 0.0)
-    for src, row in aggregate_graph(net, params).priced_pairs.items():
-        values[index[src], [index[dst] for dst in row[0::3]]] = row[2::3]
+    rows = aggregate_graph(net, params).priced_pairs
     workers = 1
     if n >= _FW_FORK_MIN_NODES:
-        workers = min(available_cpus(), len(bounds))
-    ring = [(rank, (rank + 1) % workers) for rank in range(workers)] if workers > 1 else []
+        workers = max(1, min(available_cpus(), len(bounds)))
 
     def relax(rank, pipes):
+        for start, stop in bounds[rank::workers]:
+            block = values[start:stop]
+            block.fill(np.inf)
+            for i, src in enumerate(order[start:stop]):
+                block[i, start + i] = 0.0
+                row = rows.get(src)
+                if row:
+                    block[i, [index[dst] for dst in row[0::3]]] = row[2::3]
         _fw_relax(values, slots, bounds, rank, pipes)
 
-    try:
-        with forked(workers, ring, relax) as pipes:
-            relax(0, pipes)
-    except (RuntimeError, BrokenPipeError):  # a worker's end of the ring or exit code, not stdout's
-        raise RuntimeError("a Floyd-Warshall worker died") from None
+    if workers == 1:
+        relax(0, [])
+    else:
+        # the fork's ranks 1..workers are the kernel's 0..workers-1, in a ring
+        ring = [(rank, rank % workers + 1) for rank in range(1, workers + 1)]
+        try:
+            with forked(workers + 1, ring, lambda rank, pipes: relax(rank - 1, pipes)):
+                pass
+        except RuntimeError:  # a worker's exit code
+            raise RuntimeError("a Floyd-Warshall worker died") from None
     return DistanceMatrix(order, values, params)
 
 
@@ -326,7 +338,10 @@ def _fw_relax(values, slots, bounds, rank: int, pipes) -> None:
     """Every phase on blocks ``rank``, ``rank + workers``, ... of ``values``.
 
     This process alone writes those blocks, and the slot of each phase whose
-    block is one of them. Phase ``c`` of block ``b`` reads block ``c``'s
+    block is one of them, and it reads no other rows of ``values``: what it
+    needs of other blocks reaches it through the slots. So a process that
+    filled its own blocks can start at once, whether or not the others have
+    filled theirs. Phase ``c`` of block ``b`` reads block ``c``'s
     rows from slot ``c % len(slots)``, so it waits until phase ``c`` is
     ready: block ``c`` has applied its own phase and filled the slot. Before
     a block fills a slot, it waits until every process is through the

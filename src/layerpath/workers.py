@@ -4,17 +4,20 @@ Only the paths that start workers import this module: the grid searches of
 ``sssp`` and ``sweep --source`` (``cells``), Floyd-Warshall (``paths``) and
 ``apsp``'s emitter (``write_matrix``). ``forked`` forks ranks 1..N-1 of a
 job from the calling process, rank 0, once it holds its data: each rank
-inherits the sealed network or the filled matrix, and nothing is pickled.
-The ranks talk through pipes, one per (writer, reader) link, and send their
-results back as length-prefixed byte messages (``send``, ``recv``). A rank
-leaves only through ``os._exit``, so it never returns into the caller's
-code nor flushes the std streams it inherited. The calling process reaps
-every rank before it returns or raises, kills the ranks still running when
-it raises, and turns a rank that dies into ``RuntimeError``, so a command
-ends with a traceback and exit code 1 instead of waiting forever. Jobs
-that hand results back go through ``deal``; Floyd-Warshall's ring uses
-``forked`` directly. No other module forks, and where the platform cannot,
-``available_cpus`` is 1.
+inherits the sealed network, or the aggregated graph and the shared matrix
+it fills, or the finished matrix, and nothing is pickled. The ranks talk
+through pipes, one per (writer, reader) link, and send their results back
+as length-prefixed byte messages (``send``, ``recv``). A rank leaves only
+through ``os._exit``, so it never returns into the caller's code nor
+flushes the std streams it inherited. The calling process reaps every rank
+before it returns or raises, kills the ranks still running when it raises,
+and turns a rank that dies into ``RuntimeError``, so a command ends with a
+traceback and exit code 1 instead of waiting forever. Jobs that hand
+results back go through ``deal``, where the calling process only deals and
+collects; Floyd-Warshall's ring uses ``forked`` directly, and its calling
+process only waits. Either way the command's process does none of the
+work, so the work's memory is never added to what it holds. No other
+module forks, and where the platform cannot, ``available_cpus`` is 1.
 """
 
 from __future__ import annotations
@@ -194,13 +197,15 @@ def deal(count: int, tasks: int, run):
 def write_matrix(out, matrix, fmt: str) -> None:
     """``apsp``'s output for a ``DistanceMatrix``, in CSV or JSON, a block of rows at a time.
 
-    CSV: a ``src`` header of node ids, then one row per node, each cell
-    ``repr`` of its float (``inf`` where unreachable); float reprs and node
-    ids never need quoting, so this is what ``csv.writer`` would write. JSON:
-    the payload as ``json.dump(payload, indent=2)`` writes it, with
-    ``matrix`` last and ``null`` where unreachable. A matrix of
-    ``_EMIT_FORK_MIN_BLOCKS`` blocks or more is rendered on every available
-    CPU (``deal``).
+    ``out`` is a binary stream, and the output is ASCII. CSV: a ``src``
+    header of node ids, then one row per node, each cell ``repr`` of its
+    float (``inf`` where unreachable); float reprs and node ids never need
+    quoting, so this is what ``csv.writer`` would write. JSON: the payload
+    as ``json.dump(payload, indent=2)`` writes it, with ``matrix`` last and
+    ``null`` where unreachable. A matrix of ``_EMIT_FORK_MIN_BLOCKS`` blocks
+    or more is rendered on every available CPU (``deal``): each rank
+    encodes its blocks, and this process writes the bytes as they come, so
+    it neither reads the matrix nor decodes a row.
     """
     order = matrix.order
     values = matrix.values
@@ -208,7 +213,7 @@ def write_matrix(out, matrix, fmt: str) -> None:
     if fmt == "json":
         head = json.dumps({"alpha": matrix.params.alpha, "beta": matrix.params.beta,
                            "order": order, "matrix": []}, indent=2)
-        out.write(head[: -len("]\n}")])
+        out.write(head[: -len("]\n}")].encode())
 
         def row(i: int) -> str:
             cells = ",\n      ".join(
@@ -216,7 +221,7 @@ def write_matrix(out, matrix, fmt: str) -> None:
             )
             return f"{',' if i else ''}\n    [\n      {cells}\n    ]"
     else:
-        out.write(f"src,{','.join(map(str, order))}\n")
+        out.write(f"src,{','.join(map(str, order))}\n".encode())
 
         def row(i: int) -> str:
             return f"{order[i]},{','.join(map(repr, values[i].tolist()))}\n"
@@ -224,16 +229,16 @@ def write_matrix(out, matrix, fmt: str) -> None:
     height = max(1, _EMIT_BLOCK_CELLS // n)
     blocks = -(-n // height)
 
-    def block(b: int) -> str:
-        return "".join(map(row, range(b * height, min(b * height + height, n))))
+    def block(b: int) -> bytes:
+        return "".join(map(row, range(b * height, min(b * height + height, n)))).encode()
 
     ranks = min(available_cpus(), blocks) if blocks >= _EMIT_FORK_MIN_BLOCKS else 1
     if ranks < 2:
         for b in range(blocks):
             out.write(block(b))
     else:
-        with closing(deal(ranks, blocks, lambda b: block(b).encode())) as done:
+        with closing(deal(ranks, blocks, block)) as done:
             for text in done:
-                out.write(text.decode())
+                out.write(text)
     if fmt == "json":
-        out.write("\n  ]\n}\n")
+        out.write(b"\n  ]\n}\n")

@@ -314,7 +314,7 @@ class TestImports:
             "force_emitter()\n"
             "for argv in argvs[-3:]:\n"
             "    check(argv)\n"
-            "assert len(forks) == 7, forks\n"
+            "assert len(forks) == 8, forks\n"
         )
         child = fresh_python(script, json.dumps([[str(a) for a in argv] for argv in argvs]))
         assert child.returncode == 0, child.stderr
@@ -759,11 +759,11 @@ class TestOutputBytes:
             monkeypatch.setattr(paths, "_FW_BLOCK_BYTES", 8 * 40 * 4)
             forks = force_fw_workers(3)
             assert run(capsys, *argv) == (code, out, err)
-            assert len(forks) == 2
+            assert len(forks) == 3
             # and with the output rendered on three ranks, three rows a block
             monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", 40 * 3)
             assert run(capsys, *argv) == (code, out, err)
-            assert len(forks) == 7
+            assert len(forks) == 9
 
     @pytest.mark.parametrize("argv, digest", list(CASES.values()), ids=list(CASES))
     def test_a_platform_without_fork_runs_in_process(self, tmp_path, capsys, monkeypatch,
@@ -899,7 +899,7 @@ class TestWorkerPool:
             "force_fw_workers()\n"
             "force_emitter()\n"
             "assert cli.main(['apsp', net, '-o', out]) == 0\n"
-            "assert threads_at_fork == [1, 1, 1, 1, 1, 1, 1], threads_at_fork\n"
+            "assert threads_at_fork == [1, 1, 1, 1, 1, 1, 1, 1], threads_at_fork\n"
         )
         child = fresh_python(script, path, tmp_path / "out")
         assert (child.returncode, child.stderr) == (0, "")

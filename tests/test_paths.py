@@ -1,5 +1,6 @@
 """Shortest-path strategies: agreement, reconstruction, guards."""
 
+import io
 import mmap
 import os
 import random
@@ -287,6 +288,25 @@ def start_matrix(net, params):
     return start
 
 
+def forked_ranks(ranks):
+    """Processes Floyd-Warshall forks to run ``ranks`` ranks: each rank, or none for one."""
+    return ranks if ranks > 1 else 0
+
+
+def mapped_rss_kb(address):
+    """The ``Rss:`` of this process's mapping that holds ``address``, in kB."""
+    with open("/proc/self/smaps", encoding="ascii") as smaps:
+        inside = False
+        for line in smaps:
+            field = line.split(maxsplit=1)[0]
+            if not field.endswith(":"):  # a mapping's first line: its address range
+                start, stop = (int(end, 16) for end in field.split("-"))
+                inside = start <= address < stop
+            elif inside and field == "Rss:":
+                return int(line.split()[1])
+    raise LookupError(f"no mapping holds {address:#x}")
+
+
 class TestBlockedFloydWarshall:
     @pytest.fixture
     def three_blocks_at_300(self, monkeypatch):
@@ -309,7 +329,7 @@ class TestBlockedFloydWarshall:
         net = zero_distance_net(n, polarity, seed=n)
         want = textbook_floyd_warshall(start_matrix(net, params))
         got = ml_floyd_warshall(net, params).values
-        assert len(forks) == min(workers, blocks) - 1
+        assert len(forks) == forked_ranks(min(workers, blocks))
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()
         assert got.flags.writeable and got.flags.c_contiguous
@@ -335,7 +355,7 @@ class TestBlockedFloydWarshall:
         net = zero_distance_net(300, NEGATIVE, seed=5)
         want = textbook_floyd_warshall(start_matrix(net, DEFAULTS))
         assert ml_floyd_warshall(net).values.tobytes() == want.tobytes()
-        assert len(forks) == workers - 1
+        assert len(forks) == forked_ranks(workers)
 
     @staticmethod
     def kill_rank_2(monkeypatch):
@@ -363,7 +383,7 @@ class TestBlockedFloydWarshall:
                 ml_floyd_warshall(net)
         else:
             ml_floyd_warshall(net)
-        assert len(forks) == 2
+        assert len(forks) == 3
         with pytest.raises(ChildProcessError):  # every worker is reaped
             os.waitpid(-1, os.WNOHANG)
         assert len(os.listdir("/proc/self/fd")) == fds
@@ -409,7 +429,7 @@ class TestBlockedFloydWarshall:
             for fd in died:
                 os.close(fd)
         assert phase == (0 if notice == "through" else 2)
-        assert len(forks) == 2
+        assert len(forks) == 3
         with pytest.raises(ChildProcessError):  # every worker is reaped
             os.waitpid(-1, os.WNOHANG)
         assert len(os.listdir("/proc/self/fd")) == fds
@@ -435,7 +455,7 @@ class TestBlockedFloydWarshall:
             assert ml_floyd_warshall(net).values.shape == (n, n)
             lengths.remove(8 * n * n)  # the matrix
             assert 0 < sum(lengths) <= paths._FW_SLOTS * paths._FW_BLOCK_BYTES
-            assert len(forks) == min(ranks, -(-n // _fw_block_height(n))) - 1
+            assert len(forks) == forked_ranks(min(ranks, -(-n // _fw_block_height(n))))
 
     @pytest.mark.parametrize("caller", [None, 1 << 16], ids=["default", "caller-set"])
     @pytest.mark.parametrize("run", ["in-process", "ranks", "killed"])
@@ -445,11 +465,11 @@ class TestBlockedFloydWarshall:
         # the caller's buffer size is back when ml_floyd_warshall returns or
         # raises, whether it was numpy's default or one the caller set
         n = 300
-        seen = []  # the buffer size at each of this process's steps
         minimum = np.minimum
+        read, write = os.pipe()  # the buffer size at each step, from whichever process runs it
 
         def recording(*args, **kwargs):
-            seen.append(np.getbufsize())
+            os.write(write, np.getbufsize().to_bytes(8, "little"))
             return minimum(*args, **kwargs)
 
         monkeypatch.setattr(np, "minimum", recording)
@@ -467,9 +487,44 @@ class TestBlockedFloydWarshall:
             after = np.getbufsize()
         finally:
             np.setbufsize(before)
+            os.close(write)
+            # 900 steps at most, 7.2 KB: the pipe's buffer holds them all
+            with open(read, "rb") as steps:
+                sizes = steps.read()
+        seen = [int.from_bytes(sizes[i:i + 8], "little") for i in range(0, len(sizes), 8)]
         assert after == (caller or before)
-        assert len(forks) == (0 if run == "in-process" else 2)
+        assert len(forks) == (0 if run == "in-process" else 3)
         assert seen and max(seen) < 2 * n
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
+    def test_the_caller_touches_no_page_of_the_forked_kernel(self, monkeypatch, force_fw_workers,
+                                                             three_blocks_at_300):
+        # on the forked path the ranks fill, relax and render the matrix, so
+        # no page of it, nor of the slots, is ever mapped into this process;
+        # in process the whole matrix is, so the check does see pages
+        maps = []
+        real_mmap = mmap.mmap
+
+        def recording(fileno, length, *args, **kwargs):
+            maps.append(real_mmap(fileno, length, *args, **kwargs))
+            return maps[-1]
+
+        monkeypatch.setattr(mmap, "mmap", recording)
+        net = zero_distance_net(300, POSITIVE, seed=300)
+        force_fw_workers(1)
+        values = ml_floyd_warshall(net).values
+        assert mapped_rss_kb(values.ctypes.data) * 1024 >= values.nbytes
+        maps.clear()
+        forks = force_fw_workers(3)
+        matrix = ml_floyd_warshall(net)
+        assert len(forks) == 3
+        rss = [mapped_rss_kb(np.frombuffer(m, np.uint8).ctypes.data) for m in maps]
+        assert len(maps) == 2 and rss == [0, 0]  # the matrix and the slots
+        out = io.BytesIO()
+        workers.write_matrix(out, matrix, "csv")
+        assert len(forks) == 6  # four blocks or more: three rendering ranks
+        assert mapped_rss_kb(matrix.values.ctypes.data) == 0
+        assert out.getvalue().count(b"\n") == 301
 
 
 class TestBruteForceGuard:

@@ -109,7 +109,7 @@ class TestWriteMatrix:
         outputs = []
         for height, ranks in ((n, 0), (-(-n // 3), 0), (-(-n // 4), 3)):  # 1, 3, then 4 blocks
             monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", n * height)
-            out = io.StringIO()
+            out = io.BytesIO()
             del forks[:]
             workers.write_matrix(out, matrix, fmt)
             assert len(forks) == ranks
@@ -130,7 +130,7 @@ class ClosesAfter:
     def __init__(self, writes):
         self.writes = writes
 
-    def write(self, text):
+    def write(self, data):
         self.writes -= 1
         if self.writes < 0:
             raise BrokenPipeError
@@ -153,7 +153,7 @@ def emitter_run(monkeypatch, outcome):
     monkeypatch.setattr(workers, "available_cpus", lambda: 3)
     if outcome == "killed":
         monkeypatch.setattr(workers, "send", dies_in_a_rank(workers.send))
-    out = ClosesAfter(3) if outcome == "closed" else io.StringIO()
+    out = ClosesAfter(3) if outcome == "closed" else io.BytesIO()
     workers.write_matrix(out, matrix, "csv")
 
 
