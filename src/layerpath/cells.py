@@ -2,14 +2,14 @@
 
 ``sssp`` and ``sweep --source`` search from each source under each (alpha,
 beta) cell of a grid, and each (cell, source) search is independent of the
-others. ``run_cells`` cuts the work into (cell, block of sources) tasks.
-On a machine with more than one CPU, and when the work pays for it, the
-tasks run in worker processes forked from the command after the load
-(``workers.deal``): the sealed network reaches them by fork inheritance and
-is never pickled, and each worker is sent its next task when it returns
-its last. Each task returns, per source, its statistics row and its
-``--paths`` rows already rendered as text, so the command only writes them
-out.
+others. ``run_cells`` cuts the work into (cell, block of sources) tasks and
+hands them to ``workers.deal``, which runs them in worker processes forked
+from the command after the load when ``workers.ranks`` gives more than one,
+and in process otherwise. Forked, the sealed network reaches the workers by
+fork inheritance and is never pickled, and each worker is sent its next
+task when it returns its last. Each task returns, per source, its
+statistics row and its ``--paths`` rows already rendered as text, so the
+command only writes them out.
 
 Only the commands that search grids import this module.
 """
@@ -25,7 +25,7 @@ import math
 from .aggregate import aggregate_graph
 from .analytics import PathStats, path_stats
 from .paths import aggregated_sssp, mda_sssp
-from .workers import available_cpus, deal
+from .workers import deal, ranks
 
 # Below this much work, in edge scans, the searches run in process. On a
 # 2-CPU x86 VM, forking two ranks, dealing them six empty tasks and reaping
@@ -95,50 +95,35 @@ def _cell_task(net, strategy, targets, fmt, params, sources) -> list[tuple[tuple
     ]
 
 
-def _pool_map(job: tuple, tasks: list[tuple], workers: int) -> list:
-    """``_cell_task(*job, *task)`` for every task, in ``workers`` forked processes.
-
-    The job, and the network in it, reaches the workers by fork inheritance;
-    only task indices go out, and the rows and texts come back marshalled
-    (``marshal`` takes plain tuples, not ``PathStats``). This process only
-    deals and collects: a search here would add its memory to the load's,
-    which sets the command's peak.
-    """
-    def run(task: int) -> bytes:
-        done = _cell_task(*job, *tasks[task])
-        return marshal.dumps([(tuple(stats), text) for stats, text in done])
-
-    return [
-        [(PathStats(*stats), text) for stats, text in marshal.loads(done)]
-        for done in deal(workers, len(tasks), run)
-    ]
-
-
 def run_cells(net, cells, sources, strategy, targets=(), fmt="csv") -> list[list]:
     """Per cell, per source: (stats row, paths text), in the order given.
 
     ``strategy`` is ``"dap"`` or ``"mda"``; the paths text covers
     ``targets`` in ``fmt`` (``"csv"`` or ``"json"``). Each cell's sources
-    are cut into as many blocks as it takes to give every available CPU a
-    task. The tasks run in forked worker processes, one per CPU at most,
-    unless there is one worker or one task (one CPU, or a platform that
-    cannot fork, counts as one), or the searches are too small to pay for
-    the forks (``_POOL_MIN_WORK``).
+    are cut into as many blocks as it takes to give every rank a task
+    (``workers.ranks``: one rank unless the searches are large enough to
+    pay for the forks, ``_POOL_MIN_WORK``). Each task's rows and texts come
+    back marshalled, in process too (``marshal`` takes plain tuples, not
+    ``PathStats``). Forked, this process only deals and collects: a search
+    here would add its memory to the load's, which sets the command's peak.
     """
-    cpus = available_cpus()
-    blocks = min(len(sources), math.ceil(cpus / len(cells)))
+    work = len(cells) * len(sources) * (net.num_edges + _TARGET_WORK * len(targets))
+    count = ranks(len(cells) * len(sources), work >= _POOL_MIN_WORK)
+    blocks = min(len(sources), math.ceil(count / len(cells)))
     size = math.ceil(len(sources) / blocks)
     tasks = [
         (params, sources[start:start + size])
         for params in cells
         for start in range(0, len(sources), size)
     ]
-    job = (net, strategy, targets, fmt)
-    workers = min(cpus, len(tasks))
-    work = len(cells) * len(sources) * (net.num_edges + _TARGET_WORK * len(targets))
-    if workers < 2 or work < _POOL_MIN_WORK:
-        done = [_cell_task(*job, *task) for task in tasks]
-    else:
-        done = _pool_map(job, tasks, workers)
-    flat = [slot for part in done for slot in part]  # cell-major, as the tasks
+
+    def run(task: int) -> bytes:
+        done = _cell_task(net, strategy, targets, fmt, *tasks[task])
+        return marshal.dumps([(tuple(stats), text) for stats, text in done])
+
+    flat = [  # cell-major, as the tasks
+        (PathStats(*stats), text)
+        for done in deal(count, len(tasks), run)
+        for stats, text in marshal.loads(done)
+    ]
     return [flat[start:start + len(sources)] for start in range(0, len(flat), len(sources))]

@@ -149,9 +149,10 @@ def _dijkstra(rows: Mapping[int, tuple], source: int, params: AggregationParams)
     they are scanned. Lazy-deletion variant: a node may sit in the heap several
     times, each entry ``(length, node, predecessor)``; the first one popped
     settles the node and records its predecessor, so ``preds`` is the settled
-    set, in settle order. Only finite tentative lengths ever enter the heap,
-    so draining it is equivalent to stopping as soon as the extracted minimum
-    would be infinite.
+    set, in settle order. A tie does not relax, so of the nodes that reach
+    ``v`` at its final length, the first to settle is ``v``'s predecessor.
+    Only finite tentative lengths ever enter the heap, so draining it is
+    equivalent to stopping as soon as the extracted minimum would be infinite.
     """
     alpha = params.alpha
     beta = params.beta
@@ -272,22 +273,21 @@ def ml_floyd_warshall(
     are set aside at a time: phase ``c`` writes slot ``c % _FW_SLOTS``, once
     every block is through phase ``c - _FW_SLOTS``.
 
-    Below ``_FW_FORK_MIN_NODES`` nodes, or where ``workers.available_cpus``
-    is 1, this process fills the matrix (inf, the diagonal, the kept pairs)
-    and runs every block. Otherwise it aggregates, maps the matrix and the
-    slots in shared memory, and forks one process per available CPU, one
-    per block at most, and the blocks are dealt round-robin to those. Each
-    fills its own blocks' rows and relaxes them, and the processes tell each
-    other round a ring of pipes which phases have their rows in a slot and
-    which phases they are through (see ``_fw_relax``). This process only
-    waits for them: it writes no page of the matrix or of the slots. A
-    worker that dies raises ``RuntimeError``.
+    This process aggregates and maps the matrix and the slots in shared
+    memory. The blocks are dealt round-robin to ``workers.ranks`` ranks,
+    forked from ``_FW_FORK_MIN_NODES`` nodes on (``workers.ring``). Each
+    rank fills its own blocks' rows (inf, the diagonal, the kept pairs) and
+    relaxes them, and the ranks tell each other round the ring which phases
+    have their rows in a slot and which phases they are through (see
+    ``_fw_relax``). Forked, this process only waits for them: it writes no
+    page of the matrix or of the slots, and a worker that dies raises
+    ``RuntimeError``. A single rank runs in this process.
     """
     import mmap
 
     import numpy as np
 
-    from .workers import available_cpus, forked
+    from .workers import ranks, ring
 
     order, index = _all_pairs_frame(net, max_nodes)
     n = len(order)
@@ -301,12 +301,10 @@ def ml_floyd_warshall(
     values = shared(n, n)
     slots = shared(_FW_SLOTS, min(height, n), n)
     rows = aggregate_graph(net, params).priced_pairs
-    workers = 1
-    if n >= _FW_FORK_MIN_NODES:
-        workers = max(1, min(available_cpus(), len(bounds)))
+    count = ranks(len(bounds), n >= _FW_FORK_MIN_NODES)
 
     def relax(rank, pipes):
-        for start, stop in bounds[rank::workers]:
+        for start, stop in bounds[rank::count]:
             block = values[start:stop]
             block.fill(np.inf)
             for i, src in enumerate(order[start:stop]):
@@ -316,16 +314,10 @@ def ml_floyd_warshall(
                     block[i, [index[dst] for dst in row[0::3]]] = row[2::3]
         _fw_relax(values, slots, bounds, rank, pipes)
 
-    if workers == 1:
-        relax(0, [])
-    else:
-        # the fork's ranks 1..workers are the kernel's 0..workers-1, in a ring
-        ring = [(rank, rank % workers + 1) for rank in range(1, workers + 1)]
-        try:
-            with forked(workers + 1, ring, lambda rank, pipes: relax(rank - 1, pipes)):
-                pass
-        except RuntimeError:  # a worker's exit code
-            raise RuntimeError("a Floyd-Warshall worker died") from None
+    try:
+        ring(count, relax)
+    except RuntimeError:  # a worker's exit code
+        raise RuntimeError("a Floyd-Warshall worker died") from None
     return DistanceMatrix(order, values, params)
 
 
@@ -360,10 +352,8 @@ def _fw_relax(values, slots, bounds, rank: int, pipes) -> None:
     owner, a "through" notice after its sender's earlier ones, and the ring
     keeps their order, so the highest phase heard of each kind, and from
     each sender, tells all. It leaves once it has heard every notice that
-    will reach it, so no notice is sent to a process that has left. With one
-    process there is no pipe and nothing to wait for. ``pipes`` is the ring,
-    one pipe per process: ``rank`` reads pipe ``rank - 1`` and writes pipe
-    ``rank``.
+    will reach it, so no notice is sent to a process that has left.
+    ``pipes`` is ``workers.ring``'s; a process alone has none and waits for nothing.
     """
     import numpy as np
 

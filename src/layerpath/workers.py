@@ -1,23 +1,23 @@
-"""Forked worker processes: how a command puts its work on every CPU.
+"""Forked worker processes: the one place that decides where a job runs.
 
 Only the paths that start workers import this module: the grid searches of
 ``sssp`` and ``sweep --source`` (``cells``), Floyd-Warshall (``paths``) and
-``apsp``'s emitter (``write_matrix``). ``forked`` forks ranks 1..N-1 of a
-job from the calling process, rank 0, once it holds its data: each rank
-inherits the sealed network, or the aggregated graph and the shared matrix
-it fills, or the finished matrix, and nothing is pickled. The ranks talk
-through pipes, one per (writer, reader) link, and send their results back
-as length-prefixed byte messages (``send``, ``recv``). A rank leaves only
-through ``os._exit``, so it never returns into the caller's code nor
-flushes the std streams it inherited. The calling process reaps every rank
-before it returns or raises, kills the ranks still running when it raises,
-and turns a rank that dies into ``RuntimeError``, so a command ends with a
-traceback and exit code 1 instead of waiting forever. Jobs that hand
-results back go through ``deal``, where the calling process only deals and
-collects; Floyd-Warshall's ring uses ``forked`` directly, and its calling
-process only waits. Either way the command's process does none of the
-work, so the work's memory is never added to what it holds. No other
-module forks, and where the platform cannot, ``available_cpus`` is 1.
+``apsp``'s emitter (``write_matrix``). ``ranks`` places all three: one rank
+per available CPU and at most one per task, or one rank unless the caller's
+measured edge says forking pays. One rank runs the job's calls in this
+process (``deal``, ``ring``); more are forked ranks, which inherit the
+sealed network, or the aggregated graph and the shared matrix they fill,
+or the finished matrix, so nothing is pickled. They talk through pipes, one
+per (writer, reader) link, and send results back as length-prefixed byte
+messages (``send``, ``recv``). A rank leaves only through ``os._exit``, so
+it never returns into the caller's code nor flushes the std streams it
+inherited. This process reaps every rank before it returns or raises, kills
+the ranks still running when it raises, and turns a rank that dies into
+``RuntimeError``, so a command ends with a traceback and exit code 1
+instead of waiting forever. Forked, this process does none of the work: it
+deals and collects (``deal``) or waits (``ring``), so the work's memory is
+never added to what it holds. No other module forks, and where the
+platform cannot, ``available_cpus`` is 1.
 """
 
 from __future__ import annotations
@@ -58,6 +58,15 @@ def available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         return os.cpu_count() or 1
+
+
+def ranks(tasks: int, pays: bool) -> int:
+    """Ranks for a job of ``tasks`` tasks: one per available CPU, at most one per task.
+
+    A single rank unless ``pays``, the caller's measured edge: whether the
+    job is large enough for forking to pay for itself.
+    """
+    return max(1, min(available_cpus(), tasks)) if pays else 1
 
 
 @contextmanager
@@ -148,13 +157,18 @@ def _read(fd: int, size: int) -> bytearray:
 def deal(count: int, tasks: int, run):
     """``run(task)``, which returns bytes, for every task index below ``tasks``.
 
-    A generator: the tasks run on ``count`` forked ranks, and this process
-    only deals and collects. A rank is sent its next index when its last
-    result arrives, so ranks that drew cheap tasks draw more, and no pipe
-    ever holds more than one index. Results are yielded in task order, each
-    as soon as every lower one is out; one that arrives early waits here.
-    Closing the generator early kills and reaps the ranks.
+    A generator of the results, in task order. The tasks run on ``count``
+    forked ranks, one per task at most, and this process only deals and
+    collects; with fewer than two, they run here, in order. A rank is sent
+    its next index when its last result arrives, so ranks that drew cheap
+    tasks draw more, and no pipe ever holds more than one index. Each
+    result is yielded as soon as every lower one is out; one that arrives
+    early waits here. Closing the generator early kills and reaps the ranks.
     """
+    count = min(count, tasks)
+    if count < 2:
+        yield from map(run, range(tasks))
+        return
     links = [(0, rank) for rank in range(1, count + 1)]
     links += [(rank, 0) for rank in range(1, count + 1)]
 
@@ -192,6 +206,21 @@ def deal(count: int, tasks: int, run):
             while out in ready:
                 yield ready.pop(out)
                 out += 1
+
+
+def ring(count: int, main) -> None:
+    """``main(rank, pipes)`` on ranks 0..``count - 1``, each forked; ``main(0, [])`` here for one.
+
+    ``pipes`` is a ring, one pipe per rank: rank ``r`` reads pipe ``r - 1``
+    and writes pipe ``r``. This process only waits for the ranks.
+    """
+    if count < 2:
+        main(0, [])
+        return
+    # the fork's ranks 1..count are the job's 0..count-1
+    links = [(rank, rank % count + 1) for rank in range(1, count + 1)]
+    with forked(count + 1, links, lambda rank, pipes: main(rank - 1, pipes)):
+        pass
 
 
 def write_matrix(out, matrix, fmt: str) -> None:
@@ -232,13 +261,8 @@ def write_matrix(out, matrix, fmt: str) -> None:
     def block(b: int) -> bytes:
         return "".join(map(row, range(b * height, min(b * height + height, n)))).encode()
 
-    ranks = min(available_cpus(), blocks) if blocks >= _EMIT_FORK_MIN_BLOCKS else 1
-    if ranks < 2:
-        for b in range(blocks):
-            out.write(block(b))
-    else:
-        with closing(deal(ranks, blocks, block)) as done:
-            for text in done:
-                out.write(text)
+    with closing(deal(ranks(blocks, blocks >= _EMIT_FORK_MIN_BLOCKS), blocks, block)) as done:
+        for text in done:
+            out.write(text)
     if fmt == "json":
         out.write(b"\n  ]\n}\n")

@@ -1,4 +1,4 @@
-"""Hypothesis profiles for the suite, and a fixture that forks Floyd-Warshall.
+"""Hypothesis profiles for the suite, and fixtures that count and force forks.
 
 ``HYPOTHESIS_PROFILE=ci`` loads the ``ci`` profile, which prints the
 ``@reproduce_failure`` blob of a failing example so that a failure seen once
@@ -16,25 +16,31 @@ if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
 
 
 @pytest.fixture
-def force_fw_workers(monkeypatch):
+def forks(monkeypatch):
+    """The pids of the processes forked from this one from now on."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.fixture
+def force_fw_workers(monkeypatch, forks):
     """``force(count)``: Floyd-Warshall forks however small the net, as on
     a machine with ``count`` CPUs. Returns the list that gathers the pid of
     every process forked from then on."""
     from layerpath import paths, workers
 
     def force(count):
-        forks = []
-        real_fork = os.fork
-
-        def fork():
-            pid = real_fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
         monkeypatch.setattr(paths, "_FW_FORK_MIN_NODES", 0)
         monkeypatch.setattr(workers, "available_cpus", lambda: count)
-        monkeypatch.setattr(os, "fork", fork)
         return forks
 
     return force

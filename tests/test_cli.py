@@ -56,9 +56,9 @@ FORCE_POOL_IF_ASKED = (
     "import json, sys\n"
     "from layerpath import cli\n"
     "def force_pool():\n"
-    "    from layerpath import cells\n"
+    "    from layerpath import cells, workers\n"
     "    cells._POOL_MIN_WORK = 0\n"
-    "    cells.available_cpus = lambda: 2\n"
+    "    workers.available_cpus = lambda: 2\n"
     "def force_fw_workers():\n"
     "    from layerpath import paths, workers\n"
     "    paths._FW_FORK_MIN_NODES = 0\n"
@@ -710,6 +710,24 @@ def fixed_net_csv(path):
     return path
 
 
+def tied_net_csv(path):
+    """A 5 x 6 grid of nodes, one layer, where shortest paths tie and some pairs have length 0.
+
+    Edges go right and down, at weight 0.5 (distance 0.5) or 1.0 (distance
+    0.0), so most targets are reached at their final length by more than one
+    node, and which of them is the predecessor shows in ``--paths``.
+    """
+    lines = ["src,dst,layer,weight"]
+    for r in range(5):
+        for c in range(6):
+            v = 6 * r + c
+            for w, open_ in ((v + 1, c < 5), (v + 6, r < 4)):
+                if open_:
+                    lines.append(f"{v},{w},a,{1.0 if (7 * r + 3 * c + w) % 5 == 0 else 0.5}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 class TestOutputBytes:
     """Output bytes pinned by sha256, so a run on any Python version checks
     that distances, lengths and averages add up to the same last bits, and
@@ -765,6 +783,25 @@ class TestOutputBytes:
             assert run(capsys, *argv) == (code, out, err)
             assert len(forks) == 9
 
+    # equal-length paths and zero-length pairs: the bytes pin the tie rule of
+    # paths._dijkstra, which picks each target's predecessor
+    TIES = ("sssp", "--source", "0,1,10", "--betas", "1.0,0.25", "--paths")
+    TIES_DIGEST = "c96ced6766177d4afa93c1403cf173f6d7c9b1ef64c10fb6366c5437f9ebf91c"
+
+    @pytest.mark.parametrize("strategy", ["dap", "mda"])
+    @pytest.mark.parametrize("where", ["in-process", "ranks", "no-fork"])
+    def test_tied_paths_sha256(self, tmp_path, capsys, monkeypatch, forks, strategy, where):
+        path = tied_net_csv(tmp_path / "ties.csv")
+        if where == "ranks":
+            force_pool(monkeypatch)
+        elif where == "no-fork":
+            monkeypatch.setattr(cells, "_POOL_MIN_WORK", 0)
+            monkeypatch.delattr(os, "fork")
+        code, out, err = run(capsys, *self.argv_on(path, self.TIES), "--strategy", strategy)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.TIES_DIGEST
+        assert len(forks) == (2 if where == "ranks" else 0)
+
     @pytest.mark.parametrize("argv, digest", list(CASES.values()), ids=list(CASES))
     def test_a_platform_without_fork_runs_in_process(self, tmp_path, capsys, monkeypatch,
                                                     argv, digest):
@@ -781,23 +818,15 @@ class TestOutputBytes:
 
 
 @pytest.fixture
-def pool_calls(monkeypatch):
-    """Pools started by sssp and sweep; one CPU until ``force_pool`` is called."""
-    calls = []
-    pool_map = cells._pool_map
-
-    def counted(*args):
-        calls.append(args)
-        return pool_map(*args)
-
-    monkeypatch.setattr(cells, "_pool_map", counted)
-    monkeypatch.setattr(cells, "available_cpus", lambda: 1)
-    return calls
+def pool_forks(monkeypatch, forks):
+    """Worker processes forked by sssp and sweep; one CPU until ``force_pool`` is called."""
+    monkeypatch.setattr(workers, "available_cpus", lambda: 1)
+    return forks
 
 
 def force_pool(monkeypatch):
     monkeypatch.setattr(cells, "_POOL_MIN_WORK", 0)
-    monkeypatch.setattr(cells, "available_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "available_cpus", lambda: 2)
 
 
 class TestWorkerPool:
@@ -829,10 +858,10 @@ class TestWorkerPool:
              "one-cell-paths", "sweep-csv", "sweep-json"],
     )
     def test_pool_writes_the_in_process_bytes(self, tmp_path, capsys, monkeypatch,
-                                              pool_calls, argv):
+                                              pool_forks, argv):
         path = fixed_net_csv(tmp_path / "fixed.csv")
         alone = run(capsys, argv[0], path, *argv[1:])
-        assert pool_calls == []
+        assert pool_forks == []
         force_pool(monkeypatch)
 
         def refuse(self, protocol):
@@ -840,7 +869,7 @@ class TestWorkerPool:
 
         monkeypatch.setattr(MultiLayeredNetwork, "__reduce_ex__", refuse, raising=False)
         pooled = run(capsys, argv[0], path, *argv[1:])
-        assert len(pool_calls) == 1
+        assert len(pool_forks) == 2  # one pool of two workers
         assert (alone[0], alone[2]) == (0, "")
         assert pooled == alone
 

@@ -117,6 +117,20 @@ class TestHandWorked:
         assert dap_sssp(net, 0).predecessors[3] == 1
         assert mda_sssp(net, 0).predecessors[3] == 1
 
+    def test_the_first_node_to_settle_at_the_final_length_is_the_predecessor(self):
+        # 0->5->3 and 0->1->3 both have length 1.0; 5 settles first (at
+        # 0.25, 1 at 0.5), so it is 3's predecessor although 1 is the lower
+        # id, and although 1 also reaches 3 at 1.0 when it settles after 5
+        net = build_net(
+            ("a",),
+            [(0, 5, "a", 0.75), (0, 1, "a", 0.5), (5, 3, "a", 0.25), (1, 3, "a", 0.5)],
+            polarity=POSITIVE,
+        )
+        for result in (dap_sssp(net, 0), mda_sssp(net, 0)):
+            assert result.lengths[3] == result.lengths[5] + 0.75 == result.lengths[1] + 0.5
+            assert list(result.predecessors) == [0, 5, 1, 3]  # the settle order
+            assert result.path_to(3) == [0, 5, 3]
+
     def test_negative_polarity_weights_act_as_distances(self):
         net = build_net(
             ("a", "b"),

@@ -11,22 +11,6 @@ from layerpath import AggregationParams, cells, ml_floyd_warshall, workers
 from layerpath.generate import random_network
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the processes forked from this one from now on."""
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
 def dies_in_a_rank(fn):
     """``fn``, except that in a process forked from this one it kills that process."""
     parent = os.getpid()
@@ -79,7 +63,7 @@ class TestDeal:
             return (f"{b}:" + "x" * (100_000 * (b % 3)) + "\n").encode()
 
         assert b"".join(workers.deal(count, 10, run)) == b"".join(map(run, range(10)))
-        assert len(forks) == count
+        assert len(forks) == (count if count > 1 else 0)  # one rank runs in process
 
     def test_a_result_is_yielded_before_later_tasks_finish(self, tmp_path):
         # what bounds apsp's memory: the first block is written while the
@@ -98,6 +82,51 @@ class TestDeal:
         assert next(results) == b"0"
         first_out.touch()
         assert list(results) == [b"1", b"2", b"3", b"4", b"after the first"]
+
+
+class TestPlacement:
+    def test_ranks_are_one_per_cpu_and_task_where_forking_pays(self, monkeypatch):
+        monkeypatch.setattr(workers, "available_cpus", lambda: 3)
+        assert [workers.ranks(tasks, True) for tasks in (0, 1, 2, 3, 9)] == [1, 1, 2, 3, 3]
+        assert [workers.ranks(tasks, False) for tasks in (0, 1, 9)] == [1, 1, 1]
+        monkeypatch.setattr(workers, "available_cpus", lambda: 1)
+        assert workers.ranks(9, True) == 1
+
+    def test_deal_forks_one_rank_a_task_at_most(self, forks):
+        assert list(workers.deal(3, 2, lambda task: b"%d" % task)) == [b"0", b"1"]
+        assert len(forks) == 2
+
+    def test_one_rank_deals_in_process(self, forks):
+        parent = str(os.getpid()).encode()
+        assert list(workers.deal(1, 3, lambda task: parent)) == [parent] * 3
+        assert list(workers.deal(5, 0, lambda task: parent)) == []
+        assert forks == []
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_a_ring_passes_round_every_rank(self, forks, count):
+        read, write = os.pipe()  # each rank writes here what came round the ring
+
+        def main(rank, pipes):
+            assert len(pipes) == (count if count > 1 else 0)
+            if rank == 0 and pipes:
+                workers.send(pipes[0][1], b"0")
+            got = bytes(workers.recv(pipes[rank - 1][0])) if pipes else b""
+            if pipes and rank:
+                workers.send(pipes[rank][1], got + b"%d" % rank)
+            os.write(write, b"%d:%s;" % (rank, got))
+
+        try:
+            workers.ring(count, main)
+        finally:
+            os.close(write)
+            with open(read, "rb") as heard:
+                notes = set(heard.read().split(b";")) - {b""}
+        if count == 1:
+            assert notes == {b"0:"} and forks == []
+        else:
+            want = b"".join(b"%d" % rank for rank in range(count))
+            assert notes == {b"%d:%s" % (rank, want[:rank]) for rank in range(1, count)} | {b"0:" + want}
+            assert len(forks) == count
 
 
 class TestWriteMatrix:
@@ -138,7 +167,7 @@ class ClosesAfter:
 
 def cells_run(monkeypatch, outcome):
     monkeypatch.setattr(cells, "_POOL_MIN_WORK", 0)
-    monkeypatch.setattr(cells, "available_cpus", lambda: 3)
+    monkeypatch.setattr(workers, "available_cpus", lambda: 3)
     if outcome == "killed":
         monkeypatch.setattr(cells, "_cell_task", dies_in_a_rank(cells._cell_task))
     net = random_network(60, 3, 0.05, seed=2)
