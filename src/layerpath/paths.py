@@ -44,37 +44,30 @@ if TYPE_CHECKING:  # numpy is imported only where the all-pairs routines run
 
 DEFAULT_APSP_NODE_CAP = 2_000
 # One Floyd-Warshall block of float64 rows, and as much again for its
-# temporary: small enough that both stay in a core's L2 cache across a
-# phase's steps. Each slot of rows set aside holds one block too. On a 2-CPU
-# x86 VM (2 MB L2 per core), with three slots, kernel medians of 5
-# alternating rounds in one process and in two: 512 KB took 344 and 198 ms
-# at 800 nodes and 5.07 and 2.92 s at 2,000; 256 KB took 376 and 214 ms and
-# 5.71 and 2.92 s, and 1 MB 22-52% longer, each slower than 512 KB in 19 of
-# 20 rounds; at 300 nodes in one process 512 KB took 27.0 ms, 256 KB 28.3
-# and 128 KB 31.1.
+# temporary, stays in a core's L2 across a phase's steps; each slot holds one
+# block too. On a 2-CPU x86 VM (2 MB L2 a core), medians of 5 alternating
+# rounds, one process and two: 512 KB took 344 and 198 ms at 800 nodes, 5.07
+# and 2.92 s at 2,000; 256 KB 376 and 214 ms, 5.71 and 2.92 s; 1 MB 22-52%
+# more. With the temporary half a page off the block (``_fw_relax``), warm
+# medians of 6 rounds: 251 and 158 ms at 800 nodes, 3.96 and 2.11 s at 2,000.
 _FW_BLOCK_BYTES = 512 * 1024
 # Below this many nodes Floyd-Warshall runs in process. Forked, each rank is
-# a process of its own while this one only waits, and on a shared machine
-# the second CPU is not always free. On a 2-CPU x86 VM, kernel medians of 7
-# warm calls, 9 rounds a size with the order rotated, two ranks against one
-# process: 300 nodes (2 blocks) 26.8 against 17.8 ms, faster in 0/9; 400 (3
-# blocks) 40.1 against 40.4 ms, 3/9; 450 (4 blocks) 58.7 against 56.4 ms,
-# 3/9; 500 nodes 62.8 against 76.7 ms, 9/9; 650 nodes 95.9 against 145 ms,
-# 9/9; 800 nodes 183 against 286 ms, 9/9. Forking at 300-450 nodes would
-# lower apsp's peak RSS by 1.1-2.3 MB (wait4, 11 rounds a size), since this
-# process would not hold the matrix, for a kernel no faster.
+# a process of its own while this one waits, and on a shared machine the
+# second CPU is not always free. On the VM, kernel medians of 7 warm calls,
+# 9 rounds a size, order rotated, two ranks against one process: 300 nodes
+# 26.8 against 17.8 ms, faster in 0/9; 400 40.1 against 40.4 ms, 3/9; 450
+# 58.7 against 56.4 ms, 3/9; 500 62.8 against 76.7 ms, 9/9; 650 95.9
+# against 145 ms, 9/9; 800 183 against 286 ms, 9/9. Forking at 300-450 nodes
+# would lower apsp's peak RSS by 1.1-2.3 MB (wait4), for no faster a kernel.
 _FW_FORK_MIN_NODES = 500
-# Blocks of rows set aside for the phases in flight (see ``_fw_relax``), in
-# place of an n x n copy of the matrix: 3 x 0.52 MB at 800 nodes against
-# 5.12 MB. The owner of block c + 1 fills its slot while it applies phase c,
-# once every process is through phase c + 1 - _FW_SLOTS. With two slots that
-# is phase c - 1, which the other process of two may still be applying, so
-# the owner waits; with three it is phase c - 2, which that process finished
-# before it published phase c's rows. On the 2-CPU VM, two processes, kernel
-# medians of 9 alternating rounds, three slots against two: 719 against 767
-# ms at 1,200 nodes and 1.67 against 1.75 s at 1,600 (faster in 7 of 9
-# rounds each); at 500, 800 and 2,000 nodes (8 rounds) within 3% either way,
-# faster in 4 of 8.
+# Blocks of rows set aside for the phases in flight (``_fw_relax``), in place
+# of an n x n copy of the matrix: 3 x 0.52 MB at 800 nodes against 5.12 MB.
+# The owner of block c + 1 fills its slot once every process is through
+# phase c + 1 - _FW_SLOTS: with two slots the other of two processes may
+# still be applying it; with three it finished it before publishing phase c.
+# Two processes, medians of 9 alternating rounds, three slots against two:
+# 719 against 767 ms at 1,200 nodes, 1.67 against 1.75 s at 1,600, within 3%
+# at 500, 800 and 2,000. With the temporary placed: 490 ms at 1,200 (warm).
 _FW_SLOTS = 3
 
 
@@ -260,28 +253,22 @@ def ml_floyd_warshall(
     ascending node id.
 
     The relaxation runs a block of rows at a time, so the block and its
-    temporary stay in cache across many steps instead of streaming the whole
-    matrix through every step. It runs in phases, one per block: in phase
-    ``c`` every block applies the steps ``k`` of block ``c``'s rows. Step
-    ``k`` reads row ``k`` as it stands at step ``k`` (the step leaves its own
-    row alone, since the diagonal is 0.0), and later steps change that row,
-    so block ``c`` copies each of its rows into a slot as it reaches it, in
-    its own phase. Each block applies the phases in order, so every entry
-    sees the textbook sequence ``d = min(d, d[i, k] + d[k, j])`` for k =
-    0..n-1, in order, with the same operands, and the matrix is bit for bit
-    the one the whole-matrix loop gives. Only ``_FW_SLOTS`` blocks of rows
-    are set aside at a time: phase ``c`` writes slot ``c % _FW_SLOTS``, once
-    every block is through phase ``c - _FW_SLOTS``.
+    temporary stay in cache across many steps. It runs in phases, one per
+    block: in phase ``c`` every block applies the steps ``k`` of block
+    ``c``'s rows. Step ``k`` reads row ``k`` as it stands at step ``k`` (the
+    step leaves its own row alone, since the diagonal is 0.0), and later
+    steps change that row, so block ``c`` copies each of its rows into a
+    slot as it reaches it, in its own phase. Each block applies the phases
+    in order, so every entry sees the textbook sequence ``d = min(d, d[i, k]
+    + d[k, j])`` for k = 0..n-1, in order, with the same operands, and the
+    matrix is bit for bit the whole-matrix loop's. Phase ``c`` writes slot
+    ``c % _FW_SLOTS``, once every block is through phase ``c - _FW_SLOTS``.
 
-    This process aggregates and maps the matrix and the slots in shared
-    memory. The blocks are dealt round-robin to ``workers.ranks`` ranks,
-    forked from ``_FW_FORK_MIN_NODES`` nodes on (``workers.ring``). Each
-    rank fills its own blocks' rows (inf, the diagonal, the kept pairs) and
-    relaxes them, and the ranks tell each other round the ring which phases
-    have their rows in a slot and which phases they are through (see
-    ``_fw_relax``). Forked, this process only waits for them: it writes no
-    page of the matrix or of the slots, and a worker that dies raises
-    ``RuntimeError``. A single rank runs in this process.
+    The blocks are dealt round-robin to ``workers.ranks`` ranks, forked
+    from ``_FW_FORK_MIN_NODES`` nodes on (``workers.ring``); each fills (inf,
+    the diagonal, the kept pairs) and relaxes its own (``_fw_relax``).
+    Forked, this process writes no page of the shared matrix or slots, and a
+    worker that dies raises ``RuntimeError``.
     """
     import mmap
 
@@ -330,30 +317,27 @@ def _fw_relax(values, slots, bounds, rank: int, pipes) -> None:
     """Every phase on blocks ``rank``, ``rank + workers``, ... of ``values``.
 
     This process alone writes those blocks, and the slot of each phase whose
-    block is one of them, and it reads no other rows of ``values``: what it
-    needs of other blocks reaches it through the slots. So a process that
-    filled its own blocks can start at once, whether or not the others have
-    filled theirs. Phase ``c`` of block ``b`` reads block ``c``'s
-    rows from slot ``c % len(slots)``, so it waits until phase ``c`` is
-    ready: block ``c`` has applied its own phase and filled the slot. Before
-    a block fills a slot, it waits until every process is through the
-    phase that last used the slot. The owner of block ``c + 1`` applies
-    phase ``c`` to that block first and then its own phase (look-ahead), so
-    the next slot is filled while the other blocks apply phase ``c``. That
-    slot waits on phase ``c + 1 - len(slots)``, below ``c`` with two slots
-    or more, so every wait is on a phase lower than the one the process is
-    applying, and the lowest phase not yet applied can always run.
+    block is one of them, and reads no other rows of ``values``: the rows of
+    other blocks reach it through the slots, so it starts as soon as its own
+    blocks are filled. Phase ``c`` reads block ``c``'s rows from slot ``c %
+    len(slots)``, so it waits until phase ``c`` is ready: block ``c`` has
+    applied its own phase and filled the slot. A block fills a slot once
+    every process is through the phase that last used it. The owner of
+    block ``c + 1`` applies phase ``c`` to that block first and then its own
+    phase (look-ahead), so the next slot fills while the other blocks apply
+    phase ``c``. That slot waits on phase ``c + 1 - len(slots)``, below
+    ``c``, so every wait is on a phase lower than the one being applied, and
+    the lowest phase not yet applied can always run.
 
-    Each notice is 8 bytes: the phase, and 0 for "ready" or the process's
-    rank plus one for "through". A process hears them from the process
-    before it in the ring, on ``inbox``, and passes each on, on ``outbox``,
-    unless it came from the next process; it tells the next process its own
-    too. A "ready" notice sets out after the one before it has passed its
-    owner, a "through" notice after its sender's earlier ones, and the ring
-    keeps their order, so the highest phase heard of each kind, and from
-    each sender, tells all. It leaves once it has heard every notice that
-    will reach it, so no notice is sent to a process that has left.
-    ``pipes`` is ``workers.ring``'s; a process alone has none and waits for nothing.
+    A notice is 8 bytes: the phase, and 0 for "ready" or the sender's rank
+    plus one for "through". Each comes from the process before in the ring,
+    on ``inbox``, and goes on, on ``outbox``, unless it came from the next
+    process, which is also told this one's own. A "ready" notice sets out
+    after the one before it has passed its owner, a "through" notice after
+    its sender's earlier ones, and the ring keeps their order, so the highest
+    phase heard of each kind, and from each sender, tells all. A process
+    leaves once it has heard every notice that will reach it. ``pipes`` is
+    ``workers.ring``'s; a process alone has none and waits for nothing.
     """
     import numpy as np
 
@@ -386,14 +370,18 @@ def _fw_relax(values, slots, bounds, rank: int, pipes) -> None:
             send(outbox, phase.to_bytes(4, "little") + (sender + 1).to_bytes(4, "little"))
 
     n = values.shape[1]
-    tmp = np.empty((_fw_block_height(n), n))
+    tmp = np.empty(_fw_block_height(n) * n + 512)  # 4 KB over, for the offset below
 
     def apply(c: int, b: int) -> None:
         """Phase ``c`` on block ``b``; block ``c`` sets its rows aside as it goes."""
         start, stop = bounds[b]
         first = bounds[c][0]
         block = values[start:stop]
-        cand = tmp[: stop - start]
+        # half a page off the block's rows, so that the minimum never takes a
+        # load of one for a store to the other (a plain np.empty sits at page
+        # offset 16, and every block's rows at 0 at 2,000 nodes)
+        skip = (block.ctypes.data + 2048 - tmp.ctypes.data) % 4096 // 8
+        cand = tmp[skip: skip + block.size].reshape(block.shape)
         slot = slots[c % depth]
         for k in range(*bounds[c]):
             if c == b:  # row k is in this block

@@ -1,23 +1,19 @@
 """Forked worker processes: the one place that decides where a job runs.
 
-Only the paths that start workers import this module: the grid searches of
-``sssp`` and ``sweep --source`` (``cells``), Floyd-Warshall (``paths``) and
-``apsp``'s emitter (``write_matrix``). ``ranks`` places all three: one rank
-per available CPU and at most one per task, or one rank unless the caller's
-measured edge says forking pays. One rank runs the job's calls in this
-process (``deal``, ``ring``); more are forked ranks, which inherit the
-sealed network, or the aggregated graph and the shared matrix they fill,
-or the finished matrix, so nothing is pickled. They talk through pipes, one
-per (writer, reader) link, and send results back as length-prefixed byte
-messages (``send``, ``recv``). A rank leaves only through ``os._exit``, so
-it never returns into the caller's code nor flushes the std streams it
-inherited. This process reaps every rank before it returns or raises, kills
-the ranks still running when it raises, and turns a rank that dies into
-``RuntimeError``, so a command ends with a traceback and exit code 1
-instead of waiting forever. Forked, this process does none of the work: it
-deals and collects (``deal``) or waits (``ring``), so the work's memory is
-never added to what it holds. No other module forks, and where the
-platform cannot, ``available_cpus`` is 1.
+Only the paths that start workers import this module: ``sssp`` and ``sweep
+--source`` (``cells``), Floyd-Warshall (``paths``) and ``apsp``'s emitter
+(``write_matrix``). ``ranks`` places all three: one rank per available CPU
+and at most one per task, or one unless the caller's measured edge says
+forking pays. One rank runs the job here (``deal``, ``ring``); more are
+forked, and inherit what they read, so nothing is pickled. They talk
+through pipes, one per (writer, reader) link, in length-prefixed messages
+(``send``, ``recv``), and leave only through ``os._exit``, so a rank never
+returns into the caller's code nor flushes the streams it inherited. This
+process reaps every rank before it returns or raises, kills those still
+running when it raises, and turns a rank that dies into ``RuntimeError``
+(exit code 1, not a hang). Forked, it only deals and collects (``deal``) or
+waits (``ring``), so the work's memory is never added to its own. No other
+module forks; where the platform cannot, ``available_cpus`` is 1.
 """
 
 from __future__ import annotations
@@ -30,24 +26,23 @@ import signal
 from contextlib import closing, contextmanager
 from os import _exit  # public in os; spelt os._exit, tests/test_layout.py takes it for private
 
-# Matrix cells per block of ``apsp``'s output: 32 rows at 800 nodes, about
-# 0.5 MB of CSV. On a 2-CPU x86 VM, two ranks wrote the 800-node matrix in
-# 0.367-0.390 s (medians of 11 rounds, two sets) with 8-, 16-, 32- or 64-row
-# blocks. The blocks are dealt to forked ranks (``deal``), and this process
-# holds the block it is writing plus any that arrived ahead of a lower one.
-_EMIT_BLOCK_CELLS = 32 * 800
-# A matrix of fewer blocks is rendered in process: at this block size, a
-# matrix forks from 277 nodes on. Forking two ranks, dealing them their
-# blocks and reaping them costs about 6 ms, and two CPU-bound processes each
-# run slower than one alone. On the 2-CPU VM, CSV to /dev/null, medians of
-# 15-21 alternating rounds a set, in process against two ranks: two blocks
-# (161-220 nodes) 28.6-49.1 ms against 38.4-60.8 ms, ranks faster in 0 to 9
-# rounds of a set; three blocks (240-260 nodes) 39.5-72.9 ms against
-# 35.5-88.6 ms, faster in 0/15 to 21/21; four blocks (280-320 nodes)
-# 55.3-90.8 ms against 43.4-66.1 ms, faster in 11/15 to 21/21 and in 18/21
-# or more in 7 of 9 sets; from five blocks (350-800 nodes) faster in all
-# but one round, at 800 nodes 373-556 ms against 242-307 ms.
-_EMIT_FORK_MIN_BLOCKS = 4
+# Matrix cells per block of ``apsp``'s output: 4 rows at 800 nodes, 60 KB
+# of CSV, which a rank's result pipe holds whole (``deal``). On a 2-CPU x86
+# VM, 800 nodes, CSV, medians of 6 alternating rounds, the command's VmHWM
+# and emit time: 29.87 MB, 0.236 s; 8 rows, which fill the pipe, 30.05 MB,
+# 0.269 s; with a dealer that read each block as it came, 8 rows 30.12 MB,
+# 0.234 s, 32 rows 31.15 MB, 0.238 s. At 500-2,000 nodes, CSV and JSON,
+# its VmHWM was the lowest of the four in 8 of 8.
+_EMIT_BLOCK_CELLS = 12 * 277
+# A matrix of fewer blocks, 276 nodes or fewer at 12 rows a block, renders
+# in process. Forking two ranks, dealing their blocks and reaping them costs
+# about 6 ms, and two CPU-bound processes each run slower than one. On the
+# VM, CSV to /dev/null, medians of 15-21 alternating rounds a set, in process
+# against two ranks: 161-220 nodes 28.6-49.1 against 38.4-60.8 ms, ranks
+# faster in 0-9 rounds of a set; 240-260 nodes 39.5-72.9 against 35.5-88.6
+# ms, 0/15 to 21/21; 280-320 nodes 55.3-90.8 against 43.4-66.1 ms, 11/15 to
+# 21/21, and 18/21 or more in 7 of 9 sets; 350-800 nodes faster in all but one.
+_EMIT_FORK_MIN_BLOCKS = 24
 
 
 def available_cpus() -> int:
@@ -159,53 +154,56 @@ def deal(count: int, tasks: int, run):
 
     A generator of the results, in task order. The tasks run on ``count``
     forked ranks, one per task at most, and this process only deals and
-    collects; with fewer than two, they run here, in order. A rank is sent
-    its next index when its last result arrives, so ranks that drew cheap
-    tasks draw more, and no pipe ever holds more than one index. Each
-    result is yielded as soon as every lower one is out; one that arrives
-    early waits here. Closing the generator early kills and reaps the ranks.
+    collects; with fewer than two, they run here, in order. A rank says when
+    it has finished a task and is sent its next index at once, so ranks that
+    drew cheap tasks draw more, and no pipe ever holds more than one index.
+    A result waits in its rank's pipe until every lower one is out, so this
+    process holds one at a time; a rank whose pipe is full waits to send
+    the rest. Closing the generator early kills and reaps the ranks.
     """
     count = min(count, tasks)
     if count < 2:
         yield from map(run, range(tasks))
         return
-    links = [(0, rank) for rank in range(1, count + 1)]
-    links += [(rank, 0) for rank in range(1, count + 1)]
+    # per rank: its indices in, its notices out, its results out
+    links = [link for rank in range(1, count + 1) for link in ((0, rank), (rank, 0), (rank, 0))]
 
     def work(rank, pipes):
-        inbox, outbox = pipes[rank - 1][0], pipes[count + rank - 1][1]
+        (inbox, _), (_, done), (_, outbox) = pipes[3 * rank - 3:3 * rank]
         while (task := int.from_bytes(_read(inbox, 4), "little")) < tasks:
-            send(outbox, run(task))
+            result = run(task)
+            os.write(done, b"\0")
+            send(outbox, result)
 
     todo = iter(range(tasks))
-    doing = {}  # a busy rank's result end -> its task
-    ready = {}  # task -> its result, until every lower one is out
-    out = 0  # the next task to yield
+    doing = {}  # a busy rank's notice end -> its task
+    finished = {}  # task -> the result end it waits in
     poll = select.poll()
     with forked(count + 1, links, work) as pipes:
-        outbox = {pipes[count + i][0]: pipes[i][1] for i in range(count)}
+        ends = {pipes[i + 1][0]: (pipes[i][1], pipes[i + 2][0]) for i in range(0, 3 * count, 3)}
 
-        def give(inbox) -> None:
+        def give(notices) -> None:
             task = next(todo, tasks)  # tasks itself: none left, the rank exits
             try:
-                os.write(outbox[inbox], task.to_bytes(4, "little"))
+                os.write(ends[notices][0], task.to_bytes(4, "little"))
             except BrokenPipeError:
                 raise RuntimeError("a worker process died") from None
             if task < tasks:
-                doing[inbox] = task
+                doing[notices] = task
             else:
-                poll.unregister(inbox)
+                poll.unregister(notices)
 
-        for inbox in outbox:
-            poll.register(inbox, select.POLLIN)
-            give(inbox)
-        while doing:
-            for inbox, _ in poll.poll():
-                ready[doing.pop(inbox)] = recv(inbox)
-                give(inbox)
-            while out in ready:
-                yield ready.pop(out)
-                out += 1
+        for notices in ends:
+            poll.register(notices, select.POLLIN)
+            give(notices)
+        for out in range(tasks):
+            while out not in finished:
+                for notices, _ in poll.poll():
+                    if not os.read(notices, 1):
+                        raise RuntimeError("a worker process died")
+                    finished[doing.pop(notices)] = ends[notices][1]
+                    give(notices)
+            yield recv(finished.pop(out))
 
 
 def ring(count: int, main) -> None:
@@ -233,8 +231,8 @@ def write_matrix(out, matrix, fmt: str) -> None:
     as ``json.dump(payload, indent=2)`` writes it, with ``matrix`` last and
     ``null`` where unreachable. A matrix of ``_EMIT_FORK_MIN_BLOCKS`` blocks
     or more is rendered on every available CPU (``deal``): each rank
-    encodes its blocks, and this process writes the bytes as they come, so
-    it neither reads the matrix nor decodes a row.
+    encodes its blocks, and this process writes their bytes in turn, so it
+    neither reads the matrix nor decodes a row.
     """
     order = matrix.order
     values = matrix.values

@@ -4,25 +4,32 @@ Each example writes a small edge list and runs ``sssp`` (dap and mda,
 ``--paths``, CSV and JSON), ``sweep --source`` and ``apsp`` (both
 strategies) through ``cli.main`` twice: on one CPU, where every job runs in
 process, and with every job forced onto two forked ranks. The two runs must
-write the same stdout, and so must dap and mda.
+write the same stdout, and so must dap and mda. In process only, since
+the forced runs above already tie each command to its in-process bytes,
+``aggregate-export`` must keep as many pairs at each cell as ``sweep``
+counts there, each at ``aggregate.distance``, and every ``sssp --paths``
+length must be the ``apsp --strategy repeated-dijkstra`` entry.
 """
 
 import csv
+import io
 import os
 import tempfile
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from layerpath import cells, paths, workers
+from layerpath import cells, distance, paths, workers
 from layerpath.cli import main
+from layerpath.edgelist import load_edge_list
 
 # labels the edge list must quote: a comma, a quote, a line break
 LABELS = ("a", "b,c", 'say "d"', "e\nf")
 # exact in binary, so distinct paths often add up to the same length; 1.0
 # (positive) and 0.0 (negative) give pairs of length 0.0
 WEIGHTS = (0.0, 0.25, 0.5, 0.75, 1.0)
-GRID = ("--alphas", "1,2", "--betas", "1.0,0.5")
+ALPHAS, BETAS = ("1", "2"), ("1.0", "0.5")
+GRID = ("--alphas", ",".join(ALPHAS), "--betas", ",".join(BETAS))
 
 
 @st.composite
@@ -40,9 +47,22 @@ def edge_lists(draw):
     ]
 
 
+def load_args(path, polarity):
+    return (str(path), "--polarity", polarity, "--on-duplicate", "keep-max")
+
+
+def write_edges(path, edges):
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        csv.writer(out, lineterminator="\n").writerows([("src", "dst", "layer", "weight"), *edges])
+
+
+def sources_of(edges):
+    return ",".join(map(str, sorted({v for src, dst, _, _ in edges for v in (src, dst)})))
+
+
 def argvs(path, polarity, sources):
     """name -> argv of every command the check runs on ``path``."""
-    load = (str(path), "--polarity", polarity, "--on-duplicate", "keep-max")
+    load = load_args(path, polarity)
     sssp = ("sssp", *load, "--source", sources, *GRID, "--paths")
     return {
         **{
@@ -96,12 +116,10 @@ def stdout_of(capsys, monkeypatch, argv, cpus):
                        (1, 3, "a", 0.5)]))
 def test_in_process_and_forced_ranks_write_the_same_bytes(capsys, monkeypatch, drawn):
     polarity, edges = drawn
-    sources = ",".join(map(str, sorted({v for src, dst, _, _ in edges for v in (src, dst)})))
+    sources = sources_of(edges)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "net.csv")
-        with open(path, "w", encoding="utf-8", newline="") as out:
-            csv.writer(out, lineterminator="\n").writerows([("src", "dst", "layer", "weight"),
-                                                            *edges])
+        write_edges(path, edges)
         outputs = {}
         for name, argv in argvs(path, polarity, sources).items():
             alone, none = stdout_of(capsys, monkeypatch, argv, cpus=1)
@@ -111,3 +129,47 @@ def test_in_process_and_forced_ranks_write_the_same_bytes(capsys, monkeypatch, d
             outputs[name] = alone
     for fmt in ("csv", "json"):
         assert outputs[f"sssp-dap-{fmt}"] == outputs[f"sssp-mda-{fmt}"]
+
+
+def csv_rows(capsys, *argv):
+    """The CSV rows ``argv`` writes to stdout, in process."""
+    assert main(list(argv)) == 0, argv
+    out, err = capsys.readouterr()
+    assert err == ""
+    return list(csv.reader(io.StringIO(out)))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(edge_lists())
+@example(("positive", [(0, 5, "a", 0.75), (0, 1, "a", 0.5), (5, 3, "a", 0.25),
+                       (1, 3, "a", 0.5)]))
+def test_exports_counts_and_lengths_agree_across_commands(capsys, monkeypatch, drawn):
+    polarity, edges = drawn
+    monkeypatch.setattr(workers, "available_cpus", lambda: 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "net.csv")
+        write_edges(path, edges)
+        load = load_args(path, polarity)
+        net = load_edge_list(path, polarity=polarity, on_duplicate="keep-max")
+        counts = {(a, b): int(count)
+                  for a, b, count in csv_rows(capsys, "sweep", *load, *GRID)[1:]}
+        rows = csv_rows(capsys, "sssp", *load, "--source", sources_of(edges), *GRID, "--paths")
+        lengths = {tuple(row[:4]): float(row[4]) for row in rows[rows.index([]) + 2:]}
+        checked = 0
+        for alpha in ALPHAS:
+            for beta in BETAS:
+                cell = ("--alpha", alpha, "--beta", beta)
+                export = csv_rows(capsys, "aggregate-export", *load, *cell)[1:]
+                assert len(export) == counts[alpha, beta]
+                for src, dst, dist, _ in export:
+                    assert float(dist) == distance(net, int(src), int(dst))
+                head, *matrix = csv_rows(capsys, "apsp", *load, *cell,
+                                         "--strategy", "repeated-dijkstra")
+                for src, *row in matrix:
+                    for dst, entry in zip(head[1:], row):
+                        if src != dst:
+                            assert lengths[src, alpha, beta, dst] == float(entry)
+                            checked += 1
+        n = len(net.nodes)
+        assert checked == len(ALPHAS) * len(BETAS) * n * (n - 1)

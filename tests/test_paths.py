@@ -471,6 +471,28 @@ class TestBlockedFloydWarshall:
             assert 0 < sum(lengths) <= paths._FW_SLOTS * paths._FW_BLOCK_BYTES
             assert len(forks) == forked_ranks(min(ranks, -(-n // _fw_block_height(n))))
 
+    @pytest.mark.parametrize("n", [500, 800, 2_000])
+    def test_the_temporary_never_shares_a_page_offset_with_its_block(self, monkeypatch, n):
+        # every step's minimum reads a block row and the temporary's row
+        # beside it; a plain np.empty sits at page offset 16 against offset
+        # 0 for every block at 2,000 nodes and for block 0 at any size.
+        # Only the operands are recorded, and no step runs, so the matrix
+        # is not the answer here
+        monkeypatch.setattr(workers, "available_cpus", lambda: 1)  # every block in process
+        offsets = set()  # (block's first row, temporary's page offset less the block's)
+        monkeypatch.setattr(np, "add", lambda *args, **kwargs: None)
+
+        def recording(block, cand, out):
+            assert block.strides == cand.strides and block.shape == cand.shape
+            offsets.add((block.ctypes.data, (cand.ctypes.data - block.ctypes.data) % 4096))
+
+        monkeypatch.setattr(np, "minimum", recording)
+        net = build_net(("a",), [(0, 1, "a", 0.5)], extra_nodes=range(n))
+        ml_floyd_warshall(net)
+        height = _fw_block_height(n)
+        assert len(offsets) == -(-n // height)  # every block, each at one offset
+        assert {offset for _, offset in offsets} == {2048}
+
     @pytest.mark.parametrize("caller", [None, 1 << 16], ids=["default", "caller-set"])
     @pytest.mark.parametrize("run", ["in-process", "ranks", "killed"])
     def test_the_kernels_numpy_buffer_never_leaks(self, monkeypatch, force_fw_workers,
@@ -536,7 +558,7 @@ class TestBlockedFloydWarshall:
         assert len(maps) == 2 and rss == [0, 0]  # the matrix and the slots
         out = io.BytesIO()
         workers.write_matrix(out, matrix, "csv")
-        assert len(forks) == 6  # four blocks or more: three rendering ranks
+        assert len(forks) == 6  # 24 blocks or more: three rendering ranks
         assert mapped_rss_kb(matrix.values.ctypes.data) == 0
         assert out.getvalue().count(b"\n") == 301
 

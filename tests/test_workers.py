@@ -131,12 +131,15 @@ class TestPlacement:
 
 class TestWriteMatrix:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_three_blocks_render_in_process_and_four_fork(self, monkeypatch, forks, fmt):
-        matrix = ml_floyd_warshall(random_network(60, 3, 0.05, seed=2))
-        n = len(matrix.order)
+    def test_one_block_short_of_the_edge_renders_in_process_and_the_edge_forks(
+            self, monkeypatch, forks, fmt):
+        edge = workers._EMIT_FORK_MIN_BLOCKS
+        n = edge * (edge - 1)  # so that edge - 1 and edge blocks are both whole heights
+        matrix = ml_floyd_warshall(random_network(n, 3, 0.01, seed=2))
+        assert len(matrix.order) == n
         monkeypatch.setattr(workers, "available_cpus", lambda: 3)
         outputs = []
-        for height, ranks in ((n, 0), (-(-n // 3), 0), (-(-n // 4), 3)):  # 1, 3, then 4 blocks
+        for height, ranks in ((n, 0), (edge, 0), (edge - 1, 3)):  # 1, edge - 1, then edge blocks
             monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", n * height)
             out = io.BytesIO()
             del forks[:]
@@ -144,6 +147,37 @@ class TestWriteMatrix:
             assert len(forks) == ranks
             outputs.append(out.getvalue())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_the_caller_holds_one_block_at_a_time(self, monkeypatch, forks, fmt):
+        # each block waits in its rank's pipe until every lower one is
+        # written, so what has come in and is not yet written never exceeds
+        # one block, the one being written, on any number of ranks
+        matrix = ml_floyd_warshall(random_network(60, 3, 0.05, seed=2))
+        monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", len(matrix.order) * 2)  # 30 blocks
+        monkeypatch.setattr(workers, "available_cpus", lambda: 1)
+        workers.write_matrix(alone := io.BytesIO(), matrix, fmt)
+        received = []
+        held = [0]  # bytes received less bytes written, after each block in and each write
+        recv = workers.recv
+
+        def receiving(fd):
+            received.append(len(data := recv(fd)))
+            held.append(held[-1] + len(data))
+            return data
+
+        class Out(io.BytesIO):
+            def write(self, data):
+                if received:  # the head goes out before any block comes in
+                    held.append(held[-1] - len(data))
+                return super().write(data)
+
+        monkeypatch.setattr(workers, "recv", receiving)
+        monkeypatch.setattr(workers, "available_cpus", lambda: 3)
+        workers.write_matrix(out := Out(), matrix, fmt)
+        assert len(forks) == 3 and len(received) == 30
+        assert 0 < max(held) <= max(received)
+        assert out.getvalue() == alone.getvalue()
 
     def test_800_nodes_fork_and_276_do_not(self):
         def blocks(n):
@@ -178,7 +212,7 @@ def cells_run(monkeypatch, outcome):
 def emitter_run(monkeypatch, outcome):
     net = random_network(60, 3, 0.05, seed=2)
     matrix = ml_floyd_warshall(net)
-    monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", 60 * 4)
+    monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", 60 * 2)
     monkeypatch.setattr(workers, "available_cpus", lambda: 3)
     if outcome == "killed":
         monkeypatch.setattr(workers, "send", dies_in_a_rank(workers.send))
