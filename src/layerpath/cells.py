@@ -8,8 +8,8 @@ from the command after the load when ``workers.ranks`` gives more than one,
 and in process otherwise. Forked, the sealed network reaches the workers by
 fork inheritance and is never pickled, and each worker is sent its next
 task when it returns its last. Each task returns, per source, its
-statistics row and its ``--paths`` rows already rendered as text, so the
-command only writes them out.
+statistics row as a plain tuple and its ``--paths`` rows already rendered
+as text, so the command only writes them out.
 
 Only the commands that search grids import this module.
 """
@@ -19,11 +19,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import marshal
 import math
 
 from .aggregate import aggregate_graph
-from .analytics import PathStats, path_stats
+from .analytics import path_stats
 from .paths import aggregated_sssp, mda_sssp
 from .workers import deal, ranks
 
@@ -80,7 +79,8 @@ def _paths_text(result, targets, fmt: str) -> str:
 def _cell_task(net, strategy, targets, fmt, params, sources) -> list[tuple[tuple, str]]:
     """(stats row, paths text) per source of ``sources`` under one threshold cell.
 
-    dap aggregates once for the task's sources. A result holds the rows it
+    The stats row is a plain tuple, which ``workers.deal`` can send. dap
+    aggregates once for the task's sources. A result holds the rows it
     searched, so no result outlives the call: the next task's graph is built
     only after this one is freed.
     """
@@ -90,7 +90,7 @@ def _cell_task(net, strategy, targets, fmt, params, sources) -> list[tuple[tuple
         graph = aggregate_graph(net, params)
         results = (aggregated_sssp(graph, source) for source in sources)
     return [
-        (path_stats(result), _paths_text(result, targets, fmt))
+        (tuple(path_stats(result)), _paths_text(result, targets, fmt))
         for result in results
     ]
 
@@ -98,14 +98,15 @@ def _cell_task(net, strategy, targets, fmt, params, sources) -> list[tuple[tuple
 def run_cells(net, cells, sources, strategy, targets=(), fmt="csv") -> list[list]:
     """Per cell, per source: (stats row, paths text), in the order given.
 
-    ``strategy`` is ``"dap"`` or ``"mda"``; the paths text covers
-    ``targets`` in ``fmt`` (``"csv"`` or ``"json"``). Each cell's sources
-    are cut into as many blocks as it takes to give every rank a task
+    A stats row is a plain tuple in ``STATS_COLUMNS`` order. ``strategy``
+    is ``"dap"`` or ``"mda"``; the paths text covers ``targets`` in ``fmt``
+    (``"csv"`` or ``"json"``). Each cell's sources are cut into as many
+    blocks as it takes to give every rank a task
     (``workers.ranks``: one rank unless the searches are large enough to
-    pay for the forks, ``_POOL_MIN_WORK``). Each task's rows and texts come
-    back marshalled, in process too (``marshal`` takes plain tuples, not
-    ``PathStats``). Forked, this process only deals and collects: a search
-    here would add its memory to the load's, which sets the command's peak.
+    pay for the forks, ``_POOL_MIN_WORK``). In process, the rows and texts
+    are the very objects the tasks built; forked, ``deal`` decodes a copy
+    of each task's, and this process only deals and collects: a search here
+    would add its memory to the load's, which sets the command's peak.
     """
     work = len(cells) * len(sources) * (net.num_edges + _TARGET_WORK * len(targets))
     count = ranks(len(cells) * len(sources), work >= _POOL_MIN_WORK)
@@ -117,13 +118,8 @@ def run_cells(net, cells, sources, strategy, targets=(), fmt="csv") -> list[list
         for start in range(0, len(sources), size)
     ]
 
-    def run(task: int) -> bytes:
-        done = _cell_task(net, strategy, targets, fmt, *tasks[task])
-        return marshal.dumps([(tuple(stats), text) for stats, text in done])
+    def run(task: int) -> list[tuple[tuple, str]]:
+        return _cell_task(net, strategy, targets, fmt, *tasks[task])
 
-    flat = [  # cell-major, as the tasks
-        (PathStats(*stats), text)
-        for done in deal(count, len(tasks), run)
-        for stats, text in marshal.loads(done)
-    ]
+    flat = [slot for done in deal(count, len(tasks), run) for slot in done]  # cell-major
     return [flat[start:start + len(sources)] for start in range(0, len(flat), len(sources))]

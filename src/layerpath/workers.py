@@ -7,18 +7,20 @@ and at most one per task, or one unless the caller's measured edge says
 forking pays. One rank runs the job here (``deal``, ``ring``); more are
 forked, and inherit what they read, so nothing is pickled. They talk
 through pipes, one per (writer, reader) link, in length-prefixed messages
-(``send``, ``recv``), and leave only through ``os._exit``, so a rank never
-returns into the caller's code nor flushes the streams it inherited. This
-process reaps every rank before it returns or raises, kills those still
-running when it raises, and turns a rank that dies into ``RuntimeError``
-(exit code 1, not a hang). Forked, it only deals and collects (``deal``) or
-waits (``ring``), so the work's memory is never added to its own. No other
+(``send``, ``recv``); ``deal``'s results go as ``marshal`` encodes them.
+They leave only through ``os._exit``, so a rank never returns into the
+caller's code nor flushes the streams it inherited. This process reaps
+every rank before it returns or raises, kills those still running when it
+raises, and turns a rank that dies into ``RuntimeError`` (exit code 1, not
+a hang). Forked, it only deals and collects (``deal``) or waits
+(``ring``), so the work's memory is never added to its own. No other
 module forks; where the platform cannot, ``available_cpus`` is 1.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import math
 import os
 import select
@@ -26,23 +28,16 @@ import signal
 from contextlib import closing, contextmanager
 from os import _exit  # public in os; spelt os._exit, tests/test_layout.py takes it for private
 
-# Matrix cells per block of ``apsp``'s output: 4 rows at 800 nodes, 60 KB
-# of CSV, which a rank's result pipe holds whole (``deal``). On a 2-CPU x86
-# VM, 800 nodes, CSV, medians of 6 alternating rounds, the command's VmHWM
-# and emit time: 29.87 MB, 0.236 s; 8 rows, which fill the pipe, 30.05 MB,
-# 0.269 s; with a dealer that read each block as it came, 8 rows 30.12 MB,
-# 0.234 s, 32 rows 31.15 MB, 0.238 s. At 500-2,000 nodes, CSV and JSON,
-# its VmHWM was the lowest of the four in 8 of 8.
-_EMIT_BLOCK_CELLS = 12 * 277
-# A matrix of fewer blocks, 276 nodes or fewer at 12 rows a block, renders
-# in process. Forking two ranks, dealing their blocks and reaping them costs
-# about 6 ms, and two CPU-bound processes each run slower than one. On the
-# VM, CSV to /dev/null, medians of 15-21 alternating rounds a set, in process
-# against two ranks: 161-220 nodes 28.6-49.1 against 38.4-60.8 ms, ranks
-# faster in 0-9 rounds of a set; 240-260 nodes 39.5-72.9 against 35.5-88.6
-# ms, 0/15 to 21/21; 280-320 nodes 55.3-90.8 against 43.4-66.1 ms, 11/15 to
-# 21/21, and 18/21 or more in 7 of 9 sets; 350-800 nodes faster in all but one.
-_EMIT_FORK_MIN_BLOCKS = 24
+# A matrix of fewer rows, 276 nodes or fewer, renders in process. Forking
+# two ranks, dealing their tasks and reaping them costs about 6 ms, and two
+# CPU-bound processes each run slower than one. On a 2-CPU x86 VM, CSV to
+# /dev/null, rows dealt 25,600 cells to a task, medians of 15-21 alternating
+# rounds a set, in process against two ranks: 161-220 nodes 28.6-49.1
+# against 38.4-60.8 ms, ranks faster in 0-9 rounds of a set; 240-260 nodes
+# 39.5-72.9 against 35.5-88.6 ms, 0/15 to 21/21; 280-320 nodes 55.3-90.8
+# against 43.4-66.1 ms, 11/15 to 21/21, and 18/21 or more in 7 of 9 sets;
+# 350-800 nodes faster in all but one.
+_EMIT_FORK_MIN_ROWS = 277
 
 
 def available_cpus() -> int:
@@ -150,12 +145,16 @@ def _read(fd: int, size: int) -> bytearray:
 
 
 def deal(count: int, tasks: int, run):
-    """``run(task)``, which returns bytes, for every task index below ``tasks``.
+    """``run(task)`` for every task index below ``tasks``.
 
     A generator of the results, in task order. The tasks run on ``count``
     forked ranks, one per task at most, and this process only deals and
-    collects; with fewer than two, they run here, in order. A rank says when
-    it has finished a task and is sent its next index at once, so ranks that
+    collects; with fewer than two, they run here, in order, and each result
+    is yielded as ``run`` returned it. A forked rank sends
+    ``marshal.dumps(run(task))``, so a result holds only what ``marshal``
+    takes (bytes, str, numbers, tuples and lists; no ``NamedTuple``), and
+    this process yields ``marshal.loads`` of it. A rank says when it has
+    finished a task and is sent its next index at once, so ranks that
     drew cheap tasks draw more, and no pipe ever holds more than one index.
     A result waits in its rank's pipe until every lower one is out, so this
     process holds one at a time; a rank whose pipe is full waits to send
@@ -171,7 +170,7 @@ def deal(count: int, tasks: int, run):
     def work(rank, pipes):
         (inbox, _), (_, done), (_, outbox) = pipes[3 * rank - 3:3 * rank]
         while (task := int.from_bytes(_read(inbox, 4), "little")) < tasks:
-            result = run(task)
+            result = marshal.dumps(run(task))
             os.write(done, b"\0")
             send(outbox, result)
 
@@ -203,7 +202,7 @@ def deal(count: int, tasks: int, run):
                         raise RuntimeError("a worker process died")
                     finished[doing.pop(notices)] = ends[notices][1]
                     give(notices)
-            yield recv(finished.pop(out))
+            yield marshal.loads(recv(finished.pop(out)))
 
 
 def ring(count: int, main) -> None:
@@ -222,17 +221,19 @@ def ring(count: int, main) -> None:
 
 
 def write_matrix(out, matrix, fmt: str) -> None:
-    """``apsp``'s output for a ``DistanceMatrix``, in CSV or JSON, a block of rows at a time.
+    """``apsp``'s output for a ``DistanceMatrix``, in CSV or JSON, a row at a time.
 
     ``out`` is a binary stream, and the output is ASCII. CSV: a ``src``
     header of node ids, then one row per node, each cell ``repr`` of its
     float (``inf`` where unreachable); float reprs and node ids never need
     quoting, so this is what ``csv.writer`` would write. JSON: the payload
     as ``json.dump(payload, indent=2)`` writes it, with ``matrix`` last and
-    ``null`` where unreachable. A matrix of ``_EMIT_FORK_MIN_BLOCKS`` blocks
-    or more is rendered on every available CPU (``deal``): each rank
-    encodes its blocks, and this process writes their bytes in turn, so it
-    neither reads the matrix nor decodes a row.
+    ``null`` where unreachable. Each row is one task of ``deal``; a matrix
+    of ``_EMIT_FORK_MIN_ROWS`` rows or more is rendered on every available
+    CPU: each rank encodes its rows, and this process writes their bytes in
+    turn, so it neither reads the matrix nor renders a row. At the 2,000-node
+    cap a row is at most about 52 KB of JSON and 38 KB of CSV, which a
+    rank's result pipe holds whole.
     """
     order = matrix.order
     values = matrix.values
@@ -242,24 +243,18 @@ def write_matrix(out, matrix, fmt: str) -> None:
                            "order": order, "matrix": []}, indent=2)
         out.write(head[: -len("]\n}")].encode())
 
-        def row(i: int) -> str:
+        def row(i: int) -> bytes:
             cells = ",\n      ".join(
                 repr(v) if math.isfinite(v) else "null" for v in values[i].tolist()
             )
-            return f"{',' if i else ''}\n    [\n      {cells}\n    ]"
+            return f"{',' if i else ''}\n    [\n      {cells}\n    ]".encode()
     else:
         out.write(f"src,{','.join(map(str, order))}\n".encode())
 
-        def row(i: int) -> str:
-            return f"{order[i]},{','.join(map(repr, values[i].tolist()))}\n"
+        def row(i: int) -> bytes:
+            return f"{order[i]},{','.join(map(repr, values[i].tolist()))}\n".encode()
 
-    height = max(1, _EMIT_BLOCK_CELLS // n)
-    blocks = -(-n // height)
-
-    def block(b: int) -> bytes:
-        return "".join(map(row, range(b * height, min(b * height + height, n)))).encode()
-
-    with closing(deal(ranks(blocks, blocks >= _EMIT_FORK_MIN_BLOCKS), blocks, block)) as done:
+    with closing(deal(ranks(n, n >= _EMIT_FORK_MIN_ROWS), n, row)) as done:
         for text in done:
             out.write(text)
     if fmt == "json":

@@ -86,10 +86,16 @@ FAULTS = (
           "if count < alpha or d > beta:", "if count < alpha:", ("test_cli_differential.py",)),
     # the dealer reads every result as it comes and yields none until the last
     Fault("dealer-holds-every-block", "workers.py",
-          "            yield recv(finished.pop(out))\n",
+          "            yield marshal.loads(recv(finished.pop(out)))\n",
           "            finished[out] = recv(finished[out])\n"
-          "        yield from map(finished.pop, range(tasks))\n",
+          "        yield from map(marshal.loads, map(finished.pop, range(tasks)))\n",
           ("test_workers.py::TestWriteMatrix::test_the_caller_holds_one_block_at_a_time",)),
+    # apsp's rows, rendered on ranks, go out last row first
+    Fault("emitter-writes-rows-out-of-order", "workers.py",
+          "    with closing(deal(ranks(n, n >= _EMIT_FORK_MIN_ROWS), n, row)) as done:\n",
+          "    count = ranks(n, n >= _EMIT_FORK_MIN_ROWS)\n"
+          "    with closing(deal(count, n, row if count < 2 else lambda i: row(n - 1 - i))) as done:\n",
+          ("test_cli.py::TestOutputBytes::test_stdout_sha256", "test_cli_differential.py")),
     # one rank's job, run in process, loses its last task
     Fault("in-process-deal-drops-last-task", "workers.py",
           "yield from map(run, range(tasks))", "yield from map(run, range(tasks - 1))",

@@ -51,7 +51,7 @@ def parse_csv(text):
 # head of a fresh-interpreter script: `cli` imported, force_pool() sends
 # sssp and sweep through two forked workers however small the net,
 # force_fw_workers() does the same for apsp's Floyd-Warshall, four rows a
-# block, and force_emitter() for apsp's output, one row of 40 a block
+# block, and force_emitter() for apsp's output, its rows on two ranks
 FORCE_POOL_IF_ASKED = (
     "import json, sys\n"
     "from layerpath import cli\n"
@@ -66,7 +66,7 @@ FORCE_POOL_IF_ASKED = (
     "    workers.available_cpus = lambda: 2\n"
     "def force_emitter():\n"
     "    from layerpath import workers\n"
-    "    workers._EMIT_BLOCK_CELLS = 40\n"
+    "    workers._EMIT_FORK_MIN_ROWS = 0\n"
     "    workers.available_cpus = lambda: 2\n"
 )
 
@@ -479,7 +479,7 @@ class TestApsp:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_a_killed_emitter_rank_fails_the_run(self, tmp_path, capsys, fmt):
-        # some of the blocks before the dead rank's are written, then the run fails
+        # some of the rows before the dead rank's are written, then the run fails
         path = fixed_net_csv(tmp_path / "fixed.csv")
         _, good, _ = run(capsys, "apsp", path, "--format", fmt)
         script = FORCE_POOL_IF_ASKED + (
@@ -500,8 +500,8 @@ class TestApsp:
         assert child.returncode == 1
         assert "Traceback" in child.stderr
         assert "RuntimeError: a worker process died" in child.stderr
-        # the rank that drew block 3 (row 3) died: stdout stops at the end
-        # of the header or of block 0, 1 or 2
+        # the rank that drew row 3 died: stdout stops at the end of the
+        # header or of row 0, 1 or 2
         row_end = "\n    ]" if fmt == "json" else "\n"
         ends = [i + len(row_end) for i in range(len(good)) if good.startswith(row_end, i)]
         head = good.index("\n    [") if fmt == "json" else ends.pop(0)
@@ -778,8 +778,8 @@ class TestOutputBytes:
             forks = force_fw_workers(3)
             assert run(capsys, *argv) == (code, out, err)
             assert len(forks) == 3
-            # and with the output rendered on three ranks, one row a block
-            monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", 40)
+            # and with the output rendered on three ranks, one row a task
+            monkeypatch.setattr(workers, "_EMIT_FORK_MIN_ROWS", 0)
             assert run(capsys, *argv) == (code, out, err)
             assert len(forks) == 9
 
@@ -810,7 +810,7 @@ class TestOutputBytes:
         monkeypatch.setattr(cells, "_POOL_MIN_WORK", 0)
         monkeypatch.setattr(paths, "_FW_FORK_MIN_NODES", 0)
         monkeypatch.setattr(paths, "_FW_BLOCK_BYTES", 8 * 40 * 4)
-        monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", 40)
+        monkeypatch.setattr(workers, "_EMIT_FORK_MIN_ROWS", 0)
         assert workers.available_cpus() == 1
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")

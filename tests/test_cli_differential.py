@@ -4,7 +4,9 @@ Each example writes a small edge list and runs ``sssp`` (dap and mda,
 ``--paths``, CSV and JSON), ``sweep --source`` and ``apsp`` (both
 strategies) through ``cli.main`` twice: on one CPU, where every job runs in
 process, and with every job forced onto two forked ranks. The two runs must
-write the same stdout, and so must dap and mda. In process only, since
+write the same stdout, and so must dap and mda; both runs' Floyd-Warshall
+entries must be the repeated-Dijkstra ones within criterion 4's tolerance,
+their rows in the header's order. In process only, since
 the forced runs above already tie each command to its in-process bytes,
 ``aggregate-export`` must keep as many pairs at each cell as ``sweep``
 counts there, each at ``aggregate.distance``, and every ``sssp --paths``
@@ -13,6 +15,7 @@ length must be the ``apsp --strategy repeated-dijkstra`` entry.
 
 import csv
 import io
+import math
 import os
 import tempfile
 
@@ -30,6 +33,7 @@ LABELS = ("a", "b,c", 'say "d"', "e\nf")
 WEIGHTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 ALPHAS, BETAS = ("1", "2"), ("1.0", "0.5")
 GRID = ("--alphas", ",".join(ALPHAS), "--betas", ",".join(BETAS))
+TOL = 1e-12  # criterion 4's (test_acceptance.py): Floyd-Warshall against Dijkstra
 
 
 @st.composite
@@ -100,8 +104,7 @@ def stdout_of(capsys, monkeypatch, argv, cpus):
         patch.setattr(cells, "_POOL_MIN_WORK", 0)
         patch.setattr(paths, "_FW_FORK_MIN_NODES", 0)
         patch.setattr(paths, "_FW_BLOCK_BYTES", 8)
-        patch.setattr(workers, "_EMIT_BLOCK_CELLS", 1)
-        patch.setattr(workers, "_EMIT_FORK_MIN_BLOCKS", 2)
+        patch.setattr(workers, "_EMIT_FORK_MIN_ROWS", 0)
         code = main(list(argv))
         out, err = capsys.readouterr()
     assert (code, err) == (0, "")
@@ -125,10 +128,26 @@ def test_in_process_and_forced_ranks_write_the_same_bytes(capsys, monkeypatch, d
             alone, none = stdout_of(capsys, monkeypatch, argv, cpus=1)
             forced, forked = stdout_of(capsys, monkeypatch, argv, cpus=2)
             assert (none, forked) == (0, FORCED_FORKS[name]), name
-            assert forced == alone, name
-            outputs[name] = alone
+            outputs[name] = alone, forced
+    for name, (alone, forced) in outputs.items():
+        assert forced == alone, name
     for fmt in ("csv", "json"):
         assert outputs[f"sssp-dap-{fmt}"] == outputs[f"sssp-mda-{fmt}"]
+    for fw, rd in zip(outputs["apsp-fw"], outputs["apsp-rd"]):
+        assert_within_tolerance(fw, rd)
+
+
+def assert_within_tolerance(fw, rd):
+    """Floyd-Warshall's CSV matrix ``fw`` is repeated Dijkstra's ``rd`` within ``TOL``."""
+    (head, *rows), (rd_head, *rd_rows) = (list(csv.reader(io.StringIO(text))) for text in (fw, rd))
+    assert head == rd_head
+    assert [src for src, *_ in rows] == [src for src, *_ in rd_rows] == head[1:]
+    for (src, *row), (_, *rd_row) in zip(rows, rd_rows):
+        for dst, got, want in zip(head[1:], map(float, row), map(float, rd_row)):
+            if math.isinf(got) or math.isinf(want):
+                assert got == want, (src, dst)
+            else:
+                assert abs(got - want) <= TOL, (src, dst)
 
 
 def csv_rows(capsys, *argv):

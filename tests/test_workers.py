@@ -1,6 +1,7 @@
 """The fork primitive: task dealing, results in order as they come, and no leftovers on any path."""
 
 import io
+import marshal
 import os
 import signal
 import time
@@ -66,8 +67,8 @@ class TestDeal:
         assert len(forks) == (count if count > 1 else 0)  # one rank runs in process
 
     def test_a_result_is_yielded_before_later_tasks_finish(self, tmp_path):
-        # what bounds apsp's memory: the first block is written while the
-        # last is still being rendered, not after every block is in
+        # what bounds apsp's memory: the first row is written while the
+        # last is still being rendered, not after every row is in
         first_out = tmp_path / "first-out"
 
         def run(task):
@@ -129,62 +130,83 @@ class TestPlacement:
             assert len(forks) == count
 
 
+class TestRunCells:
+    def test_one_cpu_returns_the_very_texts_its_tasks_built(self, monkeypatch, forks):
+        # in process nothing is encoded and decoded, so no task's texts are
+        # held twice
+        monkeypatch.setattr(cells, "_POOL_MIN_WORK", 0)
+        monkeypatch.setattr(workers, "available_cpus", lambda: 1)
+        built = []
+        cell_task = cells._cell_task
+
+        def building(*args):
+            built.extend(done := cell_task(*args))
+            return done
+
+        monkeypatch.setattr(cells, "_cell_task", building)
+        net = random_network(60, 3, 0.05, seed=2)
+        grid = [AggregationParams(a, b) for a in (1, 2) for b in (0.5, 1.0)]
+        per_cell = cells.run_cells(net, grid, [0, 1, 2], "dap", targets=sorted(net.nodes))
+        got = [slot for slots in per_cell for slot in slots]
+        assert forks == [] and len(got) == len(built) == 12
+        assert all(text is text_built and stats is stats_built
+                   for (stats, text), (stats_built, text_built) in zip(got, built))
+
+
 class TestWriteMatrix:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_one_block_short_of_the_edge_renders_in_process_and_the_edge_forks(
+    def test_one_row_short_of_the_edge_renders_in_process_and_the_edge_forks(
             self, monkeypatch, forks, fmt):
-        edge = workers._EMIT_FORK_MIN_BLOCKS
-        n = edge * (edge - 1)  # so that edge - 1 and edge blocks are both whole heights
-        matrix = ml_floyd_warshall(random_network(n, 3, 0.01, seed=2))
-        assert len(matrix.order) == n
-        monkeypatch.setattr(workers, "available_cpus", lambda: 3)
-        outputs = []
-        for height, ranks in ((n, 0), (edge, 0), (edge - 1, 3)):  # 1, edge - 1, then edge blocks
-            monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", n * height)
-            out = io.BytesIO()
-            del forks[:]
-            workers.write_matrix(out, matrix, fmt)
-            assert len(forks) == ranks
-            outputs.append(out.getvalue())
-        assert outputs[0] == outputs[1] == outputs[2]
+        edge = workers._EMIT_FORK_MIN_ROWS
+        for n, ranks in ((edge - 1, 0), (edge, 3)):
+            matrix = ml_floyd_warshall(random_network(n, 3, 0.01, seed=2))
+            assert len(matrix.order) == n
+            outputs = []
+            for cpus in (1, 3):
+                monkeypatch.setattr(workers, "available_cpus", lambda: cpus)
+                out = io.BytesIO()
+                del forks[:]
+                workers.write_matrix(out, matrix, fmt)
+                assert len(forks) == (ranks if cpus == 3 else 0)
+                outputs.append(out.getvalue())
+            assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_the_caller_holds_one_block_at_a_time(self, monkeypatch, forks, fmt):
-        # each block waits in its rank's pipe until every lower one is
+        # each row waits in its rank's pipe until every lower one is
         # written, so what has come in and is not yet written never exceeds
-        # one block, the one being written, on any number of ranks
+        # one row's bytes, the row being written, on any number of ranks
         matrix = ml_floyd_warshall(random_network(60, 3, 0.05, seed=2))
-        monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", len(matrix.order) * 2)  # 30 blocks
         monkeypatch.setattr(workers, "available_cpus", lambda: 1)
         workers.write_matrix(alone := io.BytesIO(), matrix, fmt)
-        received = []
-        held = [0]  # bytes received less bytes written, after each block in and each write
+        header = len(marshal.dumps(b""))  # a row goes as marshal's bytes: type and length
+        received = []  # each row's bytes, less marshal's header
+        held = [0]  # bytes received less bytes written, after each row in and each write
         recv = workers.recv
 
         def receiving(fd):
-            received.append(len(data := recv(fd)))
-            held.append(held[-1] + len(data))
+            data = recv(fd)
+            received.append(len(data) - header)
+            held.append(held[-1] + received[-1])
             return data
 
         class Out(io.BytesIO):
             def write(self, data):
-                if received:  # the head goes out before any block comes in
+                if received:  # the head goes out before any row comes in
                     held.append(held[-1] - len(data))
                 return super().write(data)
 
         monkeypatch.setattr(workers, "recv", receiving)
+        monkeypatch.setattr(workers, "_EMIT_FORK_MIN_ROWS", 2)
         monkeypatch.setattr(workers, "available_cpus", lambda: 3)
         workers.write_matrix(out := Out(), matrix, fmt)
-        assert len(forks) == 3 and len(received) == 30
+        assert len(forks) == 3 and len(received) == 60
         assert 0 < max(held) <= max(received)
         assert out.getvalue() == alone.getvalue()
 
     def test_800_nodes_fork_and_276_do_not(self):
-        def blocks(n):
-            return -(-n // (workers._EMIT_BLOCK_CELLS // n))
-
-        assert blocks(800) >= workers._EMIT_FORK_MIN_BLOCKS
-        assert blocks(276) < workers._EMIT_FORK_MIN_BLOCKS <= blocks(277)
+        assert 800 >= workers._EMIT_FORK_MIN_ROWS
+        assert 276 < workers._EMIT_FORK_MIN_ROWS <= 277
 
 
 class ClosesAfter:
@@ -212,7 +234,7 @@ def cells_run(monkeypatch, outcome):
 def emitter_run(monkeypatch, outcome):
     net = random_network(60, 3, 0.05, seed=2)
     matrix = ml_floyd_warshall(net)
-    monkeypatch.setattr(workers, "_EMIT_BLOCK_CELLS", 60 * 2)
+    monkeypatch.setattr(workers, "_EMIT_FORK_MIN_ROWS", 2)
     monkeypatch.setattr(workers, "available_cpus", lambda: 3)
     if outcome == "killed":
         monkeypatch.setattr(workers, "send", dies_in_a_rank(workers.send))
