@@ -60,15 +60,6 @@ _FW_BLOCK_BYTES = 512 * 1024
 # against 145 ms, 9/9; 800 183 against 286 ms, 9/9. Forking at 300-450 nodes
 # would lower apsp's peak RSS by 1.1-2.3 MB (wait4), for no faster a kernel.
 _FW_FORK_MIN_NODES = 500
-# Blocks of rows set aside for the phases in flight (``_fw_relax``), in place
-# of an n x n copy of the matrix: 3 x 0.52 MB at 800 nodes against 5.12 MB.
-# The owner of block c + 1 fills its slot once every process is through
-# phase c + 1 - _FW_SLOTS: with two slots the other of two processes may
-# still be applying it; with three it finished it before publishing phase c.
-# Two processes, medians of 9 alternating rounds, three slots against two:
-# 719 against 767 ms at 1,200 nodes, 1.67 against 1.75 s at 1,600, within 3%
-# at 500, 800 and 2,000. With the temporary placed: 490 ms at 1,200 (warm).
-_FW_SLOTS = 3
 
 
 class ShortestPathResult(NamedTuple):
@@ -261,8 +252,8 @@ def ml_floyd_warshall(
     slot as it reaches it, in its own phase. Each block applies the phases
     in order, so every entry sees the textbook sequence ``d = min(d, d[i, k]
     + d[k, j])`` for k = 0..n-1, in order, with the same operands, and the
-    matrix is bit for bit the whole-matrix loop's. Phase ``c`` writes slot
-    ``c % _FW_SLOTS``, once every block is through phase ``c - _FW_SLOTS``.
+    matrix is bit for bit the whole-matrix loop's. There is a slot a rank
+    and one more, or one a block, and phase ``c`` writes slot ``c % len(slots)``.
 
     The blocks are dealt round-robin to ``workers.ranks`` ranks, forked
     from ``_FW_FORK_MIN_NODES`` nodes on (``workers.ring``); each fills (inf,
@@ -286,9 +277,9 @@ def ml_floyd_warshall(
         return np.frombuffer(mmap.mmap(-1, max(8 * size, 8)), np.float64, size).reshape(shape)
 
     values = shared(n, n)
-    slots = shared(_FW_SLOTS, min(height, n), n)
     rows = aggregate_graph(net, params).priced_pairs
     count = ranks(len(bounds), n >= _FW_FORK_MIN_NODES)
+    slots = shared(min(count + 1, len(bounds)), min(height, n), n)
 
     def relax(rank, pipes):
         for start, stop in bounds[rank::count]:
@@ -321,23 +312,27 @@ def _fw_relax(values, slots, bounds, rank: int, pipes) -> None:
     other blocks reach it through the slots, so it starts as soon as its own
     blocks are filled. Phase ``c`` reads block ``c``'s rows from slot ``c %
     len(slots)``, so it waits until phase ``c`` is ready: block ``c`` has
-    applied its own phase and filled the slot. A block fills a slot once
-    every process is through the phase that last used it. The owner of
-    block ``c + 1`` applies phase ``c`` to that block first and then its own
-    phase (look-ahead), so the next slot fills while the other blocks apply
-    phase ``c``. That slot waits on phase ``c + 1 - len(slots)``, below
-    ``c``, so every wait is on a phase lower than the one being applied, and
-    the lowest phase not yet applied can always run.
+    applied its own phase and filled the slot. The owner of block ``c + 1``
+    applies phase ``c`` to that block first and then its own phase
+    (look-ahead), so the next slot fills while the other blocks apply phase
+    ``c``. That is the only wait, and the owner of phase ``c`` waits only
+    for phase ``c - 1``, so the lowest phase not yet applied can always run.
 
-    A notice is 8 bytes: the phase, and 0 for "ready" or the sender's rank
-    plus one for "through". Each comes from the process before in the ring,
-    on ``inbox``, and goes on, on ``outbox``, unless it came from the next
-    process, which is also told this one's own. A "ready" notice sets out
-    after the one before it has passed its owner, a "through" notice after
-    its sender's earlier ones, and the ring keeps their order, so the highest
-    phase heard of each kind, and from each sender, tells all. A process
-    leaves once it has heard every notice that will reach it. ``pipes`` is
-    ``workers.ring``'s; a process alone has none and waits for nothing.
+    The slots need no other notice than "ready" to be refilled safely. A
+    process announces phase ``p`` ready, in its iteration ``p - 1``, once it
+    is through phase ``p - 2`` and has heard ``p - 1``; each process owns one
+    phase in every ``workers``. So when its owner fills phase ``c``'s slot,
+    in iteration ``c - 1``, each other process has announced one of phases
+    ``c - workers + 1`` to ``c - 1``: every process is through phase ``c -
+    workers - 1``, the one that slot last held.
+
+    A notice is a phase, in 4 bytes. Its block's owner sends it round the
+    ring: each process reads it from the one before, on ``inbox``, and
+    passes it on, on ``outbox``, unless the next process sent it. The ring
+    keeps their order, so the highest phase heard tells all, and a process
+    that has heard the last phase has heard every notice that reaches it.
+    ``pipes`` is ``workers.ring``'s; a process alone has none and waits for
+    nothing.
     """
     import numpy as np
 
@@ -346,28 +341,16 @@ def _fw_relax(values, slots, bounds, rank: int, pipes) -> None:
     workers = len(pipes) or 1
     inbox, outbox = (pipes[rank - 1][0], pipes[rank][1]) if pipes else (None, None)
     blocks = len(bounds)
-    depth = len(slots)
     mine = range(rank, blocks, workers)
     ready = -1  # every phase up to this one has its rows in its slot
-    through = [-1] * workers  # the last phase each process is through, as heard here
 
-    def hear(done) -> None:
+    def hear(phase: int) -> None:
         nonlocal ready
-        while not done():
+        while ready < phase:
             notice = recv(inbox)
-            phase = int.from_bytes(notice[:4], "little")
-            sender = int.from_bytes(notice[4:], "little") - 1
-            if sender < 0:
-                ready = phase
-                sender = phase % workers
-            else:
-                through[sender] = phase
-            if (sender - rank) % workers != 1:
+            ready = int.from_bytes(notice, "little")
+            if (ready - rank) % workers != 1:  # the next process did not send it
                 send(outbox, notice)
-
-    def tell(phase: int, sender: int = -1) -> None:
-        if outbox is not None:
-            send(outbox, phase.to_bytes(4, "little") + (sender + 1).to_bytes(4, "little"))
 
     n = values.shape[1]
     tmp = np.empty(_fw_block_height(n) * n + 512)  # 4 KB over, for the offset below
@@ -382,7 +365,7 @@ def _fw_relax(values, slots, bounds, rank: int, pipes) -> None:
         # offset 16, and every block's rows at 0 at 2,000 nodes)
         skip = (block.ctypes.data + 2048 - tmp.ctypes.data) % 4096 // 8
         cand = tmp[skip: skip + block.size].reshape(block.shape)
-        slot = slots[c % depth]
+        slot = slots[c % len(slots)]
         for k in range(*bounds[c]):
             if c == b:  # row k is in this block
                 slot[k - first] = block[k - start]
@@ -391,10 +374,10 @@ def _fw_relax(values, slots, bounds, rank: int, pipes) -> None:
 
     def own_phase(c: int) -> None:
         nonlocal ready
-        hear(lambda: min(through) >= c - depth)
         apply(c, c)
         ready = c
-        tell(c)
+        if outbox is not None:
+            send(outbox, c.to_bytes(4, "little"))
 
     # With a ufunc buffer of two rows or more (numpy's default is 8,192
     # items), numpy 2.4 runs the step's column-by-row add through buffered
@@ -410,7 +393,7 @@ def _fw_relax(values, slots, bounds, rank: int, pipes) -> None:
         if rank == 0 and blocks:
             own_phase(0)
         for c in range(blocks):
-            hear(lambda: ready >= c)
+            hear(c)
             ahead = c + 1
             if ahead in mine:
                 apply(c, ahead)
@@ -418,10 +401,6 @@ def _fw_relax(values, slots, bounds, rank: int, pipes) -> None:
             for b in mine:
                 if b != c and b != ahead:
                     apply(c, b)
-            through[rank] = c
-            if c + depth < blocks:  # a later phase waits on it
-                tell(c, rank)
-        hear(lambda: min(through) >= blocks - 1 - depth)
     finally:
         np.setbufsize(bufsize)
 

@@ -28,16 +28,16 @@ import signal
 from contextlib import closing, contextmanager
 from os import _exit  # public in os; spelt os._exit, tests/test_layout.py takes it for private
 
-# A matrix of fewer rows, 276 nodes or fewer, renders in process. Forking
-# two ranks, dealing their tasks and reaping them costs about 6 ms, and two
-# CPU-bound processes each run slower than one. On a 2-CPU x86 VM, CSV to
-# /dev/null, rows dealt 25,600 cells to a task, medians of 15-21 alternating
-# rounds a set, in process against two ranks: 161-220 nodes 28.6-49.1
-# against 38.4-60.8 ms, ranks faster in 0-9 rounds of a set; 240-260 nodes
-# 39.5-72.9 against 35.5-88.6 ms, 0/15 to 21/21; 280-320 nodes 55.3-90.8
-# against 43.4-66.1 ms, 11/15 to 21/21, and 18/21 or more in 7 of 9 sets;
-# 350-800 nodes faster in all but one.
-_EMIT_FORK_MIN_ROWS = 277
+# A matrix of fewer rows, 239 nodes or fewer, renders in process. Forking
+# two ranks, dealing them a row a task and reaping them costs a few ms, and
+# two CPU-bound processes each run slower than one. On a 2-CPU x86 VM, the
+# emit of a CSV matrix to /dev/null timed in a command of its own per run,
+# medians of alternating rounds in three sets of 15-21, in process against
+# two ranks: 120 and 140 nodes 8.2 and 11.5 against 10.9 and 13.6 ms, ranks
+# faster in 5/21 and 10/21; 160-220 nodes 14.4-27.5 against 14.0-23.9 ms,
+# 10/15 to 17/21, medians within 1.4 ms of each other in 5 of 7; 230-320
+# nodes 29.4-57.4 against 24.7-43.7 ms, 13/15 to 15/15 and 17/21 to 20/21.
+_EMIT_FORK_MIN_ROWS = 240
 
 
 def available_cpus() -> int:
@@ -61,15 +61,16 @@ def ranks(tasks: int, pays: bool) -> int:
 
 @contextmanager
 def forked(count: int, links, main):
-    """Ranks 1..``count - 1`` of a job, forked from this process, its rank 0.
+    """Ranks 0..``count - 1`` of a job, each forked from this process.
 
-    ``links`` lists (writer rank, reader rank) pairs, one pipe each. Each
-    forked rank runs ``main(rank, pipes)``, the pipes as ``(read end, write
-    end)`` in the order of ``links``, and the block gets the same list. Every
-    process closes the ends that are not its own at once, so a reader sees
-    end of file once its writer has exited. Leaving the block reaps every
-    rank, and a rank that exited with a nonzero code raises ``RuntimeError``;
-    if the block raises, the ranks still running are killed first.
+    ``links`` lists (writer rank, reader rank) pairs, one pipe each, with
+    this process named ``None``. Each forked rank runs ``main(rank, pipes)``,
+    the pipes as ``(read end, write end)`` in the order of ``links``, and
+    the block gets the same list. Every process closes the ends that are
+    not its own at once, so a reader sees end of file once its writer has
+    exited. Leaving the block reaps every rank, and a rank that exited with
+    a nonzero code raises ``RuntimeError``; if the block raises, the ranks
+    still running are killed first.
     """
     pipes = []
     ends = set()  # this process's open pipe ends
@@ -78,7 +79,7 @@ def forked(count: int, links, main):
         for _ in links:
             pipes.append(os.pipe())
             ends.update(pipes[-1])
-        for rank in range(1, count):
+        for rank in range(count):
             pid = os.fork()
             if pid == 0:
                 code = 1
@@ -90,7 +91,7 @@ def forked(count: int, links, main):
                 finally:
                     _exit(code)
             pids.append(pid)
-        for fd in ends - _own(0, links, pipes):
+        for fd in ends - _own(None, links, pipes):
             os.close(fd)
             ends.discard(fd)
         yield pipes
@@ -165,10 +166,10 @@ def deal(count: int, tasks: int, run):
         yield from map(run, range(tasks))
         return
     # per rank: its indices in, its notices out, its results out
-    links = [link for rank in range(1, count + 1) for link in ((0, rank), (rank, 0), (rank, 0))]
+    links = [link for rank in range(count) for link in ((None, rank), (rank, None), (rank, None))]
 
     def work(rank, pipes):
-        (inbox, _), (_, done), (_, outbox) = pipes[3 * rank - 3:3 * rank]
+        (inbox, _), (_, done), (_, outbox) = pipes[3 * rank:3 * rank + 3]
         while (task := int.from_bytes(_read(inbox, 4), "little")) < tasks:
             result = marshal.dumps(run(task))
             os.write(done, b"\0")
@@ -178,7 +179,7 @@ def deal(count: int, tasks: int, run):
     doing = {}  # a busy rank's notice end -> its task
     finished = {}  # task -> the result end it waits in
     poll = select.poll()
-    with forked(count + 1, links, work) as pipes:
+    with forked(count, links, work) as pipes:
         ends = {pipes[i + 1][0]: (pipes[i][1], pipes[i + 2][0]) for i in range(0, 3 * count, 3)}
 
         def give(notices) -> None:
@@ -214,9 +215,8 @@ def ring(count: int, main) -> None:
     if count < 2:
         main(0, [])
         return
-    # the fork's ranks 1..count are the job's 0..count-1
-    links = [(rank, rank % count + 1) for rank in range(1, count + 1)]
-    with forked(count + 1, links, lambda rank, pipes: main(rank - 1, pipes)):
+    links = [(rank, (rank + 1) % count) for rank in range(count)]
+    with forked(count, links, main):
         pass
 
 

@@ -42,6 +42,7 @@ SUM_LOOP = (
     "                sums[slot] += weight\n"
 )
 FW = "test_paths.py::TestBlockedFloydWarshall::"
+SLOTS = "    slots = shared(min(count + 1, len(bounds)), min(height, n), n)\n"
 
 FAULTS = (
     # the seal-time sum of each pair's weights
@@ -60,10 +61,17 @@ FAULTS = (
           (SEAL_SUM,)),
     # Floyd-Warshall's memory: an n x n map beside the slots, and a matrix
     # the command fills before it forks
-    Fault("fw-maps-a-second-matrix", "paths.py",
-          "    slots = shared(_FW_SLOTS, min(height, n), n)\n",
-          "    slots = shared(_FW_SLOTS, min(height, n), n)\n    spare = shared(n, n)\n",
+    Fault("fw-maps-a-second-matrix", "paths.py", SLOTS,
+          SLOTS + "    spare = shared(n, n)\n",
           (FW + "test_the_rows_set_aside_do_not_grow_with_n",)),
+    # a slot a rank: a phase's rows are overwritten while a rank, or this
+    # process alone, still reads them
+    Fault("fw-one-slot-a-rank", "paths.py", SLOTS,
+          SLOTS.replace("min(count + 1,", "min(count,"),
+          (FW + "test_a_lagging_rank_never_reads_a_refilled_slot[2]",
+           FW + "test_a_lagging_rank_never_reads_a_refilled_slot[3]",
+           *(FW + f"test_bit_identical_to_the_textbook_loop[300-{polarity}-{params}-1]"
+             for polarity in ("positive", "negative") for params in ("params0", "params1")))),
     Fault("fw-fills-before-the-fork", "paths.py",
           "    values = shared(n, n)\n",
           "    values = shared(n, n)\n    values.fill(np.inf)\n",
@@ -84,6 +92,13 @@ FAULTS = (
     # mda reads the pairs above beta too; dap's rows never hold one
     Fault("mda-skips-the-beta-test", "paths.py",
           "if count < alpha or d > beta:", "if count < alpha:", ("test_cli_differential.py",)),
+    # `--paths` prints each path without its source
+    Fault("paths-drop-the-source", "cells.py",
+          "result.length(target), result.path_to(target))",
+          "result.length(target), result.path_to(target)[1:])",
+          ("test_cli.py::TestOutputBytes::test_stdout_sha256[sssp-csv]",
+           "test_cli.py::TestOutputBytes::test_stdout_sha256[sssp-json]",
+           "test_cli_differential.py::test_exports_counts_and_lengths_agree_across_commands")),
     # the dealer reads every result as it comes and yields none until the last
     Fault("dealer-holds-every-block", "workers.py",
           "            yield marshal.loads(recv(finished.pop(out)))\n",

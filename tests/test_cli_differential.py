@@ -9,12 +9,16 @@ entries must be the repeated-Dijkstra ones within criterion 4's tolerance,
 their rows in the header's order. In process only, since
 the forced runs above already tie each command to its in-process bytes,
 ``aggregate-export`` must keep as many pairs at each cell as ``sweep``
-counts there, each at ``aggregate.distance``, and every ``sssp --paths``
-length must be the ``apsp --strategy repeated-dijkstra`` entry.
+counts there, each at ``aggregate.distance``, every ``sssp --paths``
+length must be the ``apsp --strategy repeated-dijkstra`` entry, and every
+path, CSV and JSON, must run from its source to its target over pairs
+``aggregate-export`` keeps at its cell, their distances adding up, left to
+right from 0.0, to its length exactly.
 """
 
 import csv
 import io
+import json
 import math
 import os
 import tempfile
@@ -150,12 +154,36 @@ def assert_within_tolerance(fw, rd):
                 assert abs(got - want) <= TOL, (src, dst)
 
 
-def csv_rows(capsys, *argv):
-    """The CSV rows ``argv`` writes to stdout, in process."""
+def stdout(capsys, *argv):
+    """What ``argv`` writes to stdout, in process."""
     assert main(list(argv)) == 0, argv
     out, err = capsys.readouterr()
     assert err == ""
-    return list(csv.reader(io.StringIO(out)))
+    return out
+
+
+def csv_rows(capsys, *argv):
+    """The CSV rows ``argv`` writes to stdout, in process."""
+    return list(csv.reader(io.StringIO(stdout(capsys, *argv))))
+
+
+def assert_paths_walk_kept_pairs(paths_rows, kept):
+    """Each (source, alpha, beta, target, length, path) row's path adds up to its length.
+
+    ``kept`` maps each cell (alpha, beta) to its kept pairs' distances. A
+    path is empty exactly when its length is ``inf``; otherwise it runs from
+    the source to the target over kept pairs, and their distances, added
+    left to right from 0.0, are its length.
+    """
+    for src, alpha, beta, target, length, path in paths_rows:
+        if not path:
+            assert length == math.inf, (src, target)
+            continue
+        assert (path[0], path[-1]) == (src, target)
+        total = 0.0
+        for hop in zip(path, path[1:]):
+            total += kept[alpha, beta][hop]
+        assert total == length, (src, target)
 
 
 @settings(max_examples=25, deadline=None,
@@ -173,8 +201,17 @@ def test_exports_counts_and_lengths_agree_across_commands(capsys, monkeypatch, d
         net = load_edge_list(path, polarity=polarity, on_duplicate="keep-max")
         counts = {(a, b): int(count)
                   for a, b, count in csv_rows(capsys, "sweep", *load, *GRID)[1:]}
-        rows = csv_rows(capsys, "sssp", *load, "--source", sources_of(edges), *GRID, "--paths")
-        lengths = {tuple(row[:4]): float(row[4]) for row in rows[rows.index([]) + 2:]}
+        sssp = ("sssp", *load, "--source", sources_of(edges), *GRID, "--paths")
+        rows = csv_rows(capsys, *sssp)
+        paths_rows = [(*row[:4], float(row[4]), row[5].split("->") if row[5] else [])
+                      for row in rows[rows.index([]) + 2:]]
+        lengths = {tuple(row[:4]): row[4] for row in paths_rows}
+        paths_rows += [
+            (*map(str, (r["source"], r["alpha"], r["beta"], r["target"])),
+             math.inf if r["length"] is None else r["length"], list(map(str, r["path"])))
+            for r in json.loads(stdout(capsys, *sssp, "--format", "json"))["paths"]
+        ]
+        kept = {}
         checked = 0
         for alpha in ALPHAS:
             for beta in BETAS:
@@ -183,6 +220,7 @@ def test_exports_counts_and_lengths_agree_across_commands(capsys, monkeypatch, d
                 assert len(export) == counts[alpha, beta]
                 for src, dst, dist, _ in export:
                     assert float(dist) == distance(net, int(src), int(dst))
+                kept[alpha, beta] = {(src, dst): float(dist) for src, dst, dist, _ in export}
                 head, *matrix = csv_rows(capsys, "apsp", *load, *cell,
                                          "--strategy", "repeated-dijkstra")
                 for src, *row in matrix:
@@ -192,3 +230,5 @@ def test_exports_counts_and_lengths_agree_across_commands(capsys, monkeypatch, d
                             checked += 1
         n = len(net.nodes)
         assert checked == len(ALPHAS) * len(BETAS) * n * (n - 1)
+        assert len(paths_rows) == 2 * checked
+        assert_paths_walk_kept_pairs(paths_rows, kept)

@@ -5,6 +5,7 @@ import mmap
 import os
 import random
 import signal
+import time
 from math import inf
 
 import numpy as np
@@ -403,13 +404,10 @@ class TestBlockedFloydWarshall:
         assert len(os.listdir("/proc/self/fd")) == fds
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-    @pytest.mark.parametrize("notice", ["ready", "through"])
-    def test_a_rank_that_dies_mid_schedule_fails_the_run(self, monkeypatch, force_fw_workers,
-                                                         notice):
+    def test_a_rank_that_dies_mid_schedule_fails_the_run(self, monkeypatch, force_fw_workers):
         # ten rows a block: 30 phases. Rank 2 kills itself where it would
-        # send its first own notice of one kind, after phase 0's rows are
-        # in their slot; ranks 0 and 1 then wait on it for that notice, or
-        # for one only it would pass on
+        # send its first own notice, phase 2's, after phase 0's rows are in
+        # their slot; ranks 0 and 1 then wait on it for that notice
         monkeypatch.setattr(paths, "_FW_BLOCK_BYTES", 8 * 300 * 10)
         relax = paths._fw_relax
         fds = len(os.listdir("/proc/self/fd"))
@@ -420,11 +418,8 @@ class TestBlockedFloydWarshall:
                 send = workers.send
 
                 def dying_send(fd, data):
-                    # a notice is the phase, then 0 for "ready" or the sender's rank plus one
-                    phase = int.from_bytes(data[:4], "little")
-                    sender = int.from_bytes(data[4:], "little")
-                    own = sender == 3 if notice == "through" else (sender, phase % 3) == (0, 2)
-                    if own:
+                    phase = int.from_bytes(data, "little")  # a notice is its phase
+                    if phase % 3 == 2:  # rank 2's own, not one it passes on
                         os.write(died[1], phase.to_bytes(4, "little"))
                         os.kill(os.getpid(), signal.SIGKILL)
                     send(fd, data)
@@ -442,17 +437,48 @@ class TestBlockedFloydWarshall:
         finally:
             for fd in died:
                 os.close(fd)
-        assert phase == (0 if notice == "through" else 2)
+        assert phase == 2
         assert len(forks) == 3
         with pytest.raises(ChildProcessError):  # every worker is reaped
             os.waitpid(-1, os.WNOHANG)
         assert len(os.listdir("/proc/self/fd")) == fds
 
-    @pytest.mark.parametrize("ranks", [1, 3])
+    @pytest.mark.parametrize("ranks", [2, 3])
+    def test_a_lagging_rank_never_reads_a_refilled_slot(self, monkeypatch, force_fw_workers,
+                                                        ranks):
+        # two rows a block: 40 phases. Each forked rank sleeps up to 2 ms
+        # before a third of its steps, from a draw seeded by its rank, so
+        # ranks fall behind each other as far as the "ready" notices let
+        # them; a slot refilled too early shows as a different matrix
+        monkeypatch.setattr(paths, "_FW_BLOCK_BYTES", 8 * 80 * 2)
+        net = zero_distance_net(80, NEGATIVE, seed=80)
+        force_fw_workers(1)
+        want = ml_floyd_warshall(net).values.tobytes()
+        relax = paths._fw_relax
+
+        def lagging(values, slots, bounds, rank, pipes):
+            draw = random.Random(rank)
+            add = np.add
+
+            def slow_add(*args, **kwargs):
+                if draw.random() < 0.3:
+                    time.sleep(0.002 * draw.random())
+                return add(*args, **kwargs)
+
+            monkeypatch.setattr(np, "add", slow_add)  # in this forked rank only
+            relax(values, slots, bounds, rank, pipes)
+
+        monkeypatch.setattr(paths, "_fw_relax", lagging)
+        forks = force_fw_workers(ranks)
+        assert ml_floyd_warshall(net).values.tobytes() == want
+        assert len(forks) == ranks
+
+    @pytest.mark.parametrize("ranks", [1, 2, 3])
     def test_the_rows_set_aside_do_not_grow_with_n(self, monkeypatch, force_fw_workers, ranks):
-        # every map but the matrix is the slots: _FW_SLOTS blocks at most,
-        # however many nodes; an n x n copy of the matrix would be 11.5 MB
-        # at 1,200 nodes, against 1.56 MB of slots
+        # every map but the matrix is the slots: one block a rank and one
+        # more at most, however many nodes; an n x n copy of the matrix
+        # would be 11.5 MB at 1,200 nodes, against 1.56 MB of slots on two
+        # ranks
         lengths = []
         real_mmap = mmap.mmap
 
@@ -468,8 +494,9 @@ class TestBlockedFloydWarshall:
             net = zero_distance_net(n, NEGATIVE, seed=n)
             assert ml_floyd_warshall(net).values.shape == (n, n)
             lengths.remove(8 * n * n)  # the matrix
-            assert 0 < sum(lengths) <= paths._FW_SLOTS * paths._FW_BLOCK_BYTES
-            assert len(forks) == forked_ranks(min(ranks, -(-n // _fw_block_height(n))))
+            blocks = -(-n // _fw_block_height(n))
+            assert 0 < sum(lengths) <= (min(ranks, blocks) + 1) * paths._FW_BLOCK_BYTES
+            assert len(forks) == forked_ranks(min(ranks, blocks))
 
     @pytest.mark.parametrize("n", [500, 800, 2_000])
     def test_the_temporary_never_shares_a_page_offset_with_its_block(self, monkeypatch, n):

@@ -204,9 +204,9 @@ class TestWriteMatrix:
         assert 0 < max(held) <= max(received)
         assert out.getvalue() == alone.getvalue()
 
-    def test_800_nodes_fork_and_276_do_not(self):
+    def test_800_nodes_fork_and_239_do_not(self):
         assert 800 >= workers._EMIT_FORK_MIN_ROWS
-        assert 276 < workers._EMIT_FORK_MIN_ROWS <= 277
+        assert 239 < workers._EMIT_FORK_MIN_ROWS <= 240
 
 
 class ClosesAfter:
